@@ -27,7 +27,9 @@ independent, so concurrent runs need no coordination.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .model import Diagram, GraphView, Kind, strip_informational
@@ -36,8 +38,9 @@ from .ordering import (
     InconsistentOrder,
     OrderSchema,
     PartialOrder,
+    SequenceSlots,
     canonical_schema,
-    enumerate_schemas,
+    decision_sequences,
     induce_partial_order,
 )
 
@@ -243,32 +246,60 @@ class Analysis:
 
     # -- schema scans -------------------------------------------------------
 
-    def _pair_schemas(self, a: str, dec: str) -> Iterator[OrderSchema]:
-        for schema in enumerate_schemas(self.diagram, self.po):
-            if schema.slot_of[a] == schema.position(dec) - 1:
-                yield schema
+    @cached_property
+    def _sequences(self) -> tuple[SequenceSlots, ...]:
+        return tuple(decision_sequences(self.diagram, self.po))
 
-    def is_significant(self, a: str, dec: str, exact: bool = False) -> Witness | None:
+    def _pair_schemas(self, a: str, dec: str, exact: bool) -> Iterator[OrderSchema]:
+        """The admissible schemas placing ``a`` in the slot immediately
+        before ``dec``, in :func:`enumerate_schemas` order, generated
+        directly: ``a`` is pinned and the other chance nodes range freely.
+
+        With ``exact`` false, only the first schema of each distinct past of
+        ``dec`` is kept.  Within one sequence that is the lowest slot vector
+        with the same split of chance nodes into before and after ``dec``,
+        so each chance node needs at most two slots: its lowest, and its
+        lowest at or after ``dec``.
+        """
+        chance = self.diagram.chance_ids
+        ai = chance.index(a)
+        seen_pasts: set[frozenset[str]] = set()
+        for seq, pos, ranges in self._sequences:
+            k = pos[dec]
+            lo, hi = ranges[ai]
+            if not lo <= k - 1 <= hi:
+                continue
+            if exact:
+                choices = [range(lo, hi + 1) for lo, hi in ranges]
+            else:
+                choices = [(lo, k) if lo < k <= hi else (lo,) for lo, hi in ranges]
+            choices[ai] = (k - 1,)
+            earlier = frozenset(seq[: k - 1])
+            for combo in itertools.product(*choices):
+                if not exact:
+                    past = earlier.union(c for c, s in zip(chance, combo) if s < k)
+                    if past in seen_pasts:
+                        continue
+                    seen_pasts.add(past)
+                yield OrderSchema(seq, tuple(zip(chance, combo)), chance)
+
+    def is_significant(self, a: str, dec: str, exact: bool = True) -> Witness | None:
         """Existential significance over admissible schemas placing ``a``
         immediately before ``dec``.
 
-        The default scan collapses schemas that differ only in the ordering
-        of what follows the decision (and of the past, which enters the
-        rules as a set): one representative per distinct past suffices once
-        every later incompatible pair has been cleared.  ``exact`` scans the
-        full schema stream instead; the two must agree.
+        The default scans every such schema and answers any single pair
+        exactly.  ``exact=False`` evaluates one representative per distinct
+        past of ``dec`` instead, collapsing schemas that differ only in the
+        ordering of what follows the decision (the past enters the rules as
+        a set).  That is sound only once every later incompatible pair has
+        been cleared, which :func:`check_welldefined` arranges; on its own
+        it can miss a witness.
         """
         if self.diagram.kind(a) is not Kind.CHANCE or self.diagram.kind(dec) is not Kind.DECISION:
             raise ValueError("significance is defined for (chance, decision) pairs")
         if not self.po.incompatible(a, dec):
             raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
-        seen_pasts: set[frozenset[str]] = set()
-        for schema in self._pair_schemas(a, dec):
-            if not exact:
-                past = schema.pred(dec)
-                if past in seen_pasts:
-                    continue
-                seen_pasts.add(past)
+        for schema in self._pair_schemas(a, dec, exact):
             w = self.significant_rel(schema, a, dec)
             if w is not None:
                 return w
@@ -302,7 +333,9 @@ class AnalysisContext:
         return cls(analysis, schema)
 
 
-def is_significant(d: Diagram, a: str, dec: str, exact: bool = False) -> Witness | None:
+def is_significant(d: Diagram, a: str, dec: str, exact: bool = True) -> Witness | None:
+    """Significance of one (chance, decision) pair; see
+    :meth:`Analysis.is_significant`."""
     return Analysis(d).is_significant(a, dec, exact=exact)
 
 
@@ -335,9 +368,10 @@ def check_welldefined(
     have no such pairs and always come back welldefined.
 
     The default run scans pairs latest-decision-first with the collapsed
-    schema stream, which is sound while every later pair is insignificant;
-    the moment any pair fires, the whole sweep is redone exactly.  Exact
-    and default mode therefore emit identical reports.
+    pass (``is_significant(..., exact=False)``: one schema per distinct
+    past), which is sound while every later pair is insignificant; the
+    moment any pair fires, the whole sweep is redone exactly.  Exact and
+    default mode therefore emit identical reports.
     """
     analysis = Analysis(d, extra_constraints)
     pairs: list[tuple[str, str]] = []

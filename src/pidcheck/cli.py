@@ -22,6 +22,7 @@ from .dsep import NotTotalOrder, bayes_ball_requisite, elimination_neighbors
 from .model import Diagram, InvalidDiagram, Kind, validate
 from .oracle import (
     Comparison,
+    EvaluationError,
     InvalidRealization,
     Realization,
     random_realization,
@@ -43,31 +44,45 @@ class CliError(Exception):
 # document format
 
 
-def realization_from_raw(d: Diagram, raw: dict) -> Realization:
+def _table(what: str, node_id: str, flat: Any, shape: tuple[int, ...]) -> np.ndarray:
+    if not isinstance(flat, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in flat
+    ):
+        raise InvalidRealization(f"{what} for {node_id!r} is not a flat list of numbers")
+    arr = np.asarray(flat, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidRealization(f"{what} for {node_id!r} has non-finite entries")
+    if arr.size != int(np.prod(shape)):
+        raise InvalidRealization(
+            f"{what} for {node_id!r} has {arr.size} entries, expected {int(np.prod(shape))}"
+        )
+    return arr.reshape(shape)
+
+
+def _table_map(raw: dict, key: str) -> dict:
+    tables = raw.get(key, {})
+    if not isinstance(tables, dict):
+        raise InvalidRealization(f"realization {key!r} must be an object")
+    return tables
+
+
+def realization_from_raw(d: Diagram, raw: Any) -> Realization:
+    if not isinstance(raw, dict):
+        raise InvalidRealization("realization must be an object")
     cpts: dict[str, np.ndarray] = {}
     utilities: dict[str, np.ndarray] = {}
-    for node_id, flat in raw.get("cpts", {}).items():
+    for node_id, flat in _table_map(raw, "cpts").items():
         if node_id not in d or d.kind(node_id) is not Kind.CHANCE:
             raise InvalidRealization(f"cpt given for non-chance node {node_id!r}")
         shape = tuple(len(d.states(p)) for p in d.parents(node_id)) + (
             len(d.states(node_id)),
         )
-        arr = np.asarray(flat, dtype=float)
-        if arr.size != int(np.prod(shape)):
-            raise InvalidRealization(
-                f"cpt for {node_id!r} has {arr.size} entries, expected {int(np.prod(shape))}"
-            )
-        cpts[node_id] = arr.reshape(shape)
-    for node_id, flat in raw.get("utilities", {}).items():
+        cpts[node_id] = _table("cpt", node_id, flat, shape)
+    for node_id, flat in _table_map(raw, "utilities").items():
         if node_id not in d or d.kind(node_id) is not Kind.VALUE:
             raise InvalidRealization(f"utility given for non-value node {node_id!r}")
         shape = tuple(len(d.states(p)) for p in d.parents(node_id))
-        arr = np.asarray(flat, dtype=float)
-        if arr.size != int(np.prod(shape)):
-            raise InvalidRealization(
-                f"utility for {node_id!r} has {arr.size} entries, expected {int(np.prod(shape))}"
-            )
-        utilities[node_id] = arr.reshape(shape)
+        utilities[node_id] = _table("utility", node_id, flat, shape)
     return Realization(cpts, utilities).validated(d)
 
 
@@ -127,6 +142,11 @@ def load_file(path: str) -> tuple[Diagram, Realization | None]:
 # DOT export
 
 
+def _dot_id(node_id: str) -> str:
+    """A DOT quoted-string id."""
+    return '"' + node_id.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(d: Diagram, report: _analysis.Report | None = None, annotate: bool = False) -> str:
     shapes = {Kind.CHANCE: "circle", Kind.DECISION: "box", Kind.VALUE: "diamond"}
     significant_nodes: set[str] = set()
@@ -138,12 +158,12 @@ def export_dot(d: Diagram, report: _analysis.Report | None = None, annotate: boo
         attrs = [f"shape={shapes[n.kind]}"]
         if n.id in significant_nodes:
             attrs.append('style=filled, fillcolor="orangered"')
-        lines.append(f'  "{n.id}" [{", ".join(attrs)}];')
+        lines.append(f'  {_dot_id(n.id)} [{", ".join(attrs)}];')
     for tail, head in d.arcs():
         attrs = ""
         if annotate and d.kind(head) is Kind.DECISION:
             attrs = " [style=dashed]"
-        lines.append(f'  "{tail}" -> "{head}"{attrs};')
+        lines.append(f"  {_dot_id(tail)} -> {_dot_id(head)}{attrs};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -326,7 +346,7 @@ def cmd_significant(args) -> int:
     a = _require_chance(d, args.chance)
     dec = _require_decision(d, args.decision)
     try:
-        w = _analysis.is_significant(d, a, dec, exact=args.exact)
+        w = _analysis.is_significant(d, a, dec)
     except ValueError as exc:
         raise CliError(str(exc))
     if w is None:
@@ -490,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("significant", cmd_significant, help="is a chance node significant for a decision?")
     p.add_argument("-a", "--chance", required=True)
     p.add_argument("-d", "--decision", required=True)
-    p.add_argument("--exact", action="store_true")
     p = add("solve", cmd_solve, help="exact strategies and MEU (needs a realization)")
     p.add_argument("--schema", type=int, default=None)
     p = add("fuzz", cmd_fuzz, help="random-realization differential suite")
@@ -512,7 +531,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (InvalidDiagram, InconsistentOrder, InvalidRealization, NotTotalOrder) as exc:
+    except (
+        InvalidDiagram, InconsistentOrder, InvalidRealization, NotTotalOrder, EvaluationError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

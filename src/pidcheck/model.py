@@ -191,25 +191,26 @@ def _find_cycle(ids: Sequence[str], parents: Mapping[str, Sequence[str]]) -> lis
             if p in children:
                 children[p].append(i)
 
-    def visit(v: str, path: list[str]) -> list[str] | None:
-        color[v] = GREY
-        path.append(v)
-        for c in children[v]:
-            if color[c] == GREY:
-                return path[path.index(c):] + [c]
-            if color[c] == WHITE:
-                cyc = visit(c, path)
-                if cyc is not None:
-                    return cyc
-        path.pop()
-        color[v] = BLACK
-        return None
-
-    for i in ids:
-        if color[i] == WHITE:
-            cyc = visit(i, [])
-            if cyc is not None:
-                return cyc
+    # Depth-first with an explicit stack of child iterators, so chains of
+    # any length stay within the interpreter's recursion limit.
+    for root in ids:
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        stack = [iter(children[root])]
+        while stack:
+            for c in stack[-1]:
+                if color[c] == GREY:
+                    return path[path.index(c):] + [c]
+                if color[c] == WHITE:
+                    color[c] = GREY
+                    path.append(c)
+                    stack.append(iter(children[c]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                stack.pop()
     return None
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import Diagram, Kind
 
@@ -235,14 +235,32 @@ def _decision_extensions(po: PartialOrder, decisions: Sequence[str]) -> Iterator
     yield from rec([], remaining)
 
 
-def slot_range(po: PartialOrder, seq: Sequence[str], c: str) -> tuple[int, int]:
-    """Admissible slot interval for chance node ``c`` under a decision
-    sequence: after every decision that precedes it, before every decision
-    it precedes."""
-    pos = {dec: i for i, dec in enumerate(seq)}
-    lo = max((pos[dec] + 1 for dec in seq if po.precedes(dec, c)), default=0)
-    hi = min((pos[dec] for dec in seq if po.precedes(c, dec)), default=len(seq))
-    return lo, hi
+class SequenceSlots(NamedTuple):
+    """One linear extension of the decision order, with what every schema
+    under it shares: the 1-based position of each decision and the
+    admissible slot interval of each chance node (declaration order), which
+    lies after every decision that precedes the node and before every
+    decision it precedes."""
+
+    decisions: tuple[str, ...]
+    position: dict[str, int]
+    ranges: tuple[tuple[int, int], ...]
+
+
+def decision_sequences(d: Diagram, po: PartialOrder) -> Iterator[SequenceSlots]:
+    """The decision sequences of :func:`enumerate_schemas`, in its order."""
+    chance = d.chance_ids
+    for seq in _decision_extensions(po, d.decision_ids):
+        pos = {dec: i for i, dec in enumerate(seq, start=1)}
+        # Sequence extensions guarantee lo <= hi for every chance node.
+        ranges = tuple(
+            (
+                max((pos[dec] for dec in seq if po.precedes(dec, c)), default=0),
+                min((pos[dec] - 1 for dec in seq if po.precedes(c, dec)), default=len(seq)),
+            )
+            for c in chance
+        )
+        yield SequenceSlots(seq, pos, ranges)
 
 
 def enumerate_schemas(d: Diagram, po: PartialOrder | None = None) -> Iterator[OrderSchema]:
@@ -252,9 +270,7 @@ def enumerate_schemas(d: Diagram, po: PartialOrder | None = None) -> Iterator[Or
     if po is None:
         po = induce_partial_order(d)
     chance = d.chance_ids
-    for seq in _decision_extensions(po, d.decision_ids):
-        ranges = [slot_range(po, seq, c) for c in chance]
-        # Sequence extensions guarantee lo <= hi for every chance node.
+    for seq, _, ranges in decision_sequences(d, po):
         for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
             yield OrderSchema(seq, tuple(zip(chance, combo)), chance)
 

@@ -12,8 +12,8 @@ import hypothesis
 import numpy as np
 import pytest
 
-from pidcheck.model import Diagram, Kind
-from pidcheck.ordering import PartialOrder
+from pidcheck.model import Diagram, Kind, Node, validate_nodes
+from pidcheck.ordering import PartialOrder, enumerate_schemas
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=40, derandomize=True
@@ -113,6 +113,53 @@ def swap_graph_connected(po: PartialOrder) -> bool:
                     seen.add(swapped)
                     queue.append(swapped)
     return len(seen) == len(orders)
+
+
+# ---------------------------------------------------------------------------
+# reference pair scan: filter the full schema stream for each pair
+
+
+def full_stream_pair_schemas(analysis, a: str, dec: str):
+    """Every admissible schema placing ``a`` in the slot immediately before
+    ``dec``, found by filtering the whole schema stream."""
+    for schema in enumerate_schemas(analysis.diagram, analysis.po):
+        if schema.slot_of[a] == schema.position(dec) - 1:
+            yield schema
+
+
+def first_per_past(schemas, dec: str):
+    """The first schema of each distinct past of ``dec``."""
+    seen = set()
+    for schema in schemas:
+        past = schema.pred(dec)
+        if past not in seen:
+            seen.add(past)
+            yield schema
+
+
+# ---------------------------------------------------------------------------
+# W(k): k independent S_i -> D_i -> U_i triples.  The shared variant adds a
+# hidden H -> S_i and H into every U_i, which makes every (S_i, D_j) with
+# i != j significant through the direct clause.
+
+
+def w_family(k: int, shared: bool = False) -> Diagram:
+    binary, act = ("s1", "s2"), ("d1", "d2")
+    hidden = ("H",) if shared else ()
+    nodes = [Node("H", Kind.CHANCE, binary, ())] if shared else []
+    nodes += [Node(f"S{i}", Kind.CHANCE, binary, hidden) for i in range(k)]
+    nodes += [Node(f"D{i}", Kind.DECISION, act, (f"S{i}",)) for i in range(k)]
+    nodes += [Node(f"U{i}", Kind.VALUE, None, (f"D{i}",) + hidden) for i in range(k)]
+    return validate_nodes(nodes)
+
+
+def w_family_expected(k: int, shared: bool = False) -> dict:
+    """The check verdict, pairs and witnesses of W(k), known by construction."""
+    pairs = sorted((f"S{i}", f"D{j}") for i in range(k) for j in range(k) if i != j)
+    witnesses = sorted(
+        (f"S{i}", f"D{j}", f"U{j}", "direct") for i in range(k) for j in range(k) if i != j
+    ) if shared else []
+    return {"welldefined": not shared, "pairs": pairs, "witnesses": witnesses}
 
 
 # ---------------------------------------------------------------------------

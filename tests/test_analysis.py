@@ -1,8 +1,11 @@
+import time
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from conftest import first_per_past, full_stream_pair_schemas, w_family, w_family_expected
 from pidcheck import figures
 from pidcheck.analysis import (
     Analysis,
@@ -186,6 +189,15 @@ class TestSignificance:
                 full = analysis.is_significant(a, dec, exact=True)
                 assert (collapsed is None) == (full is None), (name, a, dec)
 
+    def test_single_pair_query_is_exact(self):
+        # The collapsed pass is sound only once every later pair is cleared;
+        # on its own it misses this witness, so the public query is exact.
+        d = random_pid(np.random.default_rng(153), max_carrier=8, max_decisions=4)
+        assert Analysis(d).is_significant("X3", "D0", exact=False) is None
+        w = is_significant(d, "X3", "D0")
+        assert w is not None and replay_witness(d, w)
+        assert ("X3", "D0") in check_welldefined(d).significant_pairs
+
     def test_fig6_pair_yields_witness(self):
         w = is_significant(figures.fig6(), "A", "D")
         assert w is not None and (w.chance, w.decision) == ("A", "D")
@@ -211,7 +223,58 @@ class TestSignificance:
             assert strategies_equal(s1, s2) is not Comparison.DIFFERENT
 
 
+def _assert_pair_schemas_match_reference(d) -> int:
+    """Both modes of the pair generator yield exactly the schemas, in the
+    same order, that filtering the full schema stream yields.  Returns the
+    number of pairs compared."""
+    analysis = Analysis(d)
+    pairs = [
+        (a, dec)
+        for dec in d.decision_ids
+        for a in d.chance_ids
+        if analysis.po.incompatible(a, dec)
+    ]
+    for a, dec in pairs:
+        full = list(full_stream_pair_schemas(analysis, a, dec))
+        assert list(analysis._pair_schemas(a, dec, exact=True)) == full, (d, a, dec)
+        collapsed = list(first_per_past(full, dec))
+        assert list(analysis._pair_schemas(a, dec, exact=False)) == collapsed, (d, a, dec)
+    return len(pairs)
+
+
+class TestPairSchemas:
+    @pytest.mark.parametrize("name", sorted(figures.ALL_FIGURES))
+    def test_fixtures(self, name):
+        _assert_pair_schemas_match_reference(figures.ALL_FIGURES[name]())
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_w_family(self, k, shared):
+        assert _assert_pair_schemas_match_reference(w_family(k, shared)) == k * (k - 1)
+
+    def test_random_draws(self):
+        compared = 0
+        for seed in range(1000):
+            d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            compared += _assert_pair_schemas_match_reference(d)
+        assert compared > 500
+
+
 class TestCheckWelldefined:
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_w_family_verdict_within_budget(self, k, shared):
+        d = w_family(k, shared)
+        start = time.perf_counter()
+        report = check_welldefined(d)
+        elapsed = time.perf_counter() - start
+        expected = w_family_expected(k, shared)
+        assert report.welldefined is expected["welldefined"]
+        assert sorted(report.pairs_checked) == expected["pairs"]
+        got = sorted((w.chance, w.decision, w.utility, w.clause) for w in report.witnesses)
+        assert got == expected["witnesses"]
+        assert elapsed < 5.0, f"W({k}) check took {elapsed:.2f}s"
+
     def test_classic_diagrams_always_welldefined(self):
         for name in ["fig2", "fig3", "fig4", "fig5"]:
             report = check_welldefined(figures.ALL_FIGURES[name]())

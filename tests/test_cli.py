@@ -1,10 +1,12 @@
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from pidcheck import figures
 from pidcheck.cli import export_dot, main, parse_document, serialize_document
+from pidcheck.generate import random_pid
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -44,6 +46,47 @@ class TestDocumentFormat:
         code, out, err = run(capsys, "validate", bad)
         assert code == 1
         assert "cpt for 'A'" in err
+
+
+def _fig4_doc_with(realization_edit) -> dict:
+    doc = json.loads(serialize_document(figures.fig4(), figures.fig4_realization()))
+    realization_edit(doc)
+    return doc
+
+
+class TestMalformedRealization:
+    """Bad realization tables are rejected when the document is parsed, with
+    an error line and exit 1 instead of a traceback."""
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["realization"]["utilities"]["U"].__setitem__(0, float("inf")), "non-finite"),
+            (lambda doc: doc["realization"]["utilities"]["U"].__setitem__(0, float("nan")), "non-finite"),
+            (lambda doc: doc["realization"]["utilities"]["U"].__setitem__(0, "abc"), "not a flat list of numbers"),
+            (lambda doc: doc["realization"]["cpts"].__setitem__("C", {"s1": 0.5}), "not a flat list of numbers"),
+            (lambda doc: doc.__setitem__("realization", [1, 2]), "realization must be an object"),
+        ],
+        ids=["infinity", "nan", "non-numeric", "dict-table", "realization-not-object"],
+    )
+    def test_rejected_at_parse(self, tmp_path, capsys, edit, message):
+        bad = tmp_path / "bad.pid"
+        bad.write_text(json.dumps(_fig4_doc_with(edit)))
+        for command in ("validate", "solve"):
+            code, out, err = run(capsys, command, bad)
+            assert code == 1 and out == ""
+            assert err.startswith(f"error: {bad}: ") and message in err, err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+    def test_overflow_in_solve_is_an_error(self, tmp_path, capsys):
+        def huge(doc):
+            for table in doc["realization"]["utilities"].values():
+                table[:] = [1e308] * len(table)
+
+        bad = tmp_path / "huge.pid"
+        bad.write_text(json.dumps(_fig4_doc_with(huge)))
+        code, _, err = run(capsys, "solve", bad)
+        assert code == 1 and err.startswith("error: ") and "non-finite" in err
 
 
 class TestExitCodes:
@@ -106,6 +149,16 @@ class TestSubcommandOutputs:
         assert code == 0 and payload["significant"] is True
         assert payload["witness"]["utility"] == "U1"
 
+    def test_significant_is_exact(self, tmp_path, capsys):
+        # The collapsed pass alone calls this pair not significant.
+        d = random_pid(np.random.default_rng(153), max_carrier=8, max_decisions=4)
+        path = tmp_path / "draw153.pid"
+        path.write_text(serialize_document(d))
+        code, payload = run_json(capsys, "significant", path, "-a", "X3", "-d", "D0")
+        assert code == 0 and payload["significant"] is True
+        code, payload = run_json(capsys, "check", path)
+        assert code == 2 and ["X3", "D0"] in [[w["chance"], w["decision"]] for w in payload["witnesses"]]
+
     def test_significant_rejects_compatible_pair(self, capsys):
         code, _, err = run(capsys, "significant", FIXTURES / "fig2.pid", "-a", "B", "-d", "D1")
         assert code == 1 and "pair not incompatible" in err
@@ -142,6 +195,19 @@ class TestSubcommandOutputs:
     def test_fuzz_smoke(self, capsys):
         code, payload = run_json(capsys, "fuzz", FIXTURES / "fig6.pid", "--trials", "3")
         assert code == 0 and payload["ok"] is True
+
+    def test_long_chain(self, tmp_path, capsys):
+        nodes = [{"id": "C0", "kind": "chance", "states": ["a", "b"], "parents": []}]
+        nodes += [
+            {"id": f"C{i}", "kind": "chance", "states": ["a", "b"], "parents": [f"C{i - 1}"]}
+            for i in range(1, 1200)
+        ]
+        nodes.append({"id": "D", "kind": "decision", "states": ["a", "b"], "parents": ["C1199"]})
+        nodes.append({"id": "U", "kind": "value", "parents": ["C0", "D"]})
+        path = tmp_path / "chain.pid"
+        path.write_text(json.dumps({"nodes": nodes}))
+        assert run(capsys, "validate", path)[0] == 0
+        assert run(capsys, "check", path)[0] == 0
 
     def test_check_exact_flag_matches_default(self, capsys):
         for name in ["fig1", "fig6", "fig7"]:
@@ -197,6 +263,20 @@ class TestExportDot:
         from pidcheck.model import validate_nodes
 
         assert export_dot(validate_nodes([])) == "digraph pid {\n}\n"
+
+    def test_ids_are_escaped(self):
+        from pidcheck.model import Kind, Node, validate_nodes
+
+        d = validate_nodes(
+            [
+                Node('A\\x', Kind.CHANCE, ("s1", "s2"), ()),
+                Node('D1"q', Kind.DECISION, ("d1", "d2"), ('A\\x',)),
+            ]
+        )
+        out = export_dot(d)
+        assert '  "A\\\\x" [shape=circle];' in out
+        assert '  "D1\\"q" [shape=box];' in out
+        assert '  "A\\\\x" -> "D1\\"q";' in out
 
     def test_annotated_fig6_highlights_pair(self, capsys):
         code, out, _ = run(capsys, "export-dot", FIXTURES / "fig6.pid", "--annotate")

@@ -43,6 +43,14 @@ class TestValidate:
             )
         assert any("cycle" in v for v in exc.value.violations)
 
+    def test_long_cycle_reported_in_order(self):
+        n = 1500
+        nodes = [Node(f"C{i}", Kind.CHANCE, ("x", "y"), (f"C{(i - 1) % n}",)) for i in range(n)]
+        with pytest.raises(InvalidDiagram) as exc:
+            validate_nodes(nodes)
+        expected = " -> ".join(f"C{i}" for i in range(n)) + " -> C0"
+        assert exc.value.violations == ["cycle: " + expected]
+
     def test_all_violations_reported_not_just_first(self):
         with pytest.raises(InvalidDiagram) as exc:
             validate(
