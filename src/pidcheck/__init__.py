@@ -5,66 +5,4 @@ scenario, computes relevant utilities, required variables and significant
 chance variables, and cross-checks every structural verdict against an
 exact variable-elimination oracle at desk scale.
 """
-from .model import (
-    Diagram,
-    GraphView,
-    InvalidDiagram,
-    Kind,
-    Node,
-    moral_view,
-    strip_barren,
-    strip_informational,
-    validate,
-    validate_nodes,
-)
-from .ordering import (
-    InconsistentOrder,
-    OrderSchema,
-    PartialOrder,
-    c_swap_allowed,
-    canonical_schema,
-    enumerate_schemas,
-    induce_partial_order,
-    is_admissible,
-    pred_set,
-    schema_of,
-)
-from .dsep import (
-    NotTotalOrder,
-    SeparationQuery,
-    bayes_ball_requisite,
-    d_connected,
-    directed_path_exists,
-    elimination_neighbors,
-)
-from .analysis import (
-    Analysis,
-    AnalysisContext,
-    Proposal,
-    Report,
-    Witness,
-    check_welldefined,
-    is_significant,
-    relevant_utilities,
-    replay_witness,
-    required_variables,
-    significant_rel,
-    suggest_resolutions,
-)
-from .oracle import (
-    Comparison,
-    Counterexample,
-    EvaluationError,
-    InvalidRealization,
-    Realization,
-    Strategy,
-    oracle_required,
-    random_realization,
-    significance_search,
-    solve,
-    strategies_equal,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,12 +28,12 @@ independent, so concurrent runs need no coordination.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
 from .model import Diagram, GraphView, Kind, strip_informational
-from .dsep import active_reach
+from .dsep import d_connected
 from .ordering import (
     InconsistentOrder,
     OrderSchema,
@@ -81,10 +81,6 @@ class Report:
     incompatible_pairs: tuple[tuple[str, str], ...]  # every pair touching a decision
     pairs_checked: tuple[tuple[str, str], ...]  # the (chance, decision) subset
     witnesses: tuple[Witness, ...]
-    suggestions: tuple[Proposal, ...] | None = None  # filled by suggest_resolutions
-
-    def with_suggestions(self, proposals: tuple[Proposal, ...]) -> "Report":
-        return replace(self, suggestions=proposals)
 
     @property
     def significant_pairs(self) -> tuple[tuple[str, str], ...]:
@@ -123,14 +119,6 @@ class Analysis:
                         stack.append(c)
             self._bare_desc[node] = out
         return self._bare_desc[node]
-
-    def d_conn(self, source: str, targets: frozenset[str], conditioning: frozenset[str]) -> bool:
-        if source in targets:
-            return True
-        if not targets:
-            return False
-        res = active_reach(self.bare, frozenset({source}), conditioning - {source})
-        return bool(res.reachable & targets)
 
     @staticmethod
     def _suffix_key(schema: OrderSchema, dec: str) -> tuple:
@@ -197,9 +185,9 @@ class Analysis:
         taken, hence known).
         """
         conditioning = (pred | {dec}) - {x}
-        if self.d_conn(x, rel, conditioning):
+        if d_connected(self.bare, x, rel, conditioning):
             psi = next(v for v in self.diagram.value_ids
-                       if v in rel and self.d_conn(x, frozenset({v}), conditioning))
+                       if v in rel and d_connected(self.bare, x, frozenset({v}), conditioning))
             return ("direct", psi, None, None)
         for later in schema.decisions_after(dec):
             common = rel & self.relevant_utilities(schema, later)
@@ -214,7 +202,7 @@ class Analysis:
                     self.diagram.kind(y) is Kind.CHANCE
                     and y in later_req
                     and y != x
-                    and self.d_conn(x, frozenset({y}), conditioning)
+                    and d_connected(self.bare, x, frozenset({y}), conditioning)
                 ):
                     return ("later-chain", psi, later, y)
         return None
@@ -306,39 +294,6 @@ class Analysis:
         return None
 
 
-def relevant_utilities(ctx: "AnalysisContext", dec: str) -> frozenset[str]:
-    return ctx.analysis.relevant_utilities(ctx.schema, dec)
-
-
-def required_variables(ctx: "AnalysisContext", dec: str) -> frozenset[str]:
-    return ctx.analysis.required_variables(ctx.schema, dec)
-
-
-def significant_rel(ctx: "AnalysisContext", a: str, dec: str) -> Witness | None:
-    return ctx.analysis.significant_rel(ctx.schema, a, dec)
-
-
-@dataclass
-class AnalysisContext:
-    """One diagram, one schema: the unit the per-decision queries run in."""
-
-    analysis: Analysis
-    schema: OrderSchema
-
-    @classmethod
-    def build(cls, d: Diagram, schema: OrderSchema | None = None) -> "AnalysisContext":
-        analysis = Analysis(d)
-        if schema is None:
-            schema = canonical_schema(d, analysis.po)
-        return cls(analysis, schema)
-
-
-def is_significant(d: Diagram, a: str, dec: str, exact: bool = True) -> Witness | None:
-    """Significance of one (chance, decision) pair; see
-    :meth:`Analysis.is_significant`."""
-    return Analysis(d).is_significant(a, dec, exact=exact)
-
-
 def _decision_depth_order(analysis: Analysis) -> list[str]:
     """Decisions ordered latest-first: repeatedly peel a maximal decision.
 
@@ -359,19 +314,17 @@ def _decision_depth_order(analysis: Analysis) -> list[str]:
 
 
 def check_welldefined(
-    d: Diagram,
-    exact: bool = False,
-    extra_constraints: Iterable[tuple[str, str]] = (),
+    d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()
 ) -> Report:
     """Welldefinedness verdict: the diagram is a welldefined scenario iff no
     incompatible (chance, decision) pair is significant.  Classic diagrams
     have no such pairs and always come back welldefined.
 
-    The default run scans pairs latest-decision-first with the collapsed
-    pass (``is_significant(..., exact=False)``: one schema per distinct
-    past), which is sound while every later pair is insignificant; the
-    moment any pair fires, the whole sweep is redone exactly.  Exact and
-    default mode therefore emit identical reports.
+    Pairs are scanned latest-decision-first with the collapsed pass
+    (``is_significant(..., exact=False)``: one schema per distinct past),
+    which is sound while every later pair is insignificant.  The moment any
+    pair fires, every pair is rescanned exactly, so the witnesses are those
+    of the exact single-pair query on each incompatible pair.
     """
     analysis = Analysis(d, extra_constraints)
     pairs: list[tuple[str, str]] = []
@@ -379,12 +332,8 @@ def check_welldefined(
         for a in d.chance_ids:
             if analysis.po.incompatible(a, dec):
                 pairs.append((a, dec))
-    if not exact:
-        exact = any(
-            analysis.is_significant(a, dec, exact=False) is not None for a, dec in pairs
-        )
     witnesses: list[Witness] = []
-    if exact:
+    if any(analysis.is_significant(a, dec, exact=False) is not None for a, dec in pairs):
         for a, dec in pairs:
             w = analysis.is_significant(a, dec, exact=True)
             if w is not None:
@@ -419,7 +368,7 @@ def replay_witness(d: Diagram, w: Witness) -> bool:
     if w.utility not in rel:
         return False
     if w.clause == "direct":
-        return analysis.d_conn(w.chance, frozenset({w.utility}), conditioning)
+        return d_connected(analysis.bare, w.chance, frozenset({w.utility}), conditioning)
     if w.later_decision is None:
         return False
     later_rel = analysis.relevant_utilities(w.schema, w.later_decision)
@@ -433,7 +382,7 @@ def replay_witness(d: Diagram, w: Witness) -> bool:
             w.chain_node is not None
             and w.chain_node in later_req
             and w.chain_node in w.schema.pred(w.later_decision)
-            and analysis.d_conn(w.chance, frozenset({w.chain_node}), conditioning)
+            and d_connected(analysis.bare, w.chance, frozenset({w.chain_node}), conditioning)
         )
     return False
 

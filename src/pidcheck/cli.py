@@ -30,7 +30,7 @@ from .oracle import (
     solve,
     strategies_equal,
 )
-from .ordering import InconsistentOrder, enumerate_schemas, induce_partial_order
+from .ordering import InconsistentOrder, canonical_schema, enumerate_schemas, induce_partial_order
 
 SCHEMA_VERSION = 1
 DEFAULT_TRIALS = int(os.environ.get("PIDCHECK_TRIALS", "200"))
@@ -295,7 +295,7 @@ def cmd_schemas(args) -> int:
 
 def cmd_check(args) -> int:
     d, _ = load_file(args.file)
-    report = _analysis.check_welldefined(d, exact=args.exact)
+    report = _analysis.check_welldefined(d)
     verdict = "welldefined" if report.welldefined else "NOT welldefined"
     lines = [f"{args.file}: {verdict}"]
     lines.append(
@@ -318,11 +318,12 @@ def cmd_check(args) -> int:
 def cmd_relevant(args) -> int:
     d, _ = load_file(args.file)
     dec = _require_decision(d, args.decision)
-    ctx = _analysis.AnalysisContext.build(d, None if args.schema is None else _pick_schema(d, args.schema))
-    rel = d.sort_ids(_analysis.relevant_utilities(ctx, dec))
+    analysis = _analysis.Analysis(d)
+    schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema)
+    rel = d.sort_ids(analysis.relevant_utilities(schema, dec))
     emit(
         args,
-        {"decision": dec, "relevant": list(rel), "schema": _schema_payload(ctx.schema)},
+        {"decision": dec, "relevant": list(rel), "schema": _schema_payload(schema)},
         f"relevant utilities for {dec}: {{{', '.join(rel)}}}\n",
     )
     return 0
@@ -331,11 +332,12 @@ def cmd_relevant(args) -> int:
 def cmd_required(args) -> int:
     d, _ = load_file(args.file)
     dec = _require_decision(d, args.decision)
-    ctx = _analysis.AnalysisContext.build(d, None if args.schema is None else _pick_schema(d, args.schema))
-    req = d.sort_ids(_analysis.required_variables(ctx, dec))
+    analysis = _analysis.Analysis(d)
+    schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema)
+    req = d.sort_ids(analysis.required_variables(schema, dec))
     emit(
         args,
-        {"decision": dec, "required": list(req), "schema": _schema_payload(ctx.schema)},
+        {"decision": dec, "required": list(req), "schema": _schema_payload(schema)},
         f"required variables for {dec}: {{{', '.join(req)}}}\n",
     )
     return 0
@@ -346,7 +348,7 @@ def cmd_significant(args) -> int:
     a = _require_chance(d, args.chance)
     dec = _require_decision(d, args.decision)
     try:
-        w = _analysis.is_significant(d, a, dec)
+        w = _analysis.Analysis(d).is_significant(a, dec)
     except ValueError as exc:
         raise CliError(str(exc))
     if w is None:
@@ -461,9 +463,10 @@ def cmd_baselines(args) -> int:
     """Diagnostic: exact required set next to the two over-approximations."""
     d, _ = load_file(args.file)
     dec = _require_decision(d, args.decision)
-    ctx = _analysis.AnalysisContext.build(d)
-    req = d.sort_ids(_analysis.required_variables(ctx, dec))
-    neighbors = d.sort_ids(elimination_neighbors(d, dec, ctx.schema))
+    analysis = _analysis.Analysis(d)
+    schema = canonical_schema(d, analysis.po)
+    req = d.sort_ids(analysis.required_variables(schema, dec))
+    neighbors = d.sort_ids(elimination_neighbors(d, dec, schema))
     try:
         ball = list(d.sort_ids(bayes_ball_requisite(d, dec)))
     except NotTotalOrder:
@@ -499,8 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("order", cmd_order, help="print the induced partial order and incompatible pairs")
     p = add("schemas", cmd_schemas, help="enumerate admissible order schemas")
     p.add_argument("--limit", type=int, default=None)
-    p = add("check", cmd_check, help="welldefinedness verdict (exit 0 yes, 2 no)")
-    p.add_argument("--exact", action="store_true", help="scan every schema per pair")
+    add("check", cmd_check, help="welldefinedness verdict (exit 0 yes, 2 no)")
     p = add("relevant", cmd_relevant, help="relevant utility nodes for a decision")
     p.add_argument("-d", "--decision", required=True)
     p.add_argument("--schema", type=int, default=None, help="schema index from `schemas`")

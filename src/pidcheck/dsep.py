@@ -6,7 +6,7 @@ over-approximate the exact required set and are never used for verdicts.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Diagram, GraphView, moral_view
 from .ordering import OrderSchema, induce_partial_order
@@ -16,21 +16,7 @@ class NotTotalOrder(ValueError):
     """The diagram does not force a total order on its decisions."""
 
 
-@dataclass(frozen=True)
-class SeparationQuery:
-    view: GraphView
-    source: str
-    targets: frozenset[str]
-    conditioning: frozenset[str]
-
-    def __post_init__(self):
-        if self.source in self.conditioning:
-            raise ValueError("source must not be conditioned")
-
-
-@dataclass(frozen=True)
-class ReachResult:
-    connected: bool
+class ReachResult(NamedTuple):
     reachable: frozenset[str]  # nodes on some active trail from the source
     arrived: frozenset[str]    # every node a ball arrived at, observed or not
 
@@ -38,12 +24,9 @@ class ReachResult:
 def _ancestors_of(view: GraphView, seeds: frozenset[str]) -> set[str]:
     out = set(seeds)
     stack = list(seeds)
-    parents: dict[str, list[str]] = {v: [] for v in view.node_ids}
-    for t, h in view.arc_list:
-        parents[h].append(t)
     while stack:
         v = stack.pop()
-        for p in parents[v]:
+        for p in view.parents_of(v):
             if p not in out:
                 out.add(p)
                 stack.append(p)
@@ -59,11 +42,7 @@ def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozens
     witness an active trail ENDING there, which is exactly what requisite
     queries need.
     """
-    parents: dict[str, list[str]] = {v: [] for v in view.node_ids}
-    children: dict[str, list[str]] = {v: [] for v in view.node_ids}
-    for t, h in view.arc_list:
-        parents[h].append(t)
-        children[t].append(h)
+    parents, children = view.parents_of, view.children_of
     anc_z = _ancestors_of(view, conditioning)
 
     UP, DOWN = 0, 1  # up: arrived from a child; down: arrived from a parent
@@ -85,47 +64,50 @@ def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozens
             reachable.add(v)
         if direction == UP:
             if not observed:
-                for p in parents[v]:
+                for p in parents(v):
                     queue.append((p, UP))
-                for c in children[v]:
+                for c in children(v):
                     queue.append((c, DOWN))
         else:
             if not observed:
-                for c in children[v]:
+                for c in children(v):
                     queue.append((c, DOWN))
             if v in anc_z:  # collider with itself or a descendant observed
-                for p in parents[v]:
+                for p in parents(v):
                     queue.append((p, UP))
-    return ReachResult(connected=False, reachable=frozenset(reachable), arrived=frozenset(arrived))
+    return ReachResult(frozenset(reachable), frozenset(arrived))
 
 
-def d_connected(q: SeparationQuery) -> ReachResult:
+def d_connected(
+    view: GraphView, source: str, targets: frozenset[str], conditioning: frozenset[str]
+) -> bool:
     """True iff an active trail links the source to some target given the
-    conditioning set.  A conditioned target is never connected: an observed
-    node carries no information beyond its (known) state.  An empty target
-    set is never connected; a source that is its own target always is.
+    conditioning set; the analysis rules and witness replay both ask this.
+
+    A conditioned target is never connected: an observed node carries no
+    information beyond its (known) state.  An empty target set is never
+    connected; a source that is its own target always is.  Raises
+    ``ValueError`` if the source is conditioned, so callers remove it from
+    the conditioning set first.
     """
-    if q.source in q.targets:
-        return ReachResult(True, frozenset({q.source}), frozenset({q.source}))
-    if not q.targets:
-        return ReachResult(False, frozenset(), frozenset())
-    res = active_reach(q.view, frozenset({q.source}), q.conditioning)
-    hit = bool(res.reachable & q.targets)
-    return ReachResult(hit, res.reachable, res.arrived)
+    if source in conditioning:
+        raise ValueError("source must not be conditioned")
+    if source in targets:
+        return True
+    if not targets:
+        return False
+    return not active_reach(view, frozenset({source}), conditioning).reachable.isdisjoint(targets)
 
 
 def directed_path_exists(view: GraphView, frm: str, to: str) -> bool:
     """Directed reachability in the view; a node reaches itself (empty path)."""
     if frm == to:
         return True
-    children: dict[str, list[str]] = {v: [] for v in view.node_ids}
-    for t, h in view.arc_list:
-        children[t].append(h)
     stack = [frm]
     seen = {frm}
     while stack:
         v = stack.pop()
-        for c in children[v]:
+        for c in view.children_of(v):
             if c == to:
                 return True
             if c not in seen:
@@ -136,12 +118,7 @@ def directed_path_exists(view: GraphView, frm: str, to: str) -> bool:
 
 def full_view(d: Diagram) -> GraphView:
     """All arcs, informational included; decisions act as plain nodes."""
-    return GraphView(
-        node_ids=d.ids,
-        kinds={n.id: n.kind for n in d.nodes},
-        arc_list=d.arcs(),
-        directed=True,
-    )
+    return GraphView(d.ids, d.arcs())
 
 
 def bayes_ball_requisite(d: Diagram, dec: str) -> frozenset[str]:
@@ -181,7 +158,7 @@ def elimination_neighbors(d: Diagram, dec: str, schema: OrderSchema) -> frozense
     stack = [dec]
     while stack:
         v = stack.pop()
-        for w in moral.neighbors_of(v):
+        for w in moral.children_of(v):
             if w in seen:
                 continue
             seen.add(w)

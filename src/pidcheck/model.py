@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 
@@ -149,33 +150,32 @@ class GraphView:
 
     The node set always equals the source diagram's node set (value nodes may
     be absent after moralization).  For undirected views every edge is stored
-    in both directions.
+    in both directions.  Parent and child maps are built once, on first use.
     """
 
     node_ids: tuple[str, ...]
-    kinds: Mapping[str, Kind]
     arc_list: tuple[tuple[str, str], ...]
-    directed: bool
+
+    @cached_property
+    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+        parents: dict[str, list[str]] = {v: [] for v in self.node_ids}
+        children: dict[str, list[str]] = {v: [] for v in self.node_ids}
+        for t, h in self.arc_list:
+            parents[h].append(t)
+            children[t].append(h)
+        return (
+            {v: tuple(ps) for v, ps in parents.items()},
+            {v: tuple(cs) for v, cs in children.items()},
+        )
 
     def parents_of(self, node_id: str) -> tuple[str, ...]:
-        return tuple(t for t, h in self.arc_list if h == node_id)
+        return self._adjacency[0][node_id]
 
     def children_of(self, node_id: str) -> tuple[str, ...]:
-        return tuple(h for t, h in self.arc_list if t == node_id)
-
-    def neighbors_of(self, node_id: str) -> tuple[str, ...]:
-        seen = []
-        for t, h in self.arc_list:
-            if t == node_id and h not in seen:
-                seen.append(h)
-            elif h == node_id and t not in seen:
-                seen.append(t)
-        return tuple(seen)
+        return self._adjacency[1][node_id]
 
     def has_edge(self, a: str, b: str) -> bool:
-        if self.directed:
-            return (a, b) in self.arc_list
-        return (a, b) in self.arc_list or (b, a) in self.arc_list
+        return b in self._adjacency[1][a]
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +218,9 @@ def validate_nodes(nodes: Sequence[Node]) -> Diagram:
     """Check every diagram invariant, reporting all violations at once.
 
     Violations checked: duplicate ids, dangling parent references, empty
-    state lists on chance/decision nodes, state lists on value nodes, value
-    nodes with children, and cycles in the arc relation.
+    state lists on chance/decision nodes, duplicate state labels, state
+    lists on value nodes, value nodes with children, and cycles in the arc
+    relation.
     """
     violations: list[str] = []
     seen: set[str] = set()
@@ -240,6 +241,8 @@ def validate_nodes(nodes: Sequence[Node]) -> Diagram:
         else:
             if not n.states:
                 violations.append(f"empty state list: {n.id!r}")
+            elif len(set(n.states)) != len(n.states):
+                violations.append(f"duplicate state label on node {n.id!r}")
     for n in nodes:
         if n.kind is Kind.VALUE:
             continue
@@ -353,12 +356,7 @@ def strip_informational(d: Diagram) -> GraphView:
     arcs = tuple(
         (p, n.id) for n in d.nodes if n.kind is not Kind.DECISION for p in n.parents
     )
-    return GraphView(
-        node_ids=d.ids,
-        kinds={n.id: n.kind for n in d.nodes},
-        arc_list=arcs,
-        directed=True,
-    )
+    return GraphView(d.ids, arcs)
 
 
 def moral_view(d: Diagram) -> GraphView:
@@ -386,9 +384,4 @@ def moral_view(d: Diagram) -> GraphView:
     kept_edges = tuple(
         (a, b) for a, b in sorted(edges) if a in keep_set and b in keep_set
     )
-    return GraphView(
-        node_ids=keep,
-        kinds={i: d.kind(i) for i in keep},
-        arc_list=kept_edges,
-        directed=False,
-    )
+    return GraphView(keep, kept_edges)

@@ -147,20 +147,21 @@ def solve(
     cards = [len(d.states(v)) for v in order]
     ndim = len(order)
 
-    weight = np.ones(tuple(cards))
-    for c in d.chance_ids:
-        vars_of = tuple(d.parents(c)) + (c,)
-        weight = weight * _embed(r.cpts[c], vars_of, axis_index, ndim)
-    util = np.zeros(tuple(cards))
-    for v in d.value_ids:
-        vars_of = tuple(d.parents(v))
-        table = r.utilities[v]
-        if table.ndim == 0:
-            util = util + float(table)
-        else:
-            util = util + _embed(table, vars_of, axis_index, ndim)
-
-    acc = weight * util
+    # Overflow shows up as non-finite entries, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.ones(tuple(cards))
+        for c in d.chance_ids:
+            vars_of = tuple(d.parents(c)) + (c,)
+            weight = weight * _embed(r.cpts[c], vars_of, axis_index, ndim)
+        util = np.zeros(tuple(cards))
+        for v in d.value_ids:
+            vars_of = tuple(d.parents(v))
+            table = r.utilities[v]
+            if table.ndim == 0:
+                util = util + float(table)
+            else:
+                util = util + _embed(table, vars_of, axis_index, ndim)
+        acc = weight * util
     if not np.all(np.isfinite(acc)):
         raise EvaluationError("evaluation failure: non-finite table entries")
 
@@ -299,7 +300,7 @@ class Counterexample:
 
 
 def _swap_schemas(
-    d: Diagram, a: str, dec: str, schemas: Sequence[OrderSchema]
+    a: str, dec: str, schemas: Sequence[OrderSchema]
 ) -> list[tuple[OrderSchema, OrderSchema]]:
     out = []
     for s in schemas:
@@ -331,7 +332,7 @@ def significance_search(
     po = induce_partial_order(d)
     if not po.incompatible(a, dec):
         raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
-    pairs = _swap_schemas(d, a, dec, list(enumerate_schemas(d, po)))
+    pairs = _swap_schemas(a, dec, list(enumerate_schemas(d, po)))
 
     def check(r: Realization) -> tuple | None:
         for before, after in pairs:

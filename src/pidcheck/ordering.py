@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .model import Diagram, Kind
@@ -155,7 +156,7 @@ class OrderSchema:
     slots: tuple[tuple[str, int], ...]
     chance_order: tuple[str, ...] = field(compare=False)
 
-    @property
+    @cached_property
     def slot_of(self) -> dict[str, int]:
         return dict(self.slots)
 
@@ -187,10 +188,6 @@ class OrderSchema:
             (c, slot if c == chance_id else s) for c, s in self.slots
         )
         return OrderSchema(self.decision_sequence, slots, self.chance_order)
-
-
-def pred_set(schema: OrderSchema, dec: str) -> frozenset[str]:
-    return schema.pred(dec)
 
 
 def is_admissible(po: PartialOrder, order: Sequence[str]) -> bool:
@@ -279,7 +276,6 @@ def schema_of(d: Diagram, order: Sequence[str]) -> OrderSchema:
     """The schema induced by a total order: its decision subsequence plus,
     for each chance node, the number of decisions appearing before it."""
     seq = tuple(v for v in order if d.kind(v) is Kind.DECISION)
-    slots = []
     count = 0
     slot_map: dict[str, int] = {}
     for v in order:

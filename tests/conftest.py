@@ -12,6 +12,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from pidcheck.analysis import Analysis
 from pidcheck.model import Diagram, Kind, Node, validate_nodes
 from pidcheck.ordering import PartialOrder, enumerate_schemas
 
@@ -125,6 +126,20 @@ def full_stream_pair_schemas(analysis, a: str, dec: str):
     for schema in enumerate_schemas(analysis.diagram, analysis.po):
         if schema.slot_of[a] == schema.position(dec) - 1:
             yield schema
+
+
+def exact_witnesses(d: Diagram) -> tuple:
+    """The exact single-pair query on every incompatible (chance, decision)
+    pair, keeping the witnesses in report order (decision, then chance, in
+    declaration order)."""
+    analysis = Analysis(d)
+    witnesses = (
+        analysis.is_significant(a, dec, exact=True)
+        for dec in d.decision_ids
+        for a in d.chance_ids
+        if analysis.po.incompatible(a, dec)
+    )
+    return tuple(w for w in witnesses if w is not None)
 
 
 def first_per_past(schemas, dec: str):

@@ -7,9 +7,9 @@ import time
 
 import numpy as np
 
-from conftest import all_admissible_orders, swap_graph_connected
+from conftest import all_admissible_orders, exact_witnesses, swap_graph_connected
 from pidcheck import figures
-from pidcheck.analysis import Analysis, AnalysisContext, check_welldefined, relevant_utilities, required_variables
+from pidcheck.analysis import Analysis, check_welldefined
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
 from pidcheck.generate import random_classic_id, random_pid
 from pidcheck.oracle import (
@@ -69,10 +69,10 @@ def test_criterion_1_fig1_order_and_incompatibilities():
 def test_criterion_2_fig2_three_analyses_separate():
     with _Budget(2, "fig2 exact vs bayes-ball vs elimination neighborhood", 1.0):
         d = figures.fig2()
-        ctx = AnalysisContext.build(d)
-        assert "B" not in required_variables(ctx, "D1")
+        schema = canonical_schema(d)
+        assert "B" not in Analysis(d).required_variables(schema, "D1")
         assert "B" in bayes_ball_requisite(d, "D1")
-        assert "B" in elimination_neighbors(d, "D1", ctx.schema)
+        assert "B" in elimination_neighbors(d, "D1", schema)
 
 
 def test_criterion_3_fig4_strategy_flip_and_relevant_sets():
@@ -84,8 +84,7 @@ def test_criterion_3_fig4_strategy_flip_and_relevant_sets():
         s2, meu2 = solve(d, figures.fig4_realization((3.0, 0.0)), schema)
         assert s2.rules["D1"].choices[()] == frozenset({"d2"})
         assert abs(meu1 - 12.5) < 1e-9 and abs(meu2 - 12.5) < 1e-9
-        ctx = AnalysisContext.build(d)
-        assert relevant_utilities(ctx, "D1") == frozenset({"U", "Up"})
+        assert Analysis(d).relevant_utilities(schema, "D1") == frozenset({"U", "Up"})
 
 
 def test_criterion_4_fig7_strategy_and_required_set():
@@ -181,10 +180,10 @@ def test_criterion_8_welldefined_strategy_invariance_and_counterexample():
 
 
 def test_criterion_9_mode_agreement():
-    with _Budget(9, "exact and collapsed scans return identical reports", 60.0):
+    with _Budget(9, "check reports the witnesses of the exact single-pair scan", 60.0):
         for builder in figures.ALL_FIGURES.values():
             d = builder()
-            assert check_welldefined(d, exact=False) == check_welldefined(d, exact=True)
+            assert check_welldefined(d).witnesses == exact_witnesses(d)
         for i in range(100):
             d = random_pid(np.random.default_rng(40_000 + i), max_carrier=7)
-            assert check_welldefined(d, exact=False) == check_welldefined(d, exact=True)
+            assert check_welldefined(d).witnesses == exact_witnesses(d)

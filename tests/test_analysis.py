@@ -5,16 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import first_per_past, full_stream_pair_schemas, w_family, w_family_expected
+from conftest import exact_witnesses, first_per_past, full_stream_pair_schemas, w_family, w_family_expected
 from pidcheck import figures
 from pidcheck.analysis import (
     Analysis,
-    AnalysisContext,
     check_welldefined,
-    is_significant,
-    relevant_utilities,
     replay_witness,
-    required_variables,
     suggest_resolutions,
 )
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
@@ -29,16 +25,16 @@ def schema_with_order(d, order):
 
 class TestRelevantUtilities:
     def test_fig3_direct_path(self):
-        ctx = AnalysisContext.build(figures.fig3())
-        assert relevant_utilities(ctx, "D1") == frozenset({"U"})
+        d = figures.fig3()
+        assert Analysis(d).relevant_utilities(canonical_schema(d), "D1") == frozenset({"U"})
 
     def test_fig4_both_utilities_for_first_decision(self):
-        ctx = AnalysisContext.build(figures.fig4())
-        assert relevant_utilities(ctx, "D1") == frozenset({"U", "Up"})
+        d = figures.fig4()
+        assert Analysis(d).relevant_utilities(canonical_schema(d), "D1") == frozenset({"U", "Up"})
 
     def test_fig5_both_utilities_through_influenced_observation(self):
-        ctx = AnalysisContext.build(figures.fig5())
-        assert relevant_utilities(ctx, "D1") == frozenset({"U", "Up"})
+        d = figures.fig5()
+        assert Analysis(d).relevant_utilities(canonical_schema(d), "D1") == frozenset({"U", "Up"})
 
     def test_no_path_no_later_decision_gives_empty(self):
         d = validate_nodes(
@@ -49,13 +45,13 @@ class TestRelevantUtilities:
                 Node("S", Kind.CHANCE, ("x", "y"), ("D",)),
             ]
         )
-        ctx = AnalysisContext.build(d)
-        assert relevant_utilities(ctx, "D") == frozenset()
+        assert Analysis(d).relevant_utilities(canonical_schema(d), "D") == frozenset()
 
     def test_fig2_future_payoff_not_relevant_for_d1(self):
-        ctx = AnalysisContext.build(figures.fig2())
-        assert relevant_utilities(ctx, "D1") == frozenset({"U1"})
-        assert relevant_utilities(ctx, "D2") == frozenset({"U2"})
+        d = figures.fig2()
+        analysis, schema = Analysis(d), canonical_schema(d)
+        assert analysis.relevant_utilities(schema, "D1") == frozenset({"U1"})
+        assert analysis.relevant_utilities(schema, "D2") == frozenset({"U2"})
 
     def test_rule1_subset_property(self):
         # every utility with a bare directed path is in the relevant set
@@ -86,9 +82,10 @@ class TestRelevantUtilities:
 
 class TestRequiredVariables:
     def test_fig2_excludes_b(self):
-        ctx = AnalysisContext.build(figures.fig2())
-        assert "B" not in required_variables(ctx, "D1")
-        assert required_variables(ctx, "D2") == frozenset({"A"})
+        d = figures.fig2()
+        analysis, schema = Analysis(d), canonical_schema(d)
+        assert "B" not in analysis.required_variables(schema, "D1")
+        assert analysis.required_variables(schema, "D2") == frozenset({"A"})
 
     def test_fig7_a_required(self):
         d = figures.fig7()
@@ -166,17 +163,17 @@ class TestSignificance:
                 Node("V2", Kind.VALUE, None, ("D2",)),
             ]
         )
-        assert is_significant(d, "A", "D") is None
+        assert Analysis(d).is_significant("A", "D") is None
 
     def test_compatible_pair_rejected(self):
         d = figures.fig2()
         with pytest.raises(ValueError, match="pair not incompatible"):
-            is_significant(d, "B", "D1")
+            Analysis(d).is_significant("B", "D1")
 
     def test_fig1_f_d4_not_significant_and_modes_agree(self):
         d = figures.fig1()
-        assert is_significant(d, "F", "D4", exact=False) is None
-        assert is_significant(d, "F", "D4", exact=True) is None
+        assert Analysis(d).is_significant("F", "D4", exact=False) is None
+        assert Analysis(d).is_significant("F", "D4", exact=True) is None
 
     def test_modes_agree_pairwise_on_the_corpus(self):
         for name, builder in figures.ALL_FIGURES.items():
@@ -194,12 +191,12 @@ class TestSignificance:
         # on its own it misses this witness, so the public query is exact.
         d = random_pid(np.random.default_rng(153), max_carrier=8, max_decisions=4)
         assert Analysis(d).is_significant("X3", "D0", exact=False) is None
-        w = is_significant(d, "X3", "D0")
+        w = Analysis(d).is_significant("X3", "D0")
         assert w is not None and replay_witness(d, w)
         assert ("X3", "D0") in check_welldefined(d).significant_pairs
 
     def test_fig6_pair_yields_witness(self):
-        w = is_significant(figures.fig6(), "A", "D")
+        w = Analysis(figures.fig6()).is_significant("A", "D")
         assert w is not None and (w.chance, w.decision) == ("A", "D")
 
     def test_fig4_derived_verdicts_match_oracle_search(self):
@@ -307,7 +304,7 @@ class TestCheckWelldefined:
     @settings(max_examples=40)
     def test_modes_agree_on_random_diagrams(self, seed):
         d = random_pid(np.random.default_rng(seed), max_carrier=6)
-        assert check_welldefined(d, exact=False) == check_welldefined(d, exact=True)
+        assert check_welldefined(d).witnesses == exact_witnesses(d)
 
     def test_memo_tables_are_transparent(self):
         # results with a warm cache match a cold recomputation

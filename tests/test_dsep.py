@@ -7,7 +7,6 @@ from conftest import bf_d_connected
 from pidcheck import figures
 from pidcheck.dsep import (
     NotTotalOrder,
-    SeparationQuery,
     bayes_ball_requisite,
     d_connected,
     directed_path_exists,
@@ -20,50 +19,44 @@ from pidcheck.ordering import canonical_schema, enumerate_schemas
 
 def _view(arcs, nodes=None):
     ids = tuple(nodes) if nodes else tuple(sorted({x for arc in arcs for x in arc}))
-    return GraphView(
-        node_ids=ids,
-        kinds={i: Kind.CHANCE for i in ids},
-        arc_list=tuple(arcs),
-        directed=True,
-    )
+    return GraphView(ids, tuple(arcs))
 
 
-def _query(view, src, targets, z=()):
-    return SeparationQuery(view, src, frozenset(targets), frozenset(z))
+def _connected(view, src, targets, z=()):
+    return d_connected(view, src, frozenset(targets), frozenset(z))
 
 
 class TestDConnected:
     def test_chain_blocked_by_middle(self):
         view = _view([("A", "B"), ("B", "C")])
-        assert not d_connected(_query(view, "A", {"C"}, {"B"})).connected
-        assert d_connected(_query(view, "A", {"C"})).connected
+        assert not _connected(view, "A", {"C"}, {"B"})
+        assert _connected(view, "A", {"C"})
 
     def test_collider_activated_by_conditioning(self):
         view = _view([("A", "C"), ("B", "C")])
-        assert not d_connected(_query(view, "A", {"B"})).connected
-        assert d_connected(_query(view, "A", {"B"}, {"C"})).connected
+        assert not _connected(view, "A", {"B"})
+        assert _connected(view, "A", {"B"}, {"C"})
 
     def test_collider_activated_by_conditioned_descendant(self):
         view = _view([("A", "C"), ("B", "C"), ("C", "E")])
-        assert d_connected(_query(view, "A", {"B"}, {"E"})).connected
+        assert _connected(view, "A", {"B"}, {"E"})
 
     def test_fig4_d2_connected_to_c_given_pred_d4(self):
         d = figures.fig4()
         schema = canonical_schema(d)
         view = strip_informational(d)
         pred = schema.pred("D4")
-        q = _query(view, "D2", {"C"}, (pred | {"D4"}) - {"D2"})
-        assert d_connected(q).connected
+        assert _connected(view, "D2", {"C"}, (pred | {"D4"}) - {"D2"})
 
     def test_empty_targets_and_self_target(self):
         view = _view([("A", "B")])
-        assert not d_connected(_query(view, "A", set())).connected
-        assert d_connected(_query(view, "A", {"A"})).connected
+        assert not _connected(view, "A", set())
+        assert _connected(view, "A", {"A"})
 
     def test_conditioned_source_rejected(self):
         view = _view([("A", "B")])
         with pytest.raises(ValueError):
-            _query(view, "A", {"B"}, {"A"})
+            _connected(view, "A", {"B"}, {"A"})
 
     @given(st.integers(0, 600))
     @settings(max_examples=60)
@@ -81,7 +74,7 @@ class TestDConnected:
         src, dst = rng.choice(ids, size=2, replace=False)
         others = [v for v in ids if v not in (src, dst)]
         z = {v for v in others if rng.random() < 0.3}
-        got = d_connected(_query(view, src, {dst}, z)).connected
+        got = _connected(view, src, {dst}, z)
         want = bf_d_connected(view, src, dst, z)
         assert got == want
 
@@ -96,8 +89,8 @@ class TestDConnected:
         view = _view(arcs, nodes=ids)
         src, dst = ids[0], ids[-1]
         z = {ids[2]} if rng.random() < 0.5 else set()
-        fwd = d_connected(_query(view, src, {dst}, z)).connected
-        bwd = d_connected(_query(view, dst, {src}, z)).connected
+        fwd = _connected(view, src, {dst}, z)
+        bwd = _connected(view, dst, {src}, z)
         assert fwd == bwd
 
 

@@ -165,7 +165,7 @@ class TestStripInformational:
 class TestMoralView:
     def test_fig2_b_connects_to_d1_only_through_a(self):
         moral = moral_view(figures.fig2())
-        assert moral.neighbors_of("B") == ("A",)
+        assert moral.children_of("B") == ("A",)
         assert moral.has_edge("A", "C")  # co-parents of W
         assert moral.has_edge("C", "D1")  # co-parents of U1
         assert not moral.has_edge("B", "D1")

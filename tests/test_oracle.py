@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from conftest import bf_best_meu
 from pidcheck import figures
-from pidcheck.analysis import Analysis, check_welldefined, is_significant
+from pidcheck.analysis import Analysis, check_welldefined
 from pidcheck.generate import random_pid
 from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.oracle import (
@@ -247,7 +247,7 @@ class TestSignificanceSearch:
         # the discrepancy is reproducible bit for bit
         assert rich.choices[0] != rich.choices[1] or rich.choices[0] != poor.choices[()]
         # structural analysis must also flag the pair
-        assert is_significant(d, "A", "D") is not None
+        assert Analysis(d).is_significant("A", "D") is not None
 
     def test_no_value_nodes_mean_no_counterexample(self):
         d = validate_nodes(

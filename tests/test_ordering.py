@@ -15,7 +15,6 @@ from pidcheck.ordering import (
     enumerate_schemas,
     induce_partial_order,
     is_admissible,
-    pred_set,
     schema_of,
 )
 
@@ -206,12 +205,12 @@ class TestPredSet:
     def test_first_decision_with_empty_slot(self):
         d = figures.fig6()
         schema = next(s for s in enumerate_schemas(d) if s.slot_of["A"] == 1)
-        assert pred_set(schema, "D") == frozenset()
+        assert schema.pred("D") == frozenset()
 
     def test_classic_no_forgetting_past(self):
         d = figures.fig2()
         schema = next(iter(enumerate_schemas(d)))
-        assert pred_set(schema, "D2") == frozenset({"B", "D1", "A"})
+        assert schema.pred("D2") == frozenset({"B", "D1", "A"})
 
     def test_fig1_matches_brute_force_on_induced_order(self, fig1_po):
         d = figures.fig1()
@@ -222,7 +221,7 @@ class TestPredSet:
         )
         order = target.induced_order()
         before = frozenset(order[: order.index("D4")])
-        assert pred_set(target, "D4") == before == frozenset({"B", "D1", "E", "F", "G", "D2"})
+        assert target.pred("D4") == before == frozenset({"B", "D1", "E", "F", "G", "D2"})
 
 
 class TestSwapGraphConnectivity:
