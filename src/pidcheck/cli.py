@@ -30,7 +30,13 @@ from .oracle import (
     solve,
     strategies_equal,
 )
-from .ordering import InconsistentOrder, canonical_schema, enumerate_schemas, induce_partial_order
+from .ordering import (
+    InconsistentOrder,
+    PartialOrder,
+    canonical_schema,
+    enumerate_schemas,
+    induce_partial_order,
+)
 
 SCHEMA_VERSION = 1
 DEFAULT_TRIALS = int(os.environ.get("PIDCHECK_TRIALS", "200"))
@@ -212,8 +218,8 @@ def _report_payload(report: _analysis.Report) -> dict:
     }
 
 
-def _pick_schema(d: Diagram, index: int):
-    for i, schema in enumerate(enumerate_schemas(d)):
+def _pick_schema(d: Diagram, index: int, po: PartialOrder | None = None):
+    for i, schema in enumerate(enumerate_schemas(d, po)):
         if i == index:
             return schema
     raise CliError(f"schema index {index} out of range")
@@ -319,7 +325,7 @@ def cmd_relevant(args) -> int:
     d, _ = load_file(args.file)
     dec = _require_decision(d, args.decision)
     analysis = _analysis.Analysis(d)
-    schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema)
+    schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema, analysis.po)
     rel = d.sort_ids(analysis.relevant_utilities(schema, dec))
     emit(
         args,
@@ -333,7 +339,7 @@ def cmd_required(args) -> int:
     d, _ = load_file(args.file)
     dec = _require_decision(d, args.decision)
     analysis = _analysis.Analysis(d)
-    schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema)
+    schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema, analysis.po)
     req = d.sort_ids(analysis.required_variables(schema, dec))
     emit(
         args,
@@ -418,9 +424,8 @@ def cmd_suggest(args) -> int:
 
 def cmd_fuzz(args) -> int:
     d, _ = load_file(args.file)
-    po = induce_partial_order(d)
-    schemas = list(enumerate_schemas(d, po))
     analysis = _analysis.Analysis(d)
+    schemas = list(enumerate_schemas(d, analysis.po))
     report = _analysis.check_welldefined(d)
     failures: list[str] = []
     checked = 0

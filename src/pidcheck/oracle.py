@@ -1,11 +1,12 @@
-"""Exact evaluation of realized diagrams by table-based variable elimination.
+"""Exact evaluation of realized diagrams by factored variable elimination.
 
-Variables are eliminated in reverse schema order, summing over chance slots
-and maximizing over decisions while the summed utility accumulates.  The
-formulation is division-free: joint chance weights are propagated instead of
-conditionals, which never changes a maximizer because the weight of the past
-is constant at each maximization.  No junction tree; tables are dense over
-the full prefix, which doubles as a reference implementation at desk scale.
+Each chance node's CPT is a probability factor and each utility table a
+utility factor.  Variables are eliminated in reverse schema order: a chance
+node is summed out of the product of the probability factors over it, which
+also averages the utility factors over it; a decision is maximized after its
+rule is recorded over the full past.  Only the rule tables span a whole
+prefix; every other table spans the variables one elimination step touches,
+and no table may exceed MAX_TABLE_CELLS.  No junction tree.
 
 Everything here is pure: solving never mutates its inputs, and search
 trials are independent, so callers may parallelize them as long as the
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +26,8 @@ from .ordering import OrderSchema, enumerate_schemas, induce_partial_order
 
 DEFAULT_TIE_TOL = 1e-9
 CPT_ROW_TOL = 1e-12
+# Largest table, factor or decision rule, that solve allocates.
+MAX_TABLE_CELLS = 1 << 24
 
 
 class EvaluationError(ArithmeticError):
@@ -53,10 +57,10 @@ class Realization:
                 raise InvalidRealization(
                     f"CPT for {c!r} has shape {t.shape}, expected {expected}"
                 )
-            if np.any(t < 0) or np.any(t > 1):
+            if (t < 0).any() or (t > 1).any():
                 raise InvalidRealization(f"CPT for {c!r} has entries outside [0, 1]")
-            rows = t.reshape(-1, t.shape[-1])
-            if not np.allclose(rows.sum(axis=1), 1.0, atol=CPT_ROW_TOL, rtol=0):
+            # NaN rows fail the comparison.
+            if not (np.abs(t.sum(axis=-1) - 1.0) <= CPT_ROW_TOL).all():
                 raise InvalidRealization(f"CPT rows for {c!r} do not sum to 1")
         for v in d.value_ids:
             if v not in self.utilities:
@@ -68,16 +72,6 @@ class Realization:
                     f"utility table for {v!r} has shape {t.shape}, expected {expected}"
                 )
         return self
-
-    def fingerprint(self) -> bytes:
-        parts = []
-        for k in sorted(self.cpts):
-            parts.append(k.encode())
-            parts.append(self.cpts[k].tobytes())
-        for k in sorted(self.utilities):
-            parts.append(k.encode())
-            parts.append(self.utilities[k].tobytes())
-        return b"|".join(parts)
 
 
 def random_realization(d: Diagram, seed: int) -> Realization:
@@ -107,8 +101,17 @@ class DecisionRule:
     decision: str
     pred_vars: tuple[str, ...]
     states: tuple[str, ...]
-    choices: np.ndarray  # object array of frozenset[str], shape = pred cards
-    values: np.ndarray   # float array, same shape
+    ties: np.ndarray     # bool array, shape = pred cards + (len(states),)
+    values: np.ndarray   # float array, shape = pred cards
+
+    @cached_property
+    def choices(self) -> np.ndarray:
+        """Object array of frozenset[str] maximizer sets, shape = pred cards."""
+        choices = np.empty(self.values.shape, dtype=object)
+        flat = choices.reshape(-1)
+        for j, row in enumerate(self.ties.reshape(-1, len(self.states)).tolist()):
+            flat[j] = frozenset(s for s, tied in zip(self.states, row) if tied)
+        return choices
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,16 +120,48 @@ class Strategy:
     rules: dict[str, DecisionRule]
 
 
-def _embed(table: np.ndarray, vars_of_table: Sequence[str], axis_index: Mapping[str, int], ndim: int) -> np.ndarray:
-    """View of ``table`` broadcast over the global axis layout."""
-    src = list(range(len(vars_of_table)))
-    dest_axes = [axis_index[v] for v in vars_of_table]
-    order = np.argsort(dest_axes)
-    t = np.transpose(table, axes=[src[i] for i in order])
-    shape = [1] * ndim
-    for v in vars_of_table:
-        shape[axis_index[v]] = table.shape[list(vars_of_table).index(v)]
-    return t.reshape(shape)
+# A factor's variables are sorted by schema position and its table's axes
+# follow them.
+Factor = tuple[tuple[str, ...], np.ndarray]
+
+
+def _check_cells(scope: Sequence[str], cards: Mapping[str, int]) -> None:
+    cells = 1
+    for v in scope:
+        cells *= cards[v]
+    if cells > MAX_TABLE_CELLS:
+        raise EvaluationError(
+            f"evaluation failure: a table over {len(scope)} variables needs {cells} cells, "
+            f"over the oracle limit of {MAX_TABLE_CELLS} cells"
+        )
+
+
+def _aligned(factors: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> list[np.ndarray]:
+    """Each factor's table reshaped to broadcast over the axes of ``scope``,
+    a sorted superset of its variables."""
+    return [table.reshape([cards[v] if v in vars_of else 1 for v in scope]) for vars_of, table in factors]
+
+
+def _product(phis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+    tables = _aligned(phis, scope, cards)
+    if not tables:
+        return np.ones((1,) * len(scope))
+    return reduce(np.multiply, tables[1:], tables[0])
+
+
+def _utility(psis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+    tables = _aligned(psis, scope, cards)
+    if not tables:
+        return np.zeros((1,) * len(scope))
+    total = reduce(np.add, tables[1:], tables[0])
+    if not np.isfinite(total).all():
+        raise EvaluationError("evaluation failure: non-finite table entries")
+    return total
+
+
+def _split(factors: list[Factor], v: str) -> tuple[list[Factor], list[Factor]]:
+    """(factors over ``v``, the others)."""
+    return [f for f in factors if v in f[0]], [f for f in factors if v not in f[0]]
 
 
 def solve(
@@ -138,71 +173,71 @@ def solve(
     """Eliminate variables in reverse schema order (sum over chance,
     max over decisions), recording for every decision its full
     decision-function table over the past, and return the total maximum
-    expected utility."""
+    expected utility.  Raises EvaluationError on non-finite tables and on
+    any table over MAX_TABLE_CELLS."""
     r.validated(d)
     order = schema.induced_order()
     if sorted(order) != sorted(d.carrier_ids):
         raise ValueError("schema does not cover this diagram's chance and decision nodes")
-    axis_index = {v: i for i, v in enumerate(order)}
-    cards = [len(d.states(v)) for v in order]
-    ndim = len(order)
+    position = {v: i for i, v in enumerate(order)}
+    cards = {v: len(d.states(v)) for v in order}
 
-    # Overflow shows up as non-finite entries, which the check below reports.
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = np.ones(tuple(cards))
-        for c in d.chance_ids:
-            vars_of = tuple(d.parents(c)) + (c,)
-            weight = weight * _embed(r.cpts[c], vars_of, axis_index, ndim)
-        util = np.zeros(tuple(cards))
-        for v in d.value_ids:
-            vars_of = tuple(d.parents(v))
-            table = r.utilities[v]
-            if table.ndim == 0:
-                util = util + float(table)
-            else:
-                util = util + _embed(table, vars_of, axis_index, ndim)
-        acc = weight * util
-    if not np.all(np.isfinite(acc)):
-        raise EvaluationError("evaluation failure: non-finite table entries")
+    def scope_of(factors: Sequence[Factor]) -> tuple[str, ...]:
+        # Every factor lies in the prefix ending at the variable being
+        # eliminated, so that variable comes last.
+        return tuple(sorted({v for vars_of, _ in factors for v in vars_of}, key=position.__getitem__))
 
-    # Parallel reduction of the bare joint weight gives the probability mass
-    # of each observed prefix: chance axes are summed; a decision axis is
-    # averaged, i.e. an uninstantiated decision counts as a chance node with
-    # an even prior.  Dividing by it turns accumulated joint values into
-    # conditional expected utilities without ever disturbing a maximizer
-    # (the divisor carries no axis for the decision being maximized).
-    w_acc = weight
+    def factor(vars_of: tuple[str, ...], table: np.ndarray) -> Factor:
+        perm = sorted(range(len(vars_of)), key=lambda j: position[vars_of[j]])
+        return tuple(vars_of[j] for j in perm), table.transpose(perm)
+
+    phis = [factor(d.parents(c) + (c,), r.cpts[c]) for c in d.chance_ids]
+    psis = [factor(d.parents(v), r.utilities[v]) for v in d.value_ids]
     rules: dict[str, DecisionRule] = {}
-    for i in range(ndim - 1, -1, -1):
-        v = order[i]
-        if d.kind(v) is Kind.CHANCE:
-            acc = acc.sum(axis=-1)
-            w_acc = w_acc.sum(axis=-1)
-            continue
-        w_past = w_acc.mean(axis=-1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(w_past[..., None] > 0.0, acc / w_past[..., None], 0.0)
-        if not np.all(np.isfinite(rho)):
-            raise EvaluationError("evaluation failure: non-finite expected utility")
-        best = rho.max(axis=-1)
-        tol = tie_tol * np.maximum(1.0, np.abs(best))
-        ties = rho >= (best - tol)[..., None]
-        states = d.states(v)
-        choices = np.empty(tuple(cards[:i]), dtype=object)
-        flat_ties = ties.reshape(-1, ties.shape[-1])
-        flat_choices = choices.reshape(-1)
-        for j in range(flat_ties.shape[0]):
-            flat_choices[j] = frozenset(states[k] for k in np.nonzero(flat_ties[j])[0])
-        rules[v] = DecisionRule(
-            decision=v,
-            pred_vars=tuple(order[:i]),
-            states=states,
-            choices=choices,
-            values=best,
-        )
-        acc = acc.max(axis=-1)
-        w_acc = w_past
-    meu = float(acc)
+    # Overflow shows up as non-finite entries.  Every utility factor ends up
+    # in some _utility sum, which reports them.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(len(order) - 1, -1, -1):
+            v = order[i]
+            phi_v, phis = _split(phis, v)
+            psi_v, psis = _split(psis, v)
+            if d.kind(v) is Kind.CHANCE:
+                # phi' = sum_v prod(phi_v); psi' = sum_v prod(phi_v) sum(psi_v) / phi'.
+                scope = scope_of(phi_v + psi_v)
+                _check_cells(scope, cards)
+                joint = _product(phi_v, scope, cards)
+                marginal = joint.sum(axis=-1)
+                phi_scope = scope_of(phi_v)[:-1]
+                phis.append((phi_scope, marginal.reshape([cards[u] for u in phi_scope])))
+                if psi_v:
+                    expected = (joint * _utility(psi_v, scope, cards)).sum(axis=-1)
+                    psis.append((scope[:-1], np.where(marginal > 0.0, expected / marginal, 0.0)))
+                continue
+            # Every remaining factor lies in order[:i + 1].  Descendants of
+            # the decision all come after it, so the weight of the past does
+            # not depend on it, and the summed utility factors are the
+            # expected utility wherever the past has positive weight.
+            scope = order[: i + 1]
+            _check_cells(scope, cards)
+            possible = _product(phis + phi_v, scope, cards).any(axis=-1)
+            rho = np.zeros([cards[u] for u in scope])
+            np.copyto(rho, _utility(psis + psi_v, scope, cards), where=possible[..., None])
+            best = rho.max(axis=-1)
+            tol = tie_tol * np.maximum(1.0, np.abs(best))
+            rules[v] = DecisionRule(
+                decision=v,
+                pred_vars=tuple(order[:i]),
+                states=d.states(v),
+                ties=rho >= (best - tol)[..., None],
+                values=best,
+            )
+            if phi_v:
+                scope = scope_of(phi_v)
+                phis.append((scope[:-1], _product(phi_v, scope, cards).mean(axis=-1)))
+            if psi_v:
+                scope = scope_of(psi_v)
+                psis.append((scope[:-1], _utility(psi_v, scope, cards).max(axis=-1)))
+        meu = float(_product(phis, (), cards) * _utility(psis, (), cards))
     if not np.isfinite(meu):
         raise EvaluationError("evaluation failure: non-finite MEU")
     return Strategy(schema=schema, rules=rules), meu
@@ -231,13 +266,8 @@ def strategies_equal(s1: Strategy, s2: Strategy, tol: float = DEFAULT_TIE_TOL) -
             continue
         # Align axis order before comparing.
         perm = [rule2.pred_vars.index(v) for v in rule1.pred_vars]
-        choices2 = np.transpose(rule2.choices, axes=perm) if perm else rule2.choices
-        values2 = np.transpose(rule2.values, axes=perm) if perm else rule2.values
-        if rule1.choices.shape != choices2.shape:
-            return Comparison.DIFFERENT
-        if not all(
-            a == b for a, b in zip(rule1.choices.reshape(-1), choices2.reshape(-1))
-        ):
+        values2 = rule2.values.transpose(perm)
+        if not np.array_equal(rule1.ties, rule2.ties.transpose(perm + [len(perm)])):
             return Comparison.DIFFERENT
         scale = np.maximum(1.0, np.abs(rule1.values))
         if np.any(np.abs(rule1.values - values2) > tol * scale):
@@ -259,13 +289,9 @@ def required_from_strategy(strategy: Strategy, dec: str) -> frozenset[str]:
     rule = strategy.rules[dec]
     out: set[str] = set()
     for axis, var in enumerate(rule.pred_vars):
-        moved = np.moveaxis(rule.choices, axis, 0)
-        base = np.asarray(moved[0], dtype=object).reshape(-1)
-        for k in range(1, moved.shape[0]):
-            sl = np.asarray(moved[k], dtype=object).reshape(-1)
-            if any(a != b for a, b in zip(base, sl)):
-                out.add(var)
-                break
+        first = rule.ties[(slice(None),) * axis + (slice(0, 1),)]
+        if (rule.ties != first).any():
+            out.add(var)
     return frozenset(out)
 
 
@@ -273,16 +299,15 @@ def _rule_differs_with_extra_coord(rich: DecisionRule, poor: DecisionRule, extra
     """First configuration where the richer table (past includes ``extra``)
     fails to be constant in ``extra`` and equal to the poorer table."""
     axis = rich.pred_vars.index(extra)
-    moved = np.moveaxis(rich.choices, axis, -1)
+    moved = np.moveaxis(rich.ties, axis, -2)
     perm = [poor.pred_vars.index(v) for v in rich.pred_vars if v != extra]
-    poor_choices = np.transpose(poor.choices, axes=perm) if perm else poor.choices
-    flat_rich = moved.reshape(-1, moved.shape[-1])
-    flat_poor = poor_choices.reshape(-1)
-    for j in range(flat_rich.shape[0]):
-        for k in range(flat_rich.shape[1]):
-            if flat_rich[j][k] != flat_poor[j]:
-                return (j, k)
-    return None
+    poor_ties = poor.ties.transpose(perm + [len(perm)])
+    differs = np.any(moved != poor_ties[..., None, :], axis=-1)
+    hits = np.argwhere(differs.reshape(-1, differs.shape[-1]))
+    if len(hits) == 0:
+        return None
+    j, k = hits[0]
+    return (int(j), int(k))
 
 
 @dataclass(frozen=True, eq=False)

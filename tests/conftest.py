@@ -14,6 +14,7 @@ import pytest
 
 from pidcheck.analysis import Analysis
 from pidcheck.model import Diagram, Kind, Node, validate_nodes
+from pidcheck.oracle import DecisionRule, EvaluationError, Strategy
 from pidcheck.ordering import PartialOrder, enumerate_schemas
 
 hypothesis.settings.register_profile(
@@ -271,6 +272,103 @@ def bf_best_meu(d: Diagram, realization, schema) -> float:
         return total
 
     return max(expected_utility(p) for p in itertools.product(*function_spaces))
+
+
+# ---------------------------------------------------------------------------
+# dense reference solver: one joint table over the whole carrier, reduced
+# axis by axis (independent of the factored oracle.solve)
+
+
+def _embed(table, vars_of_table, axis_index, ndim):
+    """View of ``table`` broadcast over the global axis layout."""
+    src = list(range(len(vars_of_table)))
+    dest_axes = [axis_index[v] for v in vars_of_table]
+    order = np.argsort(dest_axes)
+    t = np.transpose(table, axes=[src[i] for i in order])
+    shape = [1] * ndim
+    for v in vars_of_table:
+        shape[axis_index[v]] = table.shape[list(vars_of_table).index(v)]
+    return t.reshape(shape)
+
+
+def dense_solve(d: Diagram, r, schema, tie_tol: float = 1e-9):
+    """Eliminate variables in reverse schema order (sum over chance,
+    max over decisions), recording for every decision its full
+    decision-function table over the past, and return the total maximum
+    expected utility."""
+    r.validated(d)
+    order = schema.induced_order()
+    if sorted(order) != sorted(d.carrier_ids):
+        raise ValueError("schema does not cover this diagram's chance and decision nodes")
+    axis_index = {v: i for i, v in enumerate(order)}
+    cards = [len(d.states(v)) for v in order]
+    ndim = len(order)
+
+    # Overflow shows up as non-finite entries, which the check below reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = np.ones(tuple(cards))
+        for c in d.chance_ids:
+            vars_of = tuple(d.parents(c)) + (c,)
+            weight = weight * _embed(r.cpts[c], vars_of, axis_index, ndim)
+        util = np.zeros(tuple(cards))
+        for v in d.value_ids:
+            vars_of = tuple(d.parents(v))
+            table = r.utilities[v]
+            if table.ndim == 0:
+                util = util + float(table)
+            else:
+                util = util + _embed(table, vars_of, axis_index, ndim)
+        acc = weight * util
+    if not np.all(np.isfinite(acc)):
+        raise EvaluationError("evaluation failure: non-finite table entries")
+
+    # Parallel reduction of the bare joint weight gives the probability mass
+    # of each observed prefix: chance axes are summed; a decision axis is
+    # averaged, i.e. an uninstantiated decision counts as a chance node with
+    # an even prior.  Dividing by it turns accumulated joint values into
+    # conditional expected utilities without ever disturbing a maximizer
+    # (the divisor carries no axis for the decision being maximized).
+    w_acc = weight
+    rules: dict[str, DecisionRule] = {}
+    for i in range(ndim - 1, -1, -1):
+        v = order[i]
+        if d.kind(v) is Kind.CHANCE:
+            acc = acc.sum(axis=-1)
+            w_acc = w_acc.sum(axis=-1)
+            continue
+        w_past = w_acc.mean(axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = np.where(w_past[..., None] > 0.0, acc / w_past[..., None], 0.0)
+        if not np.all(np.isfinite(rho)):
+            raise EvaluationError("evaluation failure: non-finite expected utility")
+        best = rho.max(axis=-1)
+        tol = tie_tol * np.maximum(1.0, np.abs(best))
+        ties = rho >= (best - tol)[..., None]
+        rules[v] = DecisionRule(
+            decision=v,
+            pred_vars=tuple(order[:i]),
+            states=d.states(v),
+            ties=ties,
+            values=best,
+        )
+        acc = acc.max(axis=-1)
+        w_acc = w_past
+    meu = float(acc)
+    if not np.isfinite(meu):
+        raise EvaluationError("evaluation failure: non-finite MEU")
+    return Strategy(schema=schema, rules=rules), meu
+
+
+def fingerprint(r) -> bytes:
+    """The tables of a realization as bytes, for equality checks."""
+    parts = []
+    for k in sorted(r.cpts):
+        parts.append(k.encode())
+        parts.append(r.cpts[k].tobytes())
+    for k in sorted(r.utilities):
+        parts.append(k.encode())
+        parts.append(r.utilities[k].tobytes())
+    return b"|".join(parts)
 
 
 @pytest.fixture

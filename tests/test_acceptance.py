@@ -6,14 +6,17 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from conftest import all_admissible_orders, exact_witnesses, swap_graph_connected
 from pidcheck import figures
 from pidcheck.analysis import Analysis, check_welldefined
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
 from pidcheck.generate import random_classic_id, random_pid
+from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.oracle import (
     Comparison,
+    Realization,
     oracle_required,
     random_realization,
     significance_search,
@@ -187,3 +190,25 @@ def test_criterion_9_mode_agreement():
         for i in range(100):
             d = random_pid(np.random.default_rng(40_000 + i), max_carrier=7)
             assert check_welldefined(d).witnesses == exact_witnesses(d)
+
+
+def test_criterion_10_factored_solve_on_a_40_node_chain():
+    # C0 -> ... -> C38, a decision D observing C38 and a utility on (C0, D):
+    # 40 carrier nodes, which a dense joint table could not hold.
+    rng = np.random.default_rng(60_000)
+    binary, act = ("s1", "s2"), ("d1", "d2")
+    nodes = [Node("C0", Kind.CHANCE, binary, ())]
+    nodes += [Node(f"C{j}", Kind.CHANCE, binary, (f"C{j - 1}",)) for j in range(1, 39)]
+    nodes += [Node("D", Kind.DECISION, act, ("C38",)), Node("U", Kind.VALUE, None, ("C0", "D"))]
+    d = validate_nodes(nodes)
+    raw = {f"C{j}": rng.uniform(0.05, 1.0, size=(2,) if j == 0 else (2, 2)) for j in range(39)}
+    cpts = {c: t / t.sum(axis=-1, keepdims=True) for c, t in raw.items()}
+    utility = rng.integers(0, 101, size=(2, 2)).astype(float)
+    r = Realization(cpts, {"U": utility})
+    schema = canonical_schema(d)
+    with _Budget(10, "factored solve: 40-node chain against a matrix product", 1.0):
+        strategy, meu = solve(d, r, schema)
+    # P(C0, C38) is diag(P(C0)) times the product of the 38 transition matrices.
+    joint = cpts["C0"][:, None] * np.linalg.multi_dot([cpts[f"C{j}"] for j in range(1, 39)])
+    assert strategy.rules["D"].pred_vars == ("C38",)
+    assert meu == pytest.approx((joint.T @ utility).max(axis=1).sum(), rel=1e-9)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from pidcheck import figures
+from conftest import fingerprint
+from pidcheck import analysis, cli, figures, ordering
 from pidcheck.cli import export_dot, main, parse_document, serialize_document
 from pidcheck.generate import random_pid
 
@@ -42,7 +43,7 @@ class TestDocumentFormat:
         if r1 is None:
             assert r2 is None
         else:
-            assert r1.fingerprint() == r2.fingerprint()
+            assert fingerprint(r1) == fingerprint(r2)
 
     def test_realization_length_mismatch_reported(self, tmp_path, capsys):
         doc = json.loads(serialize_document(figures.fig3(), figures.fig3_realization()))
@@ -189,6 +190,47 @@ class TestSubcommandOutputs:
         assert code == 0
         assert payload["meu"] == pytest.approx(12.5)
         assert payload["rules"]["D1"][0]["max"] == ["d1"]
+
+    def test_solve_over_table_limit_is_an_error(self, tmp_path, capsys):
+        # The decision rule over 25 binary observations has 2^26 cells.
+        observed = [f"X{i}" for i in range(25)]
+        doc = {
+            "nodes": [{"id": x, "kind": "chance", "states": ["a", "b"], "parents": []} for x in observed]
+            + [
+                {"id": "D", "kind": "decision", "states": ["d1", "d2"], "parents": observed},
+                {"id": "U", "kind": "value", "parents": ["D"]},
+            ],
+            "realization": {"cpts": {x: [0.5, 0.5] for x in observed}, "utilities": {"U": [0.0, 1.0]}},
+        }
+        big = tmp_path / "big.pid"
+        big.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "solve", big)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit of 16777216 cells" in err
+
+    @pytest.mark.parametrize(
+        "argv, inductions",
+        [
+            (["fuzz", "fig1.pid", "--trials", "1"], 2),  # fuzz's own, plus check_welldefined's
+            (["relevant", "fig1.pid", "-d", "D1", "--schema", "1"], 1),
+            (["required", "fig1.pid", "-d", "D1", "--schema", "1"], 1),
+        ],
+        ids=["fuzz", "relevant", "required"],
+    )
+    def test_partial_order_induced_once(self, monkeypatch, capsys, argv, inductions):
+        calls = []
+        induce = ordering.induce_partial_order
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return induce(*args, **kwargs)
+
+        for module in (ordering, analysis, cli):
+            monkeypatch.setattr(module, "induce_partial_order", counted)
+        code, _, _ = run(capsys, argv[0], FIXTURES / argv[1], *argv[2:])
+        assert code == 0
+        assert len(calls) == inductions
 
     def test_solve_needs_realization(self, capsys):
         code, _, err = run(capsys, "solve", FIXTURES / "fig1.pid")

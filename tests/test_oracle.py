@@ -1,24 +1,33 @@
+import itertools
+import pathlib
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import bf_best_meu
+from conftest import bf_best_meu, dense_solve, fingerprint
 from pidcheck import figures
+from pidcheck.cli import load_file
 from pidcheck.analysis import Analysis, check_welldefined
 from pidcheck.generate import random_pid
 from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.oracle import (
     Comparison,
+    EvaluationError,
     InvalidRealization,
     Realization,
     oracle_required,
     random_realization,
+    Strategy,
     significance_search,
     solve,
     strategies_equal,
 )
 from pidcheck.ordering import canonical_schema, enumerate_schemas
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def schema_with_order(d, order):
@@ -28,7 +37,7 @@ def schema_with_order(d, order):
 class TestRandomRealization:
     def test_deterministic_in_seed(self):
         d = figures.fig2()
-        assert random_realization(d, 7).fingerprint() == random_realization(d, 7).fingerprint()
+        assert fingerprint(random_realization(d, 7)) == fingerprint(random_realization(d, 7))
 
     def test_rows_sum_to_one(self):
         d = figures.fig4()
@@ -40,7 +49,7 @@ class TestRandomRealization:
 
     def test_seed_sweep_all_distinct(self):
         d = figures.fig2()
-        prints = {random_realization(d, s).fingerprint() for s in range(100)}
+        prints = {fingerprint(random_realization(d, s)) for s in range(100)}
         assert len(prints) == 100
 
     def test_shape_validation(self):
@@ -169,6 +178,73 @@ class TestSolve:
             assert d2.values[i_d1] == pytest.approx(best, rel=1e-9)
         # with an empty past, the first decision's recorded value is the MEU
         assert meu == pytest.approx(float(strategy.rules["D1"].values[()]))
+
+
+def _rounded(r):
+    """The realization with every CPT row rounded to {0, 1/2, 1}, so that
+    some pasts have probability zero."""
+    grid = np.array([0.0, 0.5, 1.0])
+    cpts = {}
+    for c, table in r.cpts.items():
+        rounded = grid[np.abs(table[..., None] - grid).argmin(axis=-1)]
+        total = rounded.sum(axis=-1, keepdims=True)
+        cpts[c] = np.where(total > 0, rounded / np.where(total > 0, total, 1.0), 1.0 / table.shape[-1])
+    return Realization(cpts, r.utilities)
+
+
+def _solution(solver, d, r, schema):
+    try:
+        strategy, meu = solver(d, r, schema)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return strategy, meu
+
+
+def assert_matches_dense(d, r, schema):
+    got, want = _solution(solve, d, r, schema), _solution(dense_solve, d, r, schema)
+    if not isinstance(want[0], Strategy):
+        assert got == want
+        return
+    (strategy, meu), (reference, reference_meu) = got, want
+    assert meu == pytest.approx(reference_meu, rel=1e-9)
+    assert strategy.rules.keys() == reference.rules.keys()
+    for dec, rule in reference.rules.items():
+        mine = strategy.rules[dec]
+        assert mine.pred_vars == rule.pred_vars
+        np.testing.assert_array_equal(mine.ties, rule.ties)
+        np.testing.assert_allclose(mine.values, rule.values, rtol=1e-9, atol=0)
+
+
+class TestMatchesDenseReference:
+    """The factored solver against the dense joint-table reference: the same
+    maximizer masks and pasts, values and MEU within 1e-9 relative, and the
+    same error on overflow."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_fixtures_every_schema(self, path):
+        d, r = load_file(str(path))
+        r = r if r is not None else random_realization(d, 0)
+        for schema in enumerate_schemas(d):
+            assert_matches_dense(d, r, schema)
+            assert_matches_dense(d, _rounded(r), schema)
+
+    def test_random_diagrams(self):
+        for seed in range(300):
+            rng = np.random.default_rng(50_000 + seed)
+            d = random_pid(rng, max_carrier=int(rng.integers(3, 9)), n_values=int(rng.integers(1, 3)))
+            r = random_realization(d, seed)
+            for schema in itertools.islice(enumerate_schemas(d), 4):
+                assert_matches_dense(d, r, schema)
+                assert_matches_dense(d, _rounded(r), schema)
+
+    @pytest.mark.parametrize("entry", [1e308, np.inf, np.nan])
+    def test_non_finite_utilities(self, entry):
+        d = figures.fig4()
+        r = figures.fig4_realization()
+        huge = Realization(r.cpts, {v: np.full_like(t, entry) for v, t in r.utilities.items()})
+        assert_matches_dense(d, huge, canonical_schema(d))
+        with pytest.raises(EvaluationError, match="non-finite table entries"):
+            solve(d, huge, canonical_schema(d))
 
 
 class TestStrategiesEqual:
