@@ -21,12 +21,19 @@ incompatible (chance, decision) pair is significant.
 
 The recursions move strictly forward in the decision sequence, so results
 are memoized per (decision, schema suffix); everything before the decision
-enters only as a set, which the suffix determines by complement.  Memo
-tables live inside one Analysis instance; distinct instances are fully
-independent, so concurrent runs need no coordination.
+enters only as a set, which the suffix determines by complement.  Besides
+that key, the rules read only the graph without informational arcs (the
+"bare" graph) and the node ids, kinds and declaration order.  A repair
+constraint changes none of these: observing A before D adds an arc into a
+decision, which the bare graph drops, and forcing D before A only adds a
+pair to the partial order.  So an analysis derived under repair constraints
+(:meth:`Analysis.constrained`) shares its parent's memo tables, and only
+the partial order and the schema space are its own.  Otherwise instances
+are independent; a family of derived analyses is meant for one thread.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,6 +50,14 @@ from .ordering import (
     decision_sequences,
     induce_partial_order,
 )
+
+
+# The most rechecks one suggest_resolutions call may run.
+MAX_RECHECKS = 1 << 13
+
+
+class RepairBudgetExceeded(ValueError):
+    """The repair search needs more than MAX_RECHECKS rechecks."""
 
 
 @dataclass(frozen=True)
@@ -93,17 +108,36 @@ class Analysis:
 
     Memo keys are (decision, suffix signature): the relevant/required sets
     of a decision depend only on what comes at or after it, because the
-    past enters the rules solely as the complement set.  Entries are
-    reproducible from scratch; the cache is a pure speedup.
+    past enters the rules solely as the complement set.  The clause that
+    makes a candidate required is memoized per (suffix signature,
+    candidate).  Entries are reproducible from scratch; the cache is a pure
+    speedup.  Analyses derived by :meth:`constrained` share these tables
+    and the bare view with their parent.
     """
 
     def __init__(self, d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()):
         self.diagram = d
-        self.po: PartialOrder = induce_partial_order(d, extra_constraints)
+        self._extra = tuple(extra_constraints)
+        self.po: PartialOrder = induce_partial_order(d, self._extra)
         self.bare: GraphView = strip_informational(d)
         self._bare_desc: dict[str, set[str]] = {}
         self._relevant_memo: dict[tuple, frozenset[str]] = {}
         self._required_memo: dict[tuple, frozenset[str]] = {}
+        self._clause_memo: dict[tuple, tuple | None] = {}
+
+    def constrained(self, constraints: Iterable[tuple[str, str, str]]) -> Analysis:
+        """The analysis of this diagram under extra repair constraints
+        (see :class:`Proposal`), with its own partial order and schemas but
+        this instance's bare view and memo tables, which no repair
+        constraint can change.  Raises :class:`InconsistentOrder` if the
+        constraints contradict the order."""
+        d, extra = _apply_constraints(self.diagram, constraints)
+        derived = copy.copy(self)  # a shallow copy shares bare and the memos
+        derived.diagram = d
+        derived._extra = self._extra + tuple(extra)
+        derived.po = induce_partial_order(d, derived._extra)
+        vars(derived).pop("_sequences", None)  # schemas follow the new order
+        return derived
 
     # -- graph helpers ----------------------------------------------------
 
@@ -162,13 +196,21 @@ class Analysis:
             return self._required_memo[key]
         pred = schema.pred(dec)
         rel = self.relevant_utilities(schema, dec)
-        out: set[str] = set()
-        for x in self.diagram.sort_ids(pred):
-            if self._required_one(schema, dec, x, pred, rel) is not None:
-                out.add(x)
-        result = frozenset(out)
+        result = frozenset(
+            x for x in pred if self._clause(schema, key, x, pred, rel) is not None
+        )
         self._required_memo[key] = result
         return result
+
+    def _clause(
+        self, schema: OrderSchema, key: tuple, x: str, pred: frozenset[str], rel: frozenset[str]
+    ) -> tuple | None:
+        """:meth:`_required_one` for the decision of suffix ``key``,
+        memoized per (suffix key, x)."""
+        memo_key = (key, x)
+        if memo_key not in self._clause_memo:
+            self._clause_memo[memo_key] = self._required_one(schema, key[0], x, pred, rel)
+        return self._clause_memo[memo_key]
 
     def _required_one(
         self,
@@ -218,7 +260,7 @@ class Analysis:
             )
         pred = schema.pred(dec)
         rel = self.relevant_utilities(schema, dec)
-        hit = self._required_one(schema, dec, a, pred, rel)
+        hit = self._clause(schema, self._suffix_key(schema, dec), a, pred, rel)
         if hit is None:
             return None
         clause, psi, later, chain = hit
@@ -280,7 +322,7 @@ class Analysis:
         past of ``dec`` instead, collapsing schemas that differ only in the
         ordering of what follows the decision (the past enters the rules as
         a set).  That is sound only once every later incompatible pair has
-        been cleared, which :func:`check_welldefined` arranges; on its own
+        been cleared, which :meth:`check` arranges; on its own
         it can miss a witness.
         """
         if self.diagram.kind(a) is not Kind.CHANCE or self.diagram.kind(dec) is not Kind.DECISION:
@@ -292,6 +334,52 @@ class Analysis:
             if w is not None:
                 return w
         return None
+
+    # -- the verdict ----------------------------------------------------------
+
+    def check(self) -> Report:
+        """Welldefinedness verdict: the diagram is a welldefined scenario iff
+        no incompatible (chance, decision) pair is significant.  Classic
+        diagrams have no such pairs and always come back welldefined.
+
+        Pairs are scanned latest-decision-first with the collapsed pass
+        (``is_significant(..., exact=False)``: one schema per distinct
+        past), which is sound while every later pair is insignificant.  The
+        moment any pair fires, every pair is rescanned exactly, so the
+        witnesses are those of the exact single-pair query on each
+        incompatible pair.
+        """
+        d = self.diagram
+        pairs: list[tuple[str, str]] = []
+        for dec in _decision_depth_order(self):
+            for a in d.chance_ids:
+                if self.po.incompatible(a, dec):
+                    pairs.append((a, dec))
+        witnesses: list[Witness] = []
+        if any(self.is_significant(a, dec, exact=False) is not None for a, dec in pairs):
+            for a, dec in pairs:
+                w = self.is_significant(a, dec, exact=True)
+                if w is not None:
+                    witnesses.append(w)
+        schema = canonical_schema(d, self.po)
+        relevant = {
+            dec: d.sort_ids(self.relevant_utilities(schema, dec))
+            for dec in d.decision_ids
+        }
+        required = {
+            dec: d.sort_ids(self.required_variables(schema, dec))
+            for dec in d.decision_ids
+        }
+        witnesses.sort(key=lambda w: (d.declaration_index(w.decision), d.declaration_index(w.chance)))
+        return Report(
+            welldefined=not witnesses,
+            schema=schema,
+            relevant=relevant,
+            required=required,
+            incompatible_pairs=self.po.incompatible_pairs(),
+            pairs_checked=tuple(sorted(pairs, key=lambda p: (d.declaration_index(p[1]), d.declaration_index(p[0])))),
+            witnesses=tuple(witnesses),
+        )
 
 
 def _decision_depth_order(analysis: Analysis) -> list[str]:
@@ -316,47 +404,9 @@ def _decision_depth_order(analysis: Analysis) -> list[str]:
 def check_welldefined(
     d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()
 ) -> Report:
-    """Welldefinedness verdict: the diagram is a welldefined scenario iff no
-    incompatible (chance, decision) pair is significant.  Classic diagrams
-    have no such pairs and always come back welldefined.
-
-    Pairs are scanned latest-decision-first with the collapsed pass
-    (``is_significant(..., exact=False)``: one schema per distinct past),
-    which is sound while every later pair is insignificant.  The moment any
-    pair fires, every pair is rescanned exactly, so the witnesses are those
-    of the exact single-pair query on each incompatible pair.
-    """
-    analysis = Analysis(d, extra_constraints)
-    pairs: list[tuple[str, str]] = []
-    for dec in _decision_depth_order(analysis):
-        for a in d.chance_ids:
-            if analysis.po.incompatible(a, dec):
-                pairs.append((a, dec))
-    witnesses: list[Witness] = []
-    if any(analysis.is_significant(a, dec, exact=False) is not None for a, dec in pairs):
-        for a, dec in pairs:
-            w = analysis.is_significant(a, dec, exact=True)
-            if w is not None:
-                witnesses.append(w)
-    schema = canonical_schema(d, analysis.po)
-    relevant = {
-        dec: d.sort_ids(analysis.relevant_utilities(schema, dec))
-        for dec in d.decision_ids
-    }
-    required = {
-        dec: d.sort_ids(analysis.required_variables(schema, dec))
-        for dec in d.decision_ids
-    }
-    witnesses.sort(key=lambda w: (d.declaration_index(w.decision), d.declaration_index(w.chance)))
-    return Report(
-        welldefined=not witnesses,
-        schema=schema,
-        relevant=relevant,
-        required=required,
-        incompatible_pairs=analysis.po.incompatible_pairs(),
-        pairs_checked=tuple(sorted(pairs, key=lambda p: (d.declaration_index(p[1]), d.declaration_index(p[0])))),
-        witnesses=tuple(witnesses),
-    )
+    """The verdict of :meth:`Analysis.check` on ``d`` under the extra
+    precedence pairs."""
+    return Analysis(d, extra_constraints).check()
 
 
 def replay_witness(d: Diagram, w: Witness) -> bool:
@@ -390,16 +440,18 @@ def replay_witness(d: Diagram, w: Witness) -> bool:
 def _apply_constraints(
     d: Diagram, constraints: Iterable[tuple[str, str, str]]
 ) -> tuple[Diagram, list[tuple[str, str]]]:
+    """The diagram with every observe arc added, validated once, and the
+    precedence pairs of the precede constraints."""
+    arcs: list[tuple[str, str]] = []
     extra: list[tuple[str, str]] = []
-    current = d
     for kind, x, y in constraints:
         if kind == "observe":
-            current = current.with_arc(x, y)
+            arcs.append((x, y))
         elif kind == "precede":
             extra.append((x, y))
         else:
             raise ValueError(f"unknown constraint kind {kind!r}")
-    return current, extra
+    return (d.with_arcs(arcs) if arcs else d), extra
 
 
 def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
@@ -408,27 +460,36 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
     re-checking the diagram under each.  Proposals that do not reach a
     welldefined verdict on their own are greedily extended one constraint
     at a time.  Sorted by constraint count, so single-constraint fixes come
-    first."""
+    first.
+
+    Every recheck runs on an analysis derived from one analysis of ``d``,
+    so they all share its memo tables.  Raises
+    :class:`RepairBudgetExceeded` before a recheck beyond MAX_RECHECKS."""
     if report.welldefined:
         return ()
+    base = Analysis(d)
     proposals: list[Proposal] = []
-    seen: set[tuple] = set()
+    rechecks = 0
 
     def recheck(constraints: tuple[tuple[str, str, str], ...]) -> Report:
-        nd, extra = _apply_constraints(d, constraints)
-        return check_welldefined(nd, extra_constraints=extra)
+        nonlocal rechecks
+        if rechecks == MAX_RECHECKS:
+            raise RepairBudgetExceeded(
+                f"suggest needs more than the limit of {MAX_RECHECKS} rechecks"
+            )
+        rechecks += 1
+        return base.constrained(constraints).check()
 
+    # Each constraint tuple is grown at most once: the roots come from
+    # distinct witnesses, and a tuple extends only the one that grew it.
     def grow(constraints: tuple[tuple[str, str, str], ...], rep: Report, depth: int) -> None:
-        if constraints in seen:
-            return
-        seen.add(constraints)
         proposals.append(Proposal(constraints=constraints, welldefined=rep.welldefined))
         if rep.welldefined or depth <= 0 or not rep.witnesses:
             return
         w = rep.witnesses[0]
         for option in (("observe", w.chance, w.decision), ("precede", w.decision, w.chance)):
+            nxt = constraints + (option,)
             try:
-                nxt = constraints + (option,)
                 grow(nxt, recheck(nxt), depth - 1)
             except InconsistentOrder:
                 continue

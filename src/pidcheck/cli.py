@@ -539,7 +539,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (
-        InvalidDiagram, InconsistentOrder, InvalidRealization, NotTotalOrder, EvaluationError
+        InvalidDiagram, InconsistentOrder, InvalidRealization, NotTotalOrder, EvaluationError,
+        _analysis.RepairBudgetExceeded,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

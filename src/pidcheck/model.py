@@ -118,12 +118,20 @@ class Diagram:
     # -- functional edits (used by fixtures and resolution suggestions) --
 
     def with_arc(self, tail: str, head: str) -> "Diagram":
-        nodes = []
-        for n in self.nodes:
-            if n.id == head and tail not in n.parents:
-                nodes.append(Node(n.id, n.kind, n.states, n.parents + (tail,)))
-            else:
-                nodes.append(n)
+        return self.with_arcs([(tail, head)])
+
+    def with_arcs(self, arcs: Iterable[tuple[str, str]]) -> "Diagram":
+        """The diagram with every (tail, head) arc added that is not there
+        yet, validated once."""
+        added: dict[str, tuple[str, ...]] = {}
+        for tail, head in arcs:
+            parents = added.get(head, self.parents(head))
+            if tail not in parents:
+                added[head] = parents + (tail,)
+        nodes = [
+            Node(n.id, n.kind, n.states, added[n.id]) if n.id in added else n
+            for n in self.nodes
+        ]
         return validate_nodes(nodes)
 
     def without_arc(self, tail: str, head: str) -> "Diagram":

@@ -12,10 +12,10 @@ import hypothesis
 import numpy as np
 import pytest
 
-from pidcheck.analysis import Analysis
+from pidcheck.analysis import Analysis, Proposal, Report, check_welldefined
 from pidcheck.model import Diagram, Kind, Node, validate_nodes
 from pidcheck.oracle import DecisionRule, EvaluationError, Strategy
-from pidcheck.ordering import PartialOrder, enumerate_schemas
+from pidcheck.ordering import InconsistentOrder, PartialOrder, enumerate_schemas
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=40, derandomize=True
@@ -151,6 +151,54 @@ def first_per_past(schemas, dec: str):
         if past not in seen:
             seen.add(past)
             yield schema
+
+
+# ---------------------------------------------------------------------------
+# reference repair search: a fresh check_welldefined per recheck, one
+# validated Diagram per observe constraint
+
+
+def reference_suggest(d: Diagram, report: Report) -> tuple[Proposal, ...]:
+    """The greedy repair search of ``suggest_resolutions`` with nothing
+    shared between rechecks."""
+    if report.welldefined:
+        return ()
+    proposals: list[Proposal] = []
+    seen: set[tuple] = set()
+
+    def recheck(constraints):
+        current, extra = d, []
+        for kind, x, y in constraints:
+            if kind == "observe":
+                current = current.with_arc(x, y)
+            else:
+                extra.append((x, y))
+        return check_welldefined(current, extra_constraints=extra)
+
+    def grow(constraints, rep: Report, depth: int) -> None:
+        if constraints in seen:
+            return
+        seen.add(constraints)
+        proposals.append(Proposal(constraints=constraints, welldefined=rep.welldefined))
+        if rep.welldefined or depth <= 0 or not rep.witnesses:
+            return
+        w = rep.witnesses[0]
+        for option in (("observe", w.chance, w.decision), ("precede", w.decision, w.chance)):
+            try:
+                nxt = constraints + (option,)
+                grow(nxt, recheck(nxt), depth - 1)
+            except InconsistentOrder:
+                continue
+
+    for w in report.witnesses:
+        for option in (("observe", w.chance, w.decision), ("precede", w.decision, w.chance)):
+            try:
+                rep = recheck((option,))
+            except InconsistentOrder:
+                continue
+            grow((option,), rep, depth=len(report.witnesses) + 1)
+    proposals.sort(key=lambda p: (not p.welldefined, len(p.constraints)))
+    return tuple(proposals)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import exact_witnesses, first_per_past, full_stream_pair_schemas, w_family, w_family_expected
+from conftest import (
+    exact_witnesses,
+    first_per_past,
+    full_stream_pair_schemas,
+    reference_suggest,
+    w_family,
+    w_family_expected,
+)
 from pidcheck import figures
 from pidcheck.analysis import (
     Analysis,
@@ -16,7 +23,7 @@ from pidcheck.analysis import (
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
 from pidcheck.generate import random_classic_id, random_pid
 from pidcheck.model import Kind, Node, validate_nodes
-from pidcheck.ordering import canonical_schema, enumerate_schemas
+from pidcheck.ordering import InconsistentOrder, canonical_schema, enumerate_schemas
 
 
 def schema_with_order(d, order):
@@ -361,3 +368,112 @@ class TestSuggestResolutions:
         shortest = min(fixing, key=lambda p: len(p.constraints))
         touched = {c[1] for c in shortest.constraints} | {c[2] for c in shortest.constraints}
         assert {"D", "D9"} <= touched or {"A", "A9"} <= touched
+
+    @pytest.mark.parametrize("name", ["fig6", "fig7", "fig8", "fig8_modified", "two_witness"])
+    def test_matches_reference_on_fixtures(self, name):
+        d = figures.ALL_FIGURES[name]()
+        report = check_welldefined(d)
+        assert not report.welldefined
+        assert suggest_resolutions(d, report) == reference_suggest(d, report)
+
+    def test_matches_reference_on_w3_shared(self):
+        d = w_family(3, shared=True)
+        report = check_welldefined(d)
+        proposals = suggest_resolutions(d, report)
+        assert len(proposals) == 152
+        assert proposals == reference_suggest(d, report)
+
+    def test_matches_reference_on_random_draws(self):
+        ambiguous = 0
+        for seed in range(3910):
+            d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            report = check_welldefined(d)
+            if report.welldefined:
+                continue
+            ambiguous += 1
+            assert suggest_resolutions(d, report) == reference_suggest(d, report), seed
+        assert ambiguous >= 300
+
+    def test_each_constraint_set_rechecked_once(self, monkeypatch):
+        # Every recheck is a distinct constraint tuple, and one with observe
+        # constraints validates its diagram once.
+        import pidcheck.model
+
+        tried = []
+        constrained = Analysis.constrained
+        validations = 0
+        validate = pidcheck.model.validate_nodes
+
+        def record(self, constraints):
+            tried.append(tuple(constraints))
+            return constrained(self, constraints)
+
+        def count(nodes):
+            nonlocal validations
+            validations += 1
+            return validate(nodes)
+
+        monkeypatch.setattr(Analysis, "constrained", record)
+        monkeypatch.setattr(pidcheck.model, "validate_nodes", count)
+        d = w_family(3, shared=True)
+        suggest_resolutions(d, check_welldefined(d))
+        assert len(tried) == len(set(tried)) == 158
+        assert validations == sum(any(c[0] == "observe" for c in t) for t in tried)
+
+
+class TestDerivedAnalysis:
+    """A derived analysis shares its parent's memo tables, which is sound
+    because no repair constraint changes the bare graph."""
+
+    @staticmethod
+    def _assert_matches_fresh(derived, fresh):
+        d = fresh.diagram
+        assert derived.diagram == d
+        assert derived.po.succ == fresh.po.succ
+        for schema in enumerate_schemas(d, fresh.po):
+            for dec in d.decision_ids:
+                assert derived.relevant_utilities(schema, dec) == fresh.relevant_utilities(schema, dec)
+                assert derived.required_variables(schema, dec) == fresh.required_variables(schema, dec)
+        for dec in d.decision_ids:
+            for a in d.chance_ids:
+                if fresh.po.incompatible(a, dec):
+                    assert derived.is_significant(a, dec) == fresh.is_significant(a, dec)
+        assert derived.check() == fresh.check()
+
+    def test_single_constraints_match_fresh_analysis(self):
+        derived_count = 0
+        for seed in range(600):
+            d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            base = Analysis(d)
+            report = base.check()
+            if report.welldefined:
+                continue
+            # warm the parent on every schema, so the derived analyses read
+            # entries computed under the unconstrained diagram
+            for schema in enumerate_schemas(d, base.po):
+                for dec in d.decision_ids:
+                    base.required_variables(schema, dec)
+            for w in report.witnesses:
+                options = (
+                    (("observe", w.chance, w.decision), lambda: Analysis(d.with_arc(w.chance, w.decision))),
+                    (("precede", w.decision, w.chance), lambda: Analysis(d, [(w.decision, w.chance)])),
+                )
+                for option, fresh in options:
+                    try:
+                        expected = fresh()
+                    except InconsistentOrder:
+                        with pytest.raises(InconsistentOrder):
+                            base.constrained([option])
+                        continue
+                    self._assert_matches_fresh(base.constrained([option]), expected)
+                    derived_count += 1
+        assert derived_count >= 100
+
+    def test_constraints_accumulate(self):
+        d = figures.two_witness_pid()
+        base = Analysis(d)
+        first = base.constrained([("precede", "D", "A")])
+        both = first.constrained([("observe", "A9", "D9")])
+        self._assert_matches_fresh(both, Analysis(d.with_arc("A9", "D9"), [("D", "A")]))
+        assert both.check().welldefined
+        assert not base.check().welldefined

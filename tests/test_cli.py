@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import fingerprint
+from conftest import fingerprint, w_family
 from pidcheck import analysis, cli, figures, ordering
 from pidcheck.cli import export_dot, main, parse_document, serialize_document
 from pidcheck.generate import random_pid
@@ -208,6 +208,19 @@ class TestSubcommandOutputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit of 16777216 cells" in err
+
+    def test_suggest_over_recheck_limit_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # suggest on W(3)-shared runs 158 rechecks.
+        path = tmp_path / "w3_shared.pid"
+        path.write_text(serialize_document(w_family(3, shared=True)))
+        monkeypatch.setattr(analysis, "MAX_RECHECKS", 158)
+        code, payload = run_json(capsys, "suggest", path)
+        assert code == 0 and len(payload["proposals"]) == 152
+        monkeypatch.setattr(analysis, "MAX_RECHECKS", 157)
+        code, out, err = run(capsys, "suggest", path)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "limit of 157 rechecks" in err
 
     @pytest.mark.parametrize(
         "argv, inductions",
