@@ -19,17 +19,31 @@ slot immediately before D under some admissible schema, the same clauses
 fire for A.  A diagram is a welldefined decision scenario iff no
 incompatible (chance, decision) pair is significant.
 
-The recursions move strictly forward in the decision sequence, so results
-are memoized per (decision, schema suffix); everything before the decision
-enters only as a set, which the suffix determines by complement.  Besides
-that key, the rules read only the graph without informational arcs (the
-"bare" graph) and the node ids, kinds and declaration order.  A repair
-constraint changes none of these: observing A before D adds an arc into a
-decision, which the bare graph drops, and forcing D before A only adds a
-pair to the partial order.  So an analysis derived under repair constraints
-(:meth:`Analysis.constrained`) shares its parent's memo tables, and only
-the partial order and the schema space are its own.  Otherwise instances
-are independent; a family of derived analyses is meant for one thread.
+The recursions move strictly forward in the decision sequence, and at D
+they read only D, its past as a set, and the (relevant, required) outcome
+of every later decision: D's *outcome class*.  The rules are memoized per
+outcome class, and the outcomes under a schema are worked out by walking its
+decision sequence backward.  Besides the class, the rules read only the
+graph without informational arcs (the "bare" graph) and the node ids, kinds
+and declaration order.  A repair constraint changes none of these:
+observing A before D adds an arc into a decision, which the bare graph
+drops, and forcing D before A only adds a pair to the partial order.  So an
+analysis derived under repair constraints (:meth:`Analysis.constrained`)
+shares its parent's memo, and only the partial order, the schema space and
+the significance pass are its own.  Otherwise instances are independent; a
+family of derived analyses is meant for one thread.
+
+Significance is decided by one backward pass over decision positions.  A
+state is the set of carrier nodes placed so far, which is upward-closed in
+the partial order, plus the outcomes of the placed decisions.  A step
+places one decision D and the chance nodes of the slot after it, and equal
+states merge.  D's past is then the set of unplaced nodes, so every schema
+that completes the state gives D the same outcome class.  (A, D) is
+significant iff some step placing D puts A in required(D) while A precedes
+no decision of D's past.  The unplaced nodes are downward-closed, so every
+state has a completion, and one with A in the slot immediately before D
+exactly when A precedes no decision of D's past.  So the pass answers as a
+scan of every schema would, on every input.
 """
 from __future__ import annotations
 
@@ -40,7 +54,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from .model import Diagram, GraphView, Kind, strip_informational
-from .dsep import d_connected
+from .dsep import active_reach, d_connected
 from .ordering import (
     InconsistentOrder,
     OrderSchema,
@@ -58,6 +72,18 @@ MAX_RECHECKS = 1 << 13
 
 class RepairBudgetExceeded(ValueError):
     """The repair search needs more than MAX_RECHECKS rechecks."""
+
+
+# The most states the significance pass of one analysis may visit.
+MAX_SCAN_STATES = 1 << 16
+
+
+class ScanBudgetExceeded(ValueError):
+    """The significance pass needs more than MAX_SCAN_STATES states."""
+
+
+# A decision with its relevant utilities and required variables.
+Outcome = tuple[str, frozenset[str], frozenset[str]]
 
 
 @dataclass(frozen=True)
@@ -104,15 +130,14 @@ class Report:
 
 class Analysis:
     """Shared machinery for one diagram: the stripped view, the partial
-    order, and memo tables reused across schemas.
+    order, the memoized rules and the significance pass.
 
-    Memo keys are (decision, suffix signature): the relevant/required sets
-    of a decision depend only on what comes at or after it, because the
-    past enters the rules solely as the complement set.  The clause that
-    makes a candidate required is memoized per (suffix signature,
-    candidate).  Entries are reproducible from scratch; the cache is a pure
-    speedup.  Analyses derived by :meth:`constrained` share these tables
-    and the bare view with their parent.
+    The rules are memoized per outcome class (decision, past, outcomes of
+    the later decisions), and the clause behind a witness per (decision,
+    candidate, past, later outcomes in sequence order).  Entries are
+    reproducible from scratch; the memo is a pure speedup.  Analyses
+    derived by :meth:`constrained` share it and the bare view with their
+    parent, and drop the parent's schemas and significance pass.
     """
 
     def __init__(self, d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()):
@@ -121,22 +146,22 @@ class Analysis:
         self.po: PartialOrder = induce_partial_order(d, self._extra)
         self.bare: GraphView = strip_informational(d)
         self._bare_desc: dict[str, set[str]] = {}
-        self._relevant_memo: dict[tuple, frozenset[str]] = {}
-        self._required_memo: dict[tuple, frozenset[str]] = {}
-        self._clause_memo: dict[tuple, tuple | None] = {}
+        self._outcomes: dict[tuple, tuple[frozenset[str], frozenset[str]]] = {}
+        self._clauses: dict[tuple, tuple | None] = {}
 
     def constrained(self, constraints: Iterable[tuple[str, str, str]]) -> Analysis:
         """The analysis of this diagram under extra repair constraints
-        (see :class:`Proposal`), with its own partial order and schemas but
-        this instance's bare view and memo tables, which no repair
-        constraint can change.  Raises :class:`InconsistentOrder` if the
-        constraints contradict the order."""
+        (see :class:`Proposal`), with its own partial order, schemas and
+        significance pass but this instance's bare view and memo, which no
+        repair constraint can change.  Raises :class:`InconsistentOrder` if
+        the constraints contradict the order."""
         d, extra = _apply_constraints(self.diagram, constraints)
-        derived = copy.copy(self)  # a shallow copy shares bare and the memos
+        derived = copy.copy(self)  # a shallow copy shares bare and the memo
         derived.diagram = d
         derived._extra = self._extra + tuple(extra)
         derived.po = induce_partial_order(d, derived._extra)
-        vars(derived).pop("_sequences", None)  # schemas follow the new order
+        for cached in ("_sequences", "_significant"):  # both follow the order
+            vars(derived).pop(cached, None)
         return derived
 
     # -- graph helpers ----------------------------------------------------
@@ -154,73 +179,56 @@ class Analysis:
             self._bare_desc[node] = out
         return self._bare_desc[node]
 
-    @staticmethod
-    def _suffix_key(schema: OrderSchema, dec: str) -> tuple:
-        k = schema.position(dec)
-        later_slots = tuple(
-            (c, s - k) for c, s in schema.slots if s >= k
-        )
-        return (dec, schema.decision_sequence[k - 1:], later_slots)
-
     # -- the rules ---------------------------------------------------------
 
-    def relevant_utilities(self, schema: OrderSchema, dec: str) -> frozenset[str]:
-        key = self._suffix_key(schema, dec)
-        if key in self._relevant_memo:
-            return self._relevant_memo[key]
-        rel: set[str] = set()
-        desc = self.bare_descendants(dec)
-        for v in self.diagram.value_ids:  # direct influence on the payoff
-            if v in desc:
-                rel.add(v)
-        for later in schema.decisions_after(dec):
-            later_rel = self.relevant_utilities(schema, later)
-            missing = [v for v in later_rel if v not in rel]
-            if not missing:
-                continue
-            later_req = self.required_variables(schema, later)
-            feeds = dec in later_req or any(
-                x in later_req
-                for x in schema.pred(later)
-                if self.diagram.kind(x) is Kind.CHANCE and x in desc
+    def _outcome(
+        self, dec: str, pred: frozenset[str], later: Iterable[Outcome]
+    ) -> tuple[frozenset[str], frozenset[str]]:
+        """(relevant, required) of ``dec`` with past ``pred``, given the
+        outcomes of the decisions after it in any order."""
+        later = frozenset(later)
+        key = (dec, pred, later)
+        hit = self._outcomes.get(key)
+        if hit is None:
+            desc = self.bare_descendants(dec)
+            rel = {v for v in self.diagram.value_ids if v in desc}  # direct influence on the payoff
+            for _, later_rel, later_req in later:
+                # dec feeds the later decision: it is required there, or has
+                # a bare directed path to a node required there (no decision
+                # has bare parents, so that node is a chance node)
+                if dec in later_req or not desc.isdisjoint(later_req):
+                    rel |= later_rel
+            rel = frozenset(rel)
+            # x is required iff some later decision sharing a utility with
+            # dec requires it (later-required), or the clauses' d-connection
+            # queries hold: x d-connected, given the rest of the past and
+            # dec, to a relevant utility (direct) or to a chance node that
+            # such a decision requires (later-chain).  x is d-connected to a
+            # target given Z - {x} iff a ball passed from the target given Z
+            # arrives at x, so one ball from every target answers all x.  The
+            # ball also arrives at each chance target itself, which is
+            # required anyway, and passes nowhere from an observed target,
+            # which d-connects to nothing.
+            shared = set().union(
+                *(later_req for _, later_rel, later_req in later if not rel.isdisjoint(later_rel))
             )
-            if feeds:
-                rel.update(missing)
-        out = frozenset(rel)
-        self._relevant_memo[key] = out
-        return out
-
-    def required_variables(self, schema: OrderSchema, dec: str) -> frozenset[str]:
-        key = self._suffix_key(schema, dec)
-        if key in self._required_memo:
-            return self._required_memo[key]
-        pred = schema.pred(dec)
-        rel = self.relevant_utilities(schema, dec)
-        result = frozenset(
-            x for x in pred if self._clause(schema, key, x, pred, rel) is not None
-        )
-        self._required_memo[key] = result
-        return result
+            chain = {y for y in shared if self.diagram.kind(y) is Kind.CHANCE}
+            reached = active_reach(self.bare, rel | chain, pred | {dec}).arrived
+            req = frozenset(x for x in pred if x in shared or x in reached)
+            hit = self._outcomes[key] = (rel, req)
+        return hit
 
     def _clause(
-        self, schema: OrderSchema, key: tuple, x: str, pred: frozenset[str], rel: frozenset[str]
-    ) -> tuple | None:
-        """:meth:`_required_one` for the decision of suffix ``key``,
-        memoized per (suffix key, x)."""
-        memo_key = (key, x)
-        if memo_key not in self._clause_memo:
-            self._clause_memo[memo_key] = self._required_one(schema, key[0], x, pred, rel)
-        return self._clause_memo[memo_key]
-
-    def _required_one(
         self,
-        schema: OrderSchema,
         dec: str,
         x: str,
         pred: frozenset[str],
         rel: frozenset[str],
+        later: list[Outcome],
     ) -> tuple | None:
-        """Clause that fires for candidate x, or None.
+        """(clause, utility, later decision, chain node) of the first clause
+        that makes x required for ``dec``, trying the later decisions in
+        ``later``'s order; None if none fires.
 
         The d-connection conditioning set is the decision plus its past with
         x removed (a source cannot condition itself; the decision is being
@@ -231,23 +239,35 @@ class Analysis:
             psi = next(v for v in self.diagram.value_ids
                        if v in rel and d_connected(self.bare, x, frozenset({v}), conditioning))
             return ("direct", psi, None, None)
-        for later in schema.decisions_after(dec):
-            common = rel & self.relevant_utilities(schema, later)
+        for later_dec, later_rel, later_req in later:
+            common = rel & later_rel
             if not common:
                 continue
-            later_req = self.required_variables(schema, later)
             psi = self.diagram.sort_ids(common)[0]
             if x in later_req:
-                return ("later-required", psi, later, None)
-            for y in self.diagram.sort_ids(schema.pred(later)):
+                return ("later-required", psi, later_dec, None)
+            for y in self.diagram.sort_ids(later_req):
                 if (
                     self.diagram.kind(y) is Kind.CHANCE
-                    and y in later_req
                     and y != x
                     and d_connected(self.bare, x, frozenset({y}), conditioning)
                 ):
-                    return ("later-chain", psi, later, y)
+                    return ("later-chain", psi, later_dec, y)
         return None
+
+    def _walk(self, schema: OrderSchema, start: int) -> tuple[Outcome, ...]:
+        """The outcomes of the decisions of ``schema`` from 0-based position
+        ``start`` on, in sequence order, worked out from the last one back."""
+        later: tuple[Outcome, ...] = ()
+        for dec in reversed(schema.decision_sequence[start:]):
+            later = ((dec, *self._outcome(dec, schema.pred(dec), later)),) + later
+        return later
+
+    def relevant_utilities(self, schema: OrderSchema, dec: str) -> frozenset[str]:
+        return self._walk(schema, schema.position(dec) - 1)[0][1]
+
+    def required_variables(self, schema: OrderSchema, dec: str) -> frozenset[str]:
+        return self._walk(schema, schema.position(dec) - 1)[0][2]
 
     def significant_rel(self, schema: OrderSchema, a: str, dec: str) -> Witness | None:
         """Significance of chance node ``a`` for ``dec`` under one schema
@@ -259,146 +279,131 @@ class Analysis:
                 f"schema does not place {a!r} immediately before {dec!r}"
             )
         pred = schema.pred(dec)
-        rel = self.relevant_utilities(schema, dec)
-        hit = self._clause(schema, self._suffix_key(schema, dec), a, pred, rel)
+        (_, rel, _), *later = self._walk(schema, schema.position(dec) - 1)
+        key = (dec, a, pred, tuple(later))
+        if key not in self._clauses:
+            self._clauses[key] = self._clause(dec, a, pred, rel, later)
+        hit = self._clauses[key]
         if hit is None:
             return None
-        clause, psi, later, chain = hit
-        return Witness(
-            chance=a,
-            decision=dec,
-            schema=schema,
-            utility=psi,
-            clause=clause,
-            later_decision=later,
-            chain_node=chain,
-        )
+        clause, psi, later_dec, chain = hit
+        return Witness(a, dec, schema, psi, clause, later_dec, chain)
 
-    # -- schema scans -------------------------------------------------------
+    # -- significance ---------------------------------------------------------
 
     @cached_property
     def _sequences(self) -> tuple[SequenceSlots, ...]:
         return tuple(decision_sequences(self.diagram, self.po))
 
-    def _pair_schemas(self, a: str, dec: str, exact: bool) -> Iterator[OrderSchema]:
+    @cached_property
+    def _significant(self) -> frozenset[tuple[str, str]]:
+        """The significant (chance, decision) pairs, by the backward pass
+        over decision positions that the module docstring describes.
+        Raises :class:`ScanBudgetExceeded` once the pass is known to need
+        more than MAX_SCAN_STATES states."""
+
+        def admit(states: int) -> None:
+            if states > MAX_SCAN_STATES:
+                raise ScanBudgetExceeded(
+                    f"the significance pass needs more than the limit of {MAX_SCAN_STATES} states"
+                )
+
+        d, po = self.diagram, self.po
+        carrier = frozenset(d.carrier_ids)
+        pairs = {(a, dec) for dec in d.decision_ids for a in d.chance_ids if po.incompatible(a, dec)}
+        pending = set(pairs)
+        decisions_after = {v: po.succ[v] & set(d.decision_ids) for v in carrier}
+        # a slot's chance nodes with their successors first
+        chance = sorted(d.chance_ids, key=lambda c: len(po.succ[c]))
+        states: set[tuple[frozenset[str], frozenset[Outcome]]] = {(frozenset(), frozenset())}
+        visited = len(states)
+        while states and pending:
+            step: set[tuple[frozenset[str], frozenset[Outcome]]] = set()
+            for placed, later in states:
+                free = carrier - placed
+                for dec in d.decision_ids:
+                    if dec not in free or not decisions_after[dec] <= placed:
+                        continue
+                    # The slot after dec: every free successor of dec, plus
+                    # an upward-closed set of free chance nodes that precede
+                    # no free decision, dec included.  Each slot makes a
+                    # distinct state of the next level.
+                    slots = [po.succ[dec] & free]
+                    for c in chance:
+                        if c in free and c not in slots[0] and decisions_after[c] <= placed:
+                            need = po.succ[c] & free
+                            slots += [s | {c} for s in slots if need <= s]
+                            admit(visited + len(slots))
+                    for slot in slots:
+                        past = free - slot - {dec}
+                        rel, req = self._outcome(dec, past, later)
+                        for a in req:
+                            if decisions_after[a].isdisjoint(past):
+                                pending.discard((a, dec))
+                        step.add((carrier - past, later | {(dec, rel, req)}))
+                    admit(visited + len(step))
+            visited += len(step)
+            states = step
+        return frozenset(pairs - pending)
+
+    def _pair_schemas(self, a: str, dec: str) -> Iterator[OrderSchema]:
         """The admissible schemas placing ``a`` in the slot immediately
         before ``dec``, in :func:`enumerate_schemas` order, generated
-        directly: ``a`` is pinned and the other chance nodes range freely.
-
-        With ``exact`` false, only the first schema of each distinct past of
-        ``dec`` is kept.  Within one sequence that is the lowest slot vector
-        with the same split of chance nodes into before and after ``dec``,
-        so each chance node needs at most two slots: its lowest, and its
-        lowest at or after ``dec``.
-        """
+        directly: ``a`` is pinned and the other chance nodes range freely."""
         chance = self.diagram.chance_ids
         ai = chance.index(a)
-        seen_pasts: set[frozenset[str]] = set()
         for seq, pos, ranges in self._sequences:
             k = pos[dec]
             lo, hi = ranges[ai]
             if not lo <= k - 1 <= hi:
                 continue
-            if exact:
-                choices = [range(lo, hi + 1) for lo, hi in ranges]
-            else:
-                choices = [(lo, k) if lo < k <= hi else (lo,) for lo, hi in ranges]
+            choices = [range(lo, hi + 1) for lo, hi in ranges]
             choices[ai] = (k - 1,)
-            earlier = frozenset(seq[: k - 1])
             for combo in itertools.product(*choices):
-                if not exact:
-                    past = earlier.union(c for c, s in zip(chance, combo) if s < k)
-                    if past in seen_pasts:
-                        continue
-                    seen_pasts.add(past)
                 yield OrderSchema(seq, tuple(zip(chance, combo)), chance)
 
-    def is_significant(self, a: str, dec: str, exact: bool = True) -> Witness | None:
+    def is_significant(self, a: str, dec: str) -> Witness | None:
         """Existential significance over admissible schemas placing ``a``
-        immediately before ``dec``.
-
-        The default scans every such schema and answers any single pair
-        exactly.  ``exact=False`` evaluates one representative per distinct
-        past of ``dec`` instead, collapsing schemas that differ only in the
-        ordering of what follows the decision (the past enters the rules as
-        a set).  That is sound only once every later incompatible pair has
-        been cleared, which :meth:`check` arranges; on its own
-        it can miss a witness.
-        """
+        immediately before ``dec``.  The significance pass decides it; for
+        a significant pair, the first such schema in :func:`enumerate_schemas`
+        order on which a clause fires gives the witness."""
         if self.diagram.kind(a) is not Kind.CHANCE or self.diagram.kind(dec) is not Kind.DECISION:
             raise ValueError("significance is defined for (chance, decision) pairs")
         if not self.po.incompatible(a, dec):
             raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
-        for schema in self._pair_schemas(a, dec, exact):
+        if (a, dec) not in self._significant:
+            return None
+        for schema in self._pair_schemas(a, dec):
             w = self.significant_rel(schema, a, dec)
             if w is not None:
                 return w
-        return None
+        raise AssertionError(f"no schema fires for the significant pair ({a!r}, {dec!r})")
 
     # -- the verdict ----------------------------------------------------------
 
     def check(self) -> Report:
         """Welldefinedness verdict: the diagram is a welldefined scenario iff
         no incompatible (chance, decision) pair is significant.  Classic
-        diagrams have no such pairs and always come back welldefined.
-
-        Pairs are scanned latest-decision-first with the collapsed pass
-        (``is_significant(..., exact=False)``: one schema per distinct
-        past), which is sound while every later pair is insignificant.  The
-        moment any pair fires, every pair is rescanned exactly, so the
-        witnesses are those of the exact single-pair query on each
-        incompatible pair.
-        """
+        diagrams have no such pairs and always come back welldefined.  Pairs
+        and witnesses are in report order: by decision, then by chance node,
+        in declaration order."""
         d = self.diagram
-        pairs: list[tuple[str, str]] = []
-        for dec in _decision_depth_order(self):
-            for a in d.chance_ids:
-                if self.po.incompatible(a, dec):
-                    pairs.append((a, dec))
-        witnesses: list[Witness] = []
-        if any(self.is_significant(a, dec, exact=False) is not None for a, dec in pairs):
-            for a, dec in pairs:
-                w = self.is_significant(a, dec, exact=True)
-                if w is not None:
-                    witnesses.append(w)
+        pairs = tuple(
+            (a, dec) for dec in d.decision_ids for a in d.chance_ids if self.po.incompatible(a, dec)
+        )
+        found = (self.is_significant(a, dec) for a, dec in pairs)
+        witnesses = tuple(w for w in found if w is not None)
         schema = canonical_schema(d, self.po)
-        relevant = {
-            dec: d.sort_ids(self.relevant_utilities(schema, dec))
-            for dec in d.decision_ids
-        }
-        required = {
-            dec: d.sort_ids(self.required_variables(schema, dec))
-            for dec in d.decision_ids
-        }
-        witnesses.sort(key=lambda w: (d.declaration_index(w.decision), d.declaration_index(w.chance)))
+        outcomes = {dec: (rel, req) for dec, rel, req in self._walk(schema, 0)}
         return Report(
             welldefined=not witnesses,
             schema=schema,
-            relevant=relevant,
-            required=required,
+            relevant={dec: d.sort_ids(outcomes[dec][0]) for dec in d.decision_ids},
+            required={dec: d.sort_ids(outcomes[dec][1]) for dec in d.decision_ids},
             incompatible_pairs=self.po.incompatible_pairs(),
-            pairs_checked=tuple(sorted(pairs, key=lambda p: (d.declaration_index(p[1]), d.declaration_index(p[0])))),
-            witnesses=tuple(witnesses),
+            pairs_checked=pairs,
+            witnesses=witnesses,
         )
-
-
-def _decision_depth_order(analysis: Analysis) -> list[str]:
-    """Decisions ordered latest-first: repeatedly peel a maximal decision.
-
-    Pairs whose decision is latest are investigated first; once every later
-    pair is insignificant, the ordering of the suffix cannot matter, which
-    is what licenses the collapsed scan.
-    """
-    decisions = list(analysis.diagram.decision_ids)
-    out: list[str] = []
-    remaining = decisions[:]
-    while remaining:
-        for dec in remaining:
-            if not any(analysis.po.precedes(dec, other) for other in remaining if other != dec):
-                out.append(dec)
-                remaining.remove(dec)
-                break
-    return out
 
 
 def check_welldefined(
@@ -463,7 +468,7 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
     first.
 
     Every recheck runs on an analysis derived from one analysis of ``d``,
-    so they all share its memo tables.  Raises
+    so they all share its memo.  Raises
     :class:`RepairBudgetExceeded` before a recheck beyond MAX_RECHECKS."""
     if report.welldefined:
         return ()

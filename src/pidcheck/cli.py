@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Sequence
 
@@ -39,7 +38,7 @@ from .ordering import (
 )
 
 SCHEMA_VERSION = 1
-DEFAULT_TRIALS = int(os.environ.get("PIDCHECK_TRIALS", "200"))
+DEFAULT_TRIALS = 200
 
 
 class CliError(Exception):
@@ -540,7 +539,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     except (
         InvalidDiagram, InconsistentOrder, InvalidRealization, NotTotalOrder, EvaluationError,
-        _analysis.RepairBudgetExceeded,
+        _analysis.RepairBudgetExceeded, _analysis.ScanBudgetExceeded,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

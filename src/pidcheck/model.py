@@ -77,23 +77,23 @@ class Diagram:
     def declaration_index(self, node_id: str) -> int:
         return self._index[node_id]
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes)
 
-    @property
+    @cached_property
     def chance_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.kind is Kind.CHANCE)
 
-    @property
+    @cached_property
     def decision_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.kind is Kind.DECISION)
 
-    @property
+    @cached_property
     def value_ids(self) -> tuple[str, ...]:
         return tuple(n.id for n in self.nodes if n.kind is Kind.VALUE)
 
-    @property
+    @cached_property
     def carrier_ids(self) -> tuple[str, ...]:
         """Chance and decision nodes, the carrier set of the temporal order."""
         return tuple(n.id for n in self.nodes if n.kind is not Kind.VALUE)

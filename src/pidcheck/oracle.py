@@ -164,12 +164,7 @@ def _split(factors: list[Factor], v: str) -> tuple[list[Factor], list[Factor]]:
     return [f for f in factors if v in f[0]], [f for f in factors if v not in f[0]]
 
 
-def solve(
-    d: Diagram,
-    r: Realization,
-    schema: OrderSchema,
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> tuple[Strategy, float]:
+def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, float]:
     """Eliminate variables in reverse schema order (sum over chance,
     max over decisions), recording for every decision its full
     decision-function table over the past, and return the total maximum
@@ -223,7 +218,7 @@ def solve(
             rho = np.zeros([cards[u] for u in scope])
             np.copyto(rho, _utility(psis + psi_v, scope, cards), where=possible[..., None])
             best = rho.max(axis=-1)
-            tol = tie_tol * np.maximum(1.0, np.abs(best))
+            tol = DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
             rules[v] = DecisionRule(
                 decision=v,
                 pred_vars=tuple(order[:i]),
@@ -342,7 +337,6 @@ def significance_search(
     trials: int = 200,
     seed: int = 0,
     try_first: Iterable[Realization] = (),
-    minimize: bool = True,
 ) -> Counterexample | None:
     """Random search for a realization under which observing ``a`` just
     before ``dec`` changes the optimal decision function.
@@ -379,13 +373,10 @@ def significance_search(
             yield len(first) + t, random_realization(d, trial_seed)
 
     for trial, r in candidates():
-        hit = check(r)
-        if hit is None:
+        if check(r) is None:
             continue
-        before, after, detail = hit
-        if minimize:
-            r = _minimize_counterexample(d, r, check)
-            before, after, detail = check(r)  # re-derive on the minimized tables
+        r = _minimize_counterexample(d, r, check)
+        before, after, detail = check(r)  # re-derive on the minimized tables
         return Counterexample(
             chance=a,
             decision=dec,

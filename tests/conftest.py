@@ -12,10 +12,16 @@ import hypothesis
 import numpy as np
 import pytest
 
-from pidcheck.analysis import Analysis, Proposal, Report, check_welldefined
-from pidcheck.model import Diagram, Kind, Node, validate_nodes
+from pidcheck.analysis import Analysis, Proposal, Report, Witness, check_welldefined
+from pidcheck.dsep import d_connected
+from pidcheck.model import Diagram, Kind, Node, strip_informational, validate_nodes
 from pidcheck.oracle import DecisionRule, EvaluationError, Strategy
-from pidcheck.ordering import InconsistentOrder, PartialOrder, enumerate_schemas
+from pidcheck.ordering import (
+    InconsistentOrder,
+    PartialOrder,
+    enumerate_schemas,
+    induce_partial_order,
+)
 
 hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=40, derandomize=True
@@ -130,27 +136,142 @@ def full_stream_pair_schemas(analysis, a: str, dec: str):
 
 
 def exact_witnesses(d: Diagram) -> tuple:
-    """The exact single-pair query on every incompatible (chance, decision)
-    pair, keeping the witnesses in report order (decision, then chance, in
-    declaration order)."""
+    """The first firing schema of every incompatible (chance, decision)
+    pair, found by running ``significant_rel`` over the filtered full schema
+    stream, in report order (decision, then chance, in declaration order)."""
     analysis = Analysis(d)
-    witnesses = (
-        analysis.is_significant(a, dec, exact=True)
-        for dec in d.decision_ids
-        for a in d.chance_ids
-        if analysis.po.incompatible(a, dec)
-    )
-    return tuple(w for w in witnesses if w is not None)
+    witnesses = []
+    for dec in d.decision_ids:
+        for a in d.chance_ids:
+            if not analysis.po.incompatible(a, dec):
+                continue
+            for schema in full_stream_pair_schemas(analysis, a, dec):
+                w = analysis.significant_rel(schema, a, dec)
+                if w is not None:
+                    witnesses.append(w)
+                    break
+    return tuple(witnesses)
 
 
-def first_per_past(schemas, dec: str):
-    """The first schema of each distinct past of ``dec``."""
-    seen = set()
-    for schema in schemas:
-        past = schema.pred(dec)
-        if past not in seen:
-            seen.add(past)
-            yield schema
+# ---------------------------------------------------------------------------
+# reference rules: the relevant/required recursion run down each schema's
+# decision sequence, memoized per (decision, schema suffix)
+
+
+class ReferenceRules:
+    """The rules of ``pidcheck.analysis`` evaluated schema by schema: every
+    later decision's sets are recomputed for the schema at hand, and every
+    candidate gets its own d-connection queries."""
+
+    def __init__(self, d: Diagram):
+        self.diagram = d
+        self.po = induce_partial_order(d)
+        self.bare = strip_informational(d)
+        self._relevant_memo: dict[tuple, frozenset[str]] = {}
+        self._required_memo: dict[tuple, frozenset[str]] = {}
+        self._clause_memo: dict[tuple, tuple | None] = {}
+
+    def bare_descendants(self, node: str) -> set[str]:
+        out: set[str] = set()
+        stack = [node]
+        while stack:
+            for c in self.bare.children_of(stack.pop()):
+                if c not in out:
+                    out.add(c)
+                    stack.append(c)
+        return out
+
+    @staticmethod
+    def _suffix_key(schema, dec: str) -> tuple:
+        k = schema.position(dec)
+        later_slots = tuple((c, s - k) for c, s in schema.slots if s >= k)
+        return (dec, schema.decision_sequence[k - 1:], later_slots)
+
+    def relevant_utilities(self, schema, dec: str) -> frozenset[str]:
+        key = self._suffix_key(schema, dec)
+        if key in self._relevant_memo:
+            return self._relevant_memo[key]
+        rel: set[str] = set()
+        desc = self.bare_descendants(dec)
+        for v in self.diagram.value_ids:  # direct influence on the payoff
+            if v in desc:
+                rel.add(v)
+        for later in schema.decisions_after(dec):
+            later_rel = self.relevant_utilities(schema, later)
+            missing = [v for v in later_rel if v not in rel]
+            if not missing:
+                continue
+            later_req = self.required_variables(schema, later)
+            feeds = dec in later_req or any(
+                x in later_req
+                for x in schema.pred(later)
+                if self.diagram.kind(x) is Kind.CHANCE and x in desc
+            )
+            if feeds:
+                rel.update(missing)
+        out = frozenset(rel)
+        self._relevant_memo[key] = out
+        return out
+
+    def required_variables(self, schema, dec: str) -> frozenset[str]:
+        key = self._suffix_key(schema, dec)
+        if key in self._required_memo:
+            return self._required_memo[key]
+        result = frozenset(x for x in schema.pred(dec) if self.clause(schema, dec, x) is not None)
+        self._required_memo[key] = result
+        return result
+
+    def clause(self, schema, dec: str, x: str) -> tuple | None:
+        """(clause, utility, later decision, chain node) of the first clause
+        that makes x required for ``dec`` under ``schema``, or None."""
+        memo_key = (self._suffix_key(schema, dec), x)
+        if memo_key not in self._clause_memo:
+            self._clause_memo[memo_key] = self._required_one(schema, dec, x)
+        return self._clause_memo[memo_key]
+
+    def _required_one(self, schema, dec: str, x: str) -> tuple | None:
+        pred = schema.pred(dec)
+        rel = self.relevant_utilities(schema, dec)
+        conditioning = (pred | {dec}) - {x}
+        if d_connected(self.bare, x, rel, conditioning):
+            psi = next(v for v in self.diagram.value_ids
+                       if v in rel and d_connected(self.bare, x, frozenset({v}), conditioning))
+            return ("direct", psi, None, None)
+        for later in schema.decisions_after(dec):
+            common = rel & self.relevant_utilities(schema, later)
+            if not common:
+                continue
+            later_req = self.required_variables(schema, later)
+            psi = self.diagram.sort_ids(common)[0]
+            if x in later_req:
+                return ("later-required", psi, later, None)
+            for y in self.diagram.sort_ids(schema.pred(later)):
+                if (
+                    self.diagram.kind(y) is Kind.CHANCE
+                    and y in later_req
+                    and y != x
+                    and d_connected(self.bare, x, frozenset({y}), conditioning)
+                ):
+                    return ("later-chain", psi, later, y)
+        return None
+
+    def witnesses(self) -> tuple:
+        """The witness of every significant incompatible (chance, decision)
+        pair: its first firing schema in the filtered full schema stream, in
+        report order."""
+        d = self.diagram
+        out = []
+        for dec in d.decision_ids:
+            for a in d.chance_ids:
+                if not self.po.incompatible(a, dec):
+                    continue
+                for schema in full_stream_pair_schemas(self, a, dec):
+                    hit = self.clause(schema, dec, a)
+                    if hit is not None:
+                        clause, psi, later, chain = hit
+                        out.append(Witness(a, dec, schema, psi, clause, later, chain))
+                        break
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +325,33 @@ def reference_suggest(d: Diagram, report: Report) -> tuple[Proposal, ...]:
 # ---------------------------------------------------------------------------
 # W(k): k independent S_i -> D_i -> U_i triples.  The shared variant adds a
 # hidden H -> S_i and H into every U_i, which makes every (S_i, D_j) with
-# i != j significant through the direct clause.
+# i != j significant through the direct clause.  The mixed variant adds H to
+# triples 0 and 1 only, so of the k(k-1) incompatible pairs exactly (S0, D1)
+# and (S1, D0) are significant, through the direct clause.
 
 
-def w_family(k: int, shared: bool = False) -> Diagram:
+def w_family(k: int, shared: bool | str = False) -> Diagram:
+    """W(k); ``shared`` is True for W(k)-shared and "mixed" for mixed W(k)."""
     binary, act = ("s1", "s2"), ("d1", "d2")
-    hidden = ("H",) if shared else ()
+
+    def hidden(i: int) -> tuple[str, ...]:
+        return ("H",) if shared is True or (shared == "mixed" and i < 2) else ()
+
     nodes = [Node("H", Kind.CHANCE, binary, ())] if shared else []
-    nodes += [Node(f"S{i}", Kind.CHANCE, binary, hidden) for i in range(k)]
+    nodes += [Node(f"S{i}", Kind.CHANCE, binary, hidden(i)) for i in range(k)]
     nodes += [Node(f"D{i}", Kind.DECISION, act, (f"S{i}",)) for i in range(k)]
-    nodes += [Node(f"U{i}", Kind.VALUE, None, (f"D{i}",) + hidden) for i in range(k)]
+    nodes += [Node(f"U{i}", Kind.VALUE, None, (f"D{i}",) + hidden(i)) for i in range(k)]
     return validate_nodes(nodes)
 
 
-def w_family_expected(k: int, shared: bool = False) -> dict:
+def w_family_expected(k: int, shared: bool | str = False) -> dict:
     """The check verdict, pairs and witnesses of W(k), known by construction."""
     pairs = sorted((f"S{i}", f"D{j}") for i in range(k) for j in range(k) if i != j)
+    sharing = range(k) if shared is True else range(2) if shared == "mixed" else ()
     witnesses = sorted(
-        (f"S{i}", f"D{j}", f"U{j}", "direct") for i in range(k) for j in range(k) if i != j
-    ) if shared else []
-    return {"welldefined": not shared, "pairs": pairs, "witnesses": witnesses}
+        (f"S{i}", f"D{j}", f"U{j}", "direct") for i in sharing for j in sharing if i != j
+    )
+    return {"welldefined": not witnesses, "pairs": pairs, "witnesses": witnesses}
 
 
 # ---------------------------------------------------------------------------

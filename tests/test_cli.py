@@ -172,7 +172,7 @@ class TestSubcommandOutputs:
         assert payload["witness"]["utility"] == "U1"
 
     def test_significant_is_exact(self, tmp_path, capsys):
-        # The collapsed pass alone calls this pair not significant.
+        # The first schema of each distinct past of D0 misses this witness.
         d = random_pid(np.random.default_rng(153), max_carrier=8, max_decisions=4)
         path = tmp_path / "draw153.pid"
         path.write_text(serialize_document(d))
@@ -221,6 +221,20 @@ class TestSubcommandOutputs:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "limit of 157 rechecks" in err
+
+    def test_check_over_scan_state_limit_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # The significance pass on W(3) visits 20 states.
+        path = tmp_path / "w3.pid"
+        path.write_text(serialize_document(w_family(3)))
+        monkeypatch.setattr(analysis, "MAX_SCAN_STATES", 20)
+        code, payload = run_json(capsys, "check", path)
+        assert code == 0 and payload["welldefined"] is True
+        monkeypatch.setattr(analysis, "MAX_SCAN_STATES", 19)
+        for command in ("check", "suggest"):
+            code, out, err = run(capsys, command, path)
+            assert code == 1 and out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "limit of 19 states" in err
 
     @pytest.mark.parametrize(
         "argv, inductions",
