@@ -4,17 +4,20 @@ A diagram document is a JSON object with a ``nodes`` list ({id, kind,
 states?, parents}) and an optional ``realization`` ({cpts, utilities}) whose
 tables are flat row-major lists: axes follow the node's declared parent
 order, the node's own state varying fastest.  Reals round-trip exactly
-(shortest repr).  Exit codes: 0 success, 1 parse/validation/usage error,
-2 reserved for "not welldefined".
+(shortest repr).  Every command checks the tables when it reads a
+document; they become numpy arrays only for `solve`, so the structural
+commands never import numpy.  Exit codes: 0 success, 1
+parse/validation/usage error, 2 reserved for "not welldefined".
 """
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import sys
-from typing import Any, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Any, NamedTuple, Sequence
 
 from . import analysis as _analysis
 from .dsep import NotTotalOrder, bayes_ball_requisite, elimination_neighbors
@@ -24,6 +27,7 @@ from .oracle import (
     EvaluationError,
     InvalidRealization,
     Realization,
+    check_tables,
     random_realization,
     required_from_strategy,
     solve,
@@ -49,19 +53,46 @@ class CliError(Exception):
 # document format
 
 
-def _table(what: str, node_id: str, flat: Any, shape: tuple[int, ...]) -> np.ndarray:
+class FlatTable(NamedTuple):
+    shape: tuple[int, ...]
+    values: list[float]   # row-major
+
+
+@dataclass(frozen=True, eq=False)
+class ParsedRealization:
+    """A document's realization after every check of `check_tables`, its
+    tables kept as flat lists: numpy arrays are built only to solve."""
+
+    cpts: dict[str, FlatTable]
+    utilities: dict[str, FlatTable]
+
+    def realization(self) -> Realization:
+        import numpy as np
+
+        def arrays(tables: dict[str, FlatTable]) -> dict:
+            return {k: np.array(t.values, dtype=float).reshape(t.shape) for k, t in tables.items()}
+
+        return Realization(arrays(self.cpts), arrays(self.utilities))
+
+
+def _table(what: str, node_id: str, flat: Any, shape: tuple[int, ...]) -> FlatTable:
     if not isinstance(flat, list) or not all(
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in flat
     ):
         raise InvalidRealization(f"{what} for {node_id!r} is not a flat list of numbers")
-    arr = np.asarray(flat, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InvalidRealization(f"{what} for {node_id!r} has non-finite entries")
-    if arr.size != int(np.prod(shape)):
+    try:
+        values = [float(x) for x in flat]
+    except OverflowError:
         raise InvalidRealization(
-            f"{what} for {node_id!r} has {arr.size} entries, expected {int(np.prod(shape))}"
+            f"{what} for {node_id!r} has an integer entry too large for a float"
+        ) from None
+    if not all(math.isfinite(x) for x in values):
+        raise InvalidRealization(f"{what} for {node_id!r} has non-finite entries")
+    if len(values) != math.prod(shape):
+        raise InvalidRealization(
+            f"{what} for {node_id!r} has {len(values)} entries, expected {math.prod(shape)}"
         )
-    return arr.reshape(shape)
+    return FlatTable(shape, values)
 
 
 def _table_map(raw: dict, key: str) -> dict:
@@ -71,11 +102,11 @@ def _table_map(raw: dict, key: str) -> dict:
     return tables
 
 
-def realization_from_raw(d: Diagram, raw: Any) -> Realization:
+def realization_from_raw(d: Diagram, raw: Any) -> ParsedRealization:
     if not isinstance(raw, dict):
         raise InvalidRealization("realization must be an object")
-    cpts: dict[str, np.ndarray] = {}
-    utilities: dict[str, np.ndarray] = {}
+    cpts: dict[str, FlatTable] = {}
+    utilities: dict[str, FlatTable] = {}
     for node_id, flat in _table_map(raw, "cpts").items():
         if node_id not in d or d.kind(node_id) is not Kind.CHANCE:
             raise InvalidRealization(f"cpt given for non-chance node {node_id!r}")
@@ -88,10 +119,11 @@ def realization_from_raw(d: Diagram, raw: Any) -> Realization:
             raise InvalidRealization(f"utility given for non-value node {node_id!r}")
         shape = tuple(len(d.states(p)) for p in d.parents(node_id))
         utilities[node_id] = _table("utility", node_id, flat, shape)
-    return Realization(cpts, utilities).validated(d)
+    check_tables(d, cpts, utilities, lambda t: t.values)
+    return ParsedRealization(cpts, utilities)
 
 
-def parse_document(text: str, source: str = "<string>") -> tuple[Diagram, Realization | None]:
+def parse_document(text: str, source: str = "<string>") -> tuple[Diagram, ParsedRealization | None]:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -134,7 +166,7 @@ def serialize_document(d: Diagram, realization: Realization | None = None) -> st
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_file(path: str) -> tuple[Diagram, Realization | None]:
+def load_file(path: str) -> tuple[Diagram, ParsedRealization | None]:
     try:
         with open(path) as fh:
             text = fh.read()
@@ -368,22 +400,18 @@ def cmd_significant(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    d, realization = load_file(args.file)
-    if realization is None:
+    d, tables = load_file(args.file)
+    if tables is None:
         raise CliError(f"{args.file}: no realization in document; solve needs tables")
     schema = _pick_schema(d, args.schema if args.schema is not None else 0)
-    strategy, meu = solve(d, realization, schema)
+    strategy, meu = solve(d, tables.realization(), schema)
     lines = [f"MEU: {meu!r}", f"order: {' < '.join(schema.induced_order())}"]
     rules_payload = {}
     for dec in d.decision_ids:
         rule = strategy.rules[dec]
         lines.append(f"decision {dec} over ({', '.join(rule.pred_vars)}):")
         table = []
-        if rule.pred_vars:
-            configs = np.ndindex(*rule.choices.shape)
-        else:
-            configs = [()]
-        for config in configs:
+        for config in itertools.product(*map(range, rule.choices.shape)):
             labels = {
                 v: d.states(v)[config[j]] for j, v in enumerate(rule.pred_vars)
             }

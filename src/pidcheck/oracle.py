@@ -14,15 +14,18 @@ lowest-trial-index counterexample is the one kept.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
-from typing import Iterable, Iterator, Mapping, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Diagram, Kind
 from .ordering import OrderSchema, enumerate_schemas, induce_partial_order
+
+# numpy is imported inside the functions that compute, so that the
+# structural commands, which import this module, never load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TIE_TOL = 1e-9
 CPT_ROW_TOL = 1e-12
@@ -38,6 +41,72 @@ class InvalidRealization(ValueError):
     pass
 
 
+def _row_sum(values: Sequence[float], lo: int, n: int) -> float:
+    """``sum(values[lo:lo + n])`` in numpy's pairwise order, so that a CPT
+    row sums to ``t.sum(axis=-1)`` bit for bit: a plain loop below 8
+    entries, eight interleaved accumulators up to 128, and above that the
+    two halves, cut at a multiple of 8."""
+    if n < 8:
+        s = 0.0
+        for i in range(lo, lo + n):
+            s += values[i]
+        return s
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = values[lo:lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += values[i]
+            r1 += values[i + 1]
+            r2 += values[i + 2]
+            r3 += values[i + 3]
+            r4 += values[i + 4]
+            r5 += values[i + 5]
+            r6 += values[i + 6]
+            r7 += values[i + 7]
+        s = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            s += values[i]
+        return s
+    half = n // 2
+    half -= half % 8
+    return _row_sum(values, lo, half) + _row_sum(values, lo + half, n - half)
+
+
+def check_tables(
+    d: Diagram,
+    cpts: Mapping[str, Any],
+    utilities: Mapping[str, Any],
+    values_of: Callable[[Any], Sequence[float]],
+) -> None:
+    """The rules every realization of ``d`` passes, in pure Python and in
+    the order they are reported: per chance node, a CPT of the right shape
+    whose entries lie in [0, 1] and whose rows sum to 1 within
+    CPT_ROW_TOL; then per value node, a utility table of the right shape.
+    A table has a ``shape``, and ``values_of`` gives its entries in
+    row-major order."""
+    for c in d.chance_ids:
+        if c not in cpts:
+            raise InvalidRealization(f"missing CPT for chance node {c!r}")
+        expected = tuple(len(d.states(p)) for p in d.parents(c)) + (len(d.states(c)),)
+        t = cpts[c]
+        if t.shape != expected:
+            raise InvalidRealization(f"CPT for {c!r} has shape {t.shape}, expected {expected}")
+        values = values_of(t)
+        if any(x < 0 or x > 1 for x in values):
+            raise InvalidRealization(f"CPT for {c!r} has entries outside [0, 1]")
+        n = expected[-1]
+        # NaN rows fail the comparison.
+        if not all(abs(_row_sum(values, i, n) - 1.0) <= CPT_ROW_TOL for i in range(0, len(values), n)):
+            raise InvalidRealization(f"CPT rows for {c!r} do not sum to 1")
+    for v in d.value_ids:
+        if v not in utilities:
+            raise InvalidRealization(f"missing utility table for value node {v!r}")
+        expected = tuple(len(d.states(p)) for p in d.parents(v))
+        t = utilities[v]
+        if t.shape != expected:
+            raise InvalidRealization(f"utility table for {v!r} has shape {t.shape}, expected {expected}")
+
+
 @dataclass(frozen=True, eq=False)
 class Realization:
     """Conditional probability tables for chance nodes and utility tables
@@ -46,31 +115,15 @@ class Realization:
 
     cpts: dict[str, np.ndarray]
     utilities: dict[str, np.ndarray]
+    # The diagram the tables last passed `validated` against.
+    _valid_for: Diagram | None = field(default=None, init=False, repr=False)
 
     def validated(self, d: Diagram) -> "Realization":
-        for c in d.chance_ids:
-            if c not in self.cpts:
-                raise InvalidRealization(f"missing CPT for chance node {c!r}")
-            expected = tuple(len(d.states(p)) for p in d.parents(c)) + (len(d.states(c)),)
-            t = self.cpts[c]
-            if t.shape != expected:
-                raise InvalidRealization(
-                    f"CPT for {c!r} has shape {t.shape}, expected {expected}"
-                )
-            if (t < 0).any() or (t > 1).any():
-                raise InvalidRealization(f"CPT for {c!r} has entries outside [0, 1]")
-            # NaN rows fail the comparison.
-            if not (np.abs(t.sum(axis=-1) - 1.0) <= CPT_ROW_TOL).all():
-                raise InvalidRealization(f"CPT rows for {c!r} do not sum to 1")
-        for v in d.value_ids:
-            if v not in self.utilities:
-                raise InvalidRealization(f"missing utility table for value node {v!r}")
-            expected = tuple(len(d.states(p)) for p in d.parents(v))
-            t = self.utilities[v]
-            if t.shape != expected:
-                raise InvalidRealization(
-                    f"utility table for {v!r} has shape {t.shape}, expected {expected}"
-                )
+        """Self, after `check_tables` against ``d``; the check runs once
+        per diagram, so the tables must not change after it."""
+        if self._valid_for is not d:
+            check_tables(d, self.cpts, self.utilities, lambda t: t.reshape(-1).tolist())
+            object.__setattr__(self, "_valid_for", d)
         return self
 
 
@@ -78,6 +131,8 @@ def random_realization(d: Diagram, seed: int) -> Realization:
     """Deterministic function of (diagram, seed): CPT rows are normalized
     independent uniforms, utilities are uniform integers in 0..100 so ties
     stay detectable and rare."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     cpts: dict[str, np.ndarray] = {}
     for c in d.chance_ids:
@@ -107,6 +162,8 @@ class DecisionRule:
     @cached_property
     def choices(self) -> np.ndarray:
         """Object array of frozenset[str] maximizer sets, shape = pred cards."""
+        import numpy as np
+
         choices = np.empty(self.values.shape, dtype=object)
         flat = choices.reshape(-1)
         for j, row in enumerate(self.ties.reshape(-1, len(self.states)).tolist()):
@@ -122,7 +179,7 @@ class Strategy:
 
 # A factor's variables are sorted by schema position and its table's axes
 # follow them.
-Factor = tuple[tuple[str, ...], np.ndarray]
+Factor = tuple[tuple[str, ...], "np.ndarray"]
 
 
 def _check_cells(scope: Sequence[str], cards: Mapping[str, int]) -> None:
@@ -143,6 +200,8 @@ def _aligned(factors: Sequence[Factor], scope: Sequence[str], cards: Mapping[str
 
 
 def _product(phis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+    import numpy as np
+
     tables = _aligned(phis, scope, cards)
     if not tables:
         return np.ones((1,) * len(scope))
@@ -150,6 +209,8 @@ def _product(phis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, i
 
 
 def _utility(psis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+    import numpy as np
+
     tables = _aligned(psis, scope, cards)
     if not tables:
         return np.zeros((1,) * len(scope))
@@ -170,6 +231,8 @@ def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, fl
     decision-function table over the past, and return the total maximum
     expected utility.  Raises EvaluationError on non-finite tables and on
     any table over MAX_TABLE_CELLS."""
+    import numpy as np
+
     r.validated(d)
     order = schema.induced_order()
     if sorted(order) != sorted(d.carrier_ids):
@@ -253,6 +316,8 @@ def strategies_equal(s1: Strategy, s2: Strategy, tol: float = DEFAULT_TIE_TOL) -
     skipped.  Returns DIFFERENT on any disagreement, EQUAL if every
     decision was comparable and agreed, INCOMPARABLE otherwise.
     """
+    import numpy as np
+
     skipped = False
     for dec, rule1 in s1.rules.items():
         rule2 = s2.rules[dec]
@@ -293,6 +358,8 @@ def required_from_strategy(strategy: Strategy, dec: str) -> frozenset[str]:
 def _rule_differs_with_extra_coord(rich: DecisionRule, poor: DecisionRule, extra: str) -> tuple | None:
     """First configuration where the richer table (past includes ``extra``)
     fails to be constant in ``extra`` and equal to the poorer table."""
+    import numpy as np
+
     axis = rich.pred_vars.index(extra)
     moved = np.moveaxis(rich.ties, axis, -2)
     perm = [poor.pred_vars.index(v) for v in rich.pred_vars if v != extra]
@@ -348,6 +415,8 @@ def significance_search(
     the poorer one.  Returns the first discrepancy (lowest trial index), or
     None - random search is incomplete, so None is inconclusive.
     """
+    import numpy as np
+
     po = induce_partial_order(d)
     if not po.incompatible(a, dec):
         raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
@@ -392,6 +461,8 @@ def significance_search(
 def _minimize_counterexample(d: Diagram, r: Realization, check) -> Realization:
     """Greedily round CPT entries to {0, 1/2, 1} while the discrepancy
     persists, to shrink reproduction fixtures."""
+    import numpy as np
+
     grid = np.array([0.0, 0.5, 1.0])
     cpts = {k: v.copy() for k, v in r.cpts.items()}
     for c in sorted(cpts):

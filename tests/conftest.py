@@ -15,7 +15,7 @@ import pytest
 from pidcheck.analysis import Analysis, Proposal, Report, Witness, check_welldefined
 from pidcheck.dsep import d_connected
 from pidcheck.model import Diagram, Kind, Node, strip_informational, validate_nodes
-from pidcheck.oracle import DecisionRule, EvaluationError, Strategy
+from pidcheck.oracle import CPT_ROW_TOL, DecisionRule, EvaluationError, InvalidRealization, Strategy
 from pidcheck.ordering import (
     InconsistentOrder,
     PartialOrder,
@@ -533,6 +533,87 @@ def dense_solve(d: Diagram, r, schema, tie_tol: float = 1e-9):
     if not np.isfinite(meu):
         raise EvaluationError("evaluation failure: non-finite MEU")
     return Strategy(schema=schema, rules=rules), meu
+
+
+# ---------------------------------------------------------------------------
+# reference table checks: the numpy checks that the document parser and
+# `Realization.validated` ran before they were written in pure Python.  Each
+# returns the first error message, or None.
+
+
+def _reference_table(what: str, node_id: str, flat, shape: tuple[int, ...]) -> np.ndarray:
+    if not isinstance(flat, list) or not all(
+        isinstance(x, (int, float)) and not isinstance(x, bool) for x in flat
+    ):
+        raise InvalidRealization(f"{what} for {node_id!r} is not a flat list of numbers")
+    arr = np.asarray(flat, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidRealization(f"{what} for {node_id!r} has non-finite entries")
+    if arr.size != int(np.prod(shape)):
+        raise InvalidRealization(
+            f"{what} for {node_id!r} has {arr.size} entries, expected {int(np.prod(shape))}"
+        )
+    return arr.reshape(shape)
+
+
+def _reference_validate(d: Diagram, cpts: dict, utilities: dict) -> None:
+    for c in d.chance_ids:
+        if c not in cpts:
+            raise InvalidRealization(f"missing CPT for chance node {c!r}")
+        expected = tuple(len(d.states(p)) for p in d.parents(c)) + (len(d.states(c)),)
+        t = cpts[c]
+        if t.shape != expected:
+            raise InvalidRealization(f"CPT for {c!r} has shape {t.shape}, expected {expected}")
+        if (t < 0).any() or (t > 1).any():
+            raise InvalidRealization(f"CPT for {c!r} has entries outside [0, 1]")
+        if not (np.abs(t.sum(axis=-1) - 1.0) <= CPT_ROW_TOL).all():
+            raise InvalidRealization(f"CPT rows for {c!r} do not sum to 1")
+    for v in d.value_ids:
+        if v not in utilities:
+            raise InvalidRealization(f"missing utility table for value node {v!r}")
+        expected = tuple(len(d.states(p)) for p in d.parents(v))
+        t = utilities[v]
+        if t.shape != expected:
+            raise InvalidRealization(f"utility table for {v!r} has shape {t.shape}, expected {expected}")
+
+
+def reference_validated_error(d: Diagram, cpts: dict, utilities: dict) -> str | None:
+    """`Realization(cpts, utilities).validated(d)` as numpy checked it."""
+    try:
+        _reference_validate(d, cpts, utilities)
+    except InvalidRealization as exc:
+        return str(exc)
+    return None
+
+
+def reference_document_error(d: Diagram, raw) -> str | None:
+    """`cli.realization_from_raw(d, raw)` as numpy checked it.  An integer
+    too large for a float raised OverflowError there."""
+    try:
+        if not isinstance(raw, dict):
+            raise InvalidRealization("realization must be an object")
+
+        def table_map(key: str) -> dict:
+            tables = raw.get(key, {})
+            if not isinstance(tables, dict):
+                raise InvalidRealization(f"realization {key!r} must be an object")
+            return tables
+
+        cpts, utilities = {}, {}
+        for node_id, flat in table_map("cpts").items():
+            if node_id not in d or d.kind(node_id) is not Kind.CHANCE:
+                raise InvalidRealization(f"cpt given for non-chance node {node_id!r}")
+            shape = tuple(len(d.states(p)) for p in d.parents(node_id)) + (len(d.states(node_id)),)
+            cpts[node_id] = _reference_table("cpt", node_id, flat, shape)
+        for node_id, flat in table_map("utilities").items():
+            if node_id not in d or d.kind(node_id) is not Kind.VALUE:
+                raise InvalidRealization(f"utility given for non-value node {node_id!r}")
+            shape = tuple(len(d.states(p)) for p in d.parents(node_id))
+            utilities[node_id] = _reference_table("utility", node_id, flat, shape)
+        _reference_validate(d, cpts, utilities)
+    except InvalidRealization as exc:
+        return str(exc)
+    return None
 
 
 def fingerprint(r) -> bytes:

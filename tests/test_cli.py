@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import fingerprint, w_family
-from pidcheck import analysis, cli, figures, ordering
+from pidcheck import analysis, cli, figures, oracle, ordering
 from pidcheck.cli import export_dot, main, parse_document, serialize_document
 from pidcheck.generate import random_pid
 
@@ -37,13 +37,13 @@ class TestDocumentFormat:
     def test_round_trip_on_corpus(self, path):
         text = path.read_text()
         d1, r1 = parse_document(text, source=str(path))
-        again = serialize_document(d1, r1)
+        again = serialize_document(d1, r1 and r1.realization())
         d2, r2 = parse_document(again)
         assert d1 == d2
         if r1 is None:
             assert r2 is None
         else:
-            assert fingerprint(r1) == fingerprint(r2)
+            assert fingerprint(r1.realization()) == fingerprint(r2.realization())
 
     def test_realization_length_mismatch_reported(self, tmp_path, capsys):
         doc = json.loads(serialize_document(figures.fig3(), figures.fig3_realization()))
@@ -53,6 +53,14 @@ class TestDocumentFormat:
         code, out, err = run(capsys, "validate", bad)
         assert code == 1
         assert "cpt for 'A'" in err
+
+
+def _recorder(fn, calls: list):
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    return recorded
 
 
 def _fig4_doc_with(realization_edit) -> dict:
@@ -73,8 +81,9 @@ class TestMalformedRealization:
             (lambda doc: doc["realization"]["utilities"]["U"].__setitem__(0, "abc"), "not a flat list of numbers"),
             (lambda doc: doc["realization"]["cpts"].__setitem__("C", {"s1": 0.5}), "not a flat list of numbers"),
             (lambda doc: doc.__setitem__("realization", [1, 2]), "realization must be an object"),
+            (lambda doc: doc["realization"]["utilities"]["U"].__setitem__(0, 10**400), "too large for a float"),
         ],
-        ids=["infinity", "nan", "non-numeric", "dict-table", "realization-not-object"],
+        ids=["infinity", "nan", "non-numeric", "dict-table", "realization-not-object", "oversized-integer"],
     )
     def test_rejected_at_parse(self, tmp_path, capsys, edit, message):
         bad = tmp_path / "bad.pid"
@@ -83,6 +92,7 @@ class TestMalformedRealization:
             code, out, err = run(capsys, command, bad)
             assert code == 1 and out == ""
             assert err.startswith(f"error: {bad}: ") and message in err, err
+            assert err.count("\n") == 1
 
     def test_overflow_in_solve_is_an_error(self, tmp_path, capsys):
         def huge(doc):
@@ -285,6 +295,15 @@ class TestSubcommandOutputs:
     def test_fuzz_smoke(self, capsys):
         code, payload = run_json(capsys, "fuzz", FIXTURES / "fig6.pid", "--trials", "3")
         assert code == 0 and payload["ok"] is True
+
+    def test_fuzz_validates_each_realization_once(self, capsys, monkeypatch):
+        checks, solves = [], []
+        monkeypatch.setattr(oracle, "check_tables", _recorder(oracle.check_tables, checks))
+        monkeypatch.setattr(cli, "solve", _recorder(cli.solve, solves))
+        assert run(capsys, "fuzz", FIXTURES / "fig1.pid", "--trials", "50")[0] == 0
+        assert run(capsys, "fuzz", FIXTURES / "fig8.pid", "--trials", "2")[0] == 0
+        assert len(solves) == 1_000
+        assert len(checks) == 52  # one per trial
 
     def test_long_chain(self, tmp_path, capsys):
         nodes = [{"id": "C0", "kind": "chance", "states": ["a", "b"], "parents": []}]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bf_best_meu, dense_solve, fingerprint
-from pidcheck import figures
+from pidcheck import figures, oracle
 from pidcheck.cli import load_file
 from pidcheck.analysis import Analysis, check_welldefined
 from pidcheck.generate import random_pid
@@ -58,6 +58,43 @@ class TestRandomRealization:
             Realization(
                 cpts={"A": np.array([0.5, 0.5])}, utilities={"U": np.array([1.0, 0.0])}
             ).validated(d)
+
+
+class TestValidatedOnce:
+    """`validated` checks a realization once per diagram: `solve` checks a
+    realization built directly on its first call and not on later ones."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        original = oracle.check_tables
+
+        def counted(d, *args):
+            calls.append(d)
+            return original(d, *args)
+
+        monkeypatch.setattr(oracle, "check_tables", counted)
+        return calls
+
+    def test_first_solve_validates(self, checks):
+        d = figures.fig3()
+        bad = Realization(
+            cpts={"A": np.array([[0.5, 0.6], [0.0, 1.0]])}, utilities={"U": np.array([1.0, 0.0])}
+        )
+        with pytest.raises(InvalidRealization, match="do not sum to 1"):
+            solve(d, bad, canonical_schema(d))
+        with pytest.raises(InvalidRealization, match="do not sum to 1"):
+            solve(d, bad, canonical_schema(d))
+        assert len(checks) == 2
+
+    def test_once_per_diagram(self, checks):
+        d, other = figures.fig3(), figures.fig3()
+        r = figures.fig3_realization()
+        for _ in range(3):
+            solve(d, r, canonical_schema(d))
+        assert len(checks) == 1 and checks[0] is d
+        solve(other, r, canonical_schema(other))
+        assert len(checks) == 2 and checks[1] is other
 
 
 class TestSolve:
@@ -223,7 +260,7 @@ class TestMatchesDenseReference:
     @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
     def test_fixtures_every_schema(self, path):
         d, r = load_file(str(path))
-        r = r if r is not None else random_realization(d, 0)
+        r = r.realization() if r is not None else random_realization(d, 0)
         for schema in enumerate_schemas(d):
             assert_matches_dense(d, r, schema)
             assert_matches_dense(d, _rounded(r), schema)
