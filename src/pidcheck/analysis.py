@@ -213,7 +213,7 @@ class Analysis:
                 *(later_req for _, later_rel, later_req in later if not rel.isdisjoint(later_rel))
             )
             chain = {y for y in shared if self.diagram.kind(y) is Kind.CHANCE}
-            reached = active_reach(self.bare, rel | chain, pred | {dec}).arrived
+            reached = active_reach(self.bare, rel | chain, pred | {dec})
             req = frozenset(x for x in pred if x in shared or x in reached)
             hit = self._outcomes[key] = (rel, req)
         return hit
@@ -360,7 +360,7 @@ class Analysis:
             choices = [range(lo, hi + 1) for lo, hi in ranges]
             choices[ai] = (k - 1,)
             for combo in itertools.product(*choices):
-                yield OrderSchema(seq, tuple(zip(chance, combo)), chance)
+                yield OrderSchema(seq, tuple(zip(chance, combo)))
 
     def is_significant(self, a: str, dec: str) -> Witness | None:
         """Existential significance over admissible schemas placing ``a``
@@ -486,25 +486,22 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
         return base.constrained(constraints).check()
 
     # Each constraint tuple is grown at most once: the roots come from
-    # distinct witnesses, and a tuple extends only the one that grew it.
-    def grow(constraints: tuple[tuple[str, str, str], ...], rep: Report, depth: int) -> None:
-        proposals.append(Proposal(constraints=constraints, welldefined=rep.welldefined))
-        if rep.welldefined or depth <= 0 or not rep.witnesses:
-            return
-        w = rep.witnesses[0]
-        for option in (("observe", w.chance, w.decision), ("precede", w.decision, w.chance)):
-            nxt = constraints + (option,)
-            try:
-                grow(nxt, recheck(nxt), depth - 1)
-            except InconsistentOrder:
-                continue
+    # distinct witnesses, and a tuple extends only the first witness of its
+    # own recheck.
+    def branch(
+        constraints: tuple[tuple[str, str, str], ...], witnesses: tuple[Witness, ...], depth: int
+    ) -> None:
+        for w in witnesses:
+            for option in (("observe", w.chance, w.decision), ("precede", w.decision, w.chance)):
+                nxt = constraints + (option,)
+                try:
+                    rep = recheck(nxt)
+                except InconsistentOrder:
+                    continue
+                proposals.append(Proposal(constraints=nxt, welldefined=rep.welldefined))
+                if not rep.welldefined and depth > 0:
+                    branch(nxt, rep.witnesses[:1], depth - 1)
 
-    for w in report.witnesses:
-        for option in (("observe", w.chance, w.decision), ("precede", w.decision, w.chance)):
-            try:
-                rep = recheck((option,))
-            except InconsistentOrder:
-                continue
-            grow((option,), rep, depth=len(report.witnesses) + 1)
+    branch((), report.witnesses, len(report.witnesses) + 1)
     proposals.sort(key=lambda p: (not p.welldefined, len(p.constraints)))
     return tuple(proposals)

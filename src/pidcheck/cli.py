@@ -32,6 +32,7 @@ from .oracle import (
     required_from_strategy,
     solve,
     strategies_equal,
+    table_shape,
 )
 from .ordering import (
     InconsistentOrder,
@@ -110,15 +111,11 @@ def realization_from_raw(d: Diagram, raw: Any) -> ParsedRealization:
     for node_id, flat in _table_map(raw, "cpts").items():
         if node_id not in d or d.kind(node_id) is not Kind.CHANCE:
             raise InvalidRealization(f"cpt given for non-chance node {node_id!r}")
-        shape = tuple(len(d.states(p)) for p in d.parents(node_id)) + (
-            len(d.states(node_id)),
-        )
-        cpts[node_id] = _table("cpt", node_id, flat, shape)
+        cpts[node_id] = _table("cpt", node_id, flat, table_shape(d, node_id))
     for node_id, flat in _table_map(raw, "utilities").items():
         if node_id not in d or d.kind(node_id) is not Kind.VALUE:
             raise InvalidRealization(f"utility given for non-value node {node_id!r}")
-        shape = tuple(len(d.states(p)) for p in d.parents(node_id))
-        utilities[node_id] = _table("utility", node_id, flat, shape)
+        utilities[node_id] = _table("utility", node_id, flat, table_shape(d, node_id))
     check_tables(d, cpts, utilities, lambda t: t.values)
     return ParsedRealization(cpts, utilities)
 
@@ -184,10 +181,12 @@ def _dot_id(node_id: str) -> str:
     return '"' + node_id.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def export_dot(d: Diagram, report: _analysis.Report | None = None, annotate: bool = False) -> str:
+def export_dot(d: Diagram, report: _analysis.Report | None = None) -> str:
+    """Graphviz source for ``d``.  Given a check report, informational arcs
+    are dashed and the nodes of significant pairs filled."""
     shapes = {Kind.CHANCE: "circle", Kind.DECISION: "box", Kind.VALUE: "diamond"}
     significant_nodes: set[str] = set()
-    if annotate and report is not None:
+    if report is not None:
         for a, dec in report.significant_pairs:
             significant_nodes.update((a, dec))
     lines = ["digraph pid {"]
@@ -198,7 +197,7 @@ def export_dot(d: Diagram, report: _analysis.Report | None = None, annotate: boo
         lines.append(f'  {_dot_id(n.id)} [{", ".join(attrs)}];')
     for tail, head in d.arcs():
         attrs = ""
-        if annotate and d.kind(head) is Kind.DECISION:
+        if report is not None and d.kind(head) is Kind.DECISION:
             attrs = " [style=dashed]"
         lines.append(f"  {_dot_id(tail)} -> {_dot_id(head)}{attrs};")
     lines.append("}")
@@ -256,15 +255,9 @@ def _pick_schema(d: Diagram, index: int, po: PartialOrder | None = None):
     raise CliError(f"schema index {index} out of range")
 
 
-def _require_decision(d: Diagram, name: str) -> str:
-    if name not in d or d.kind(name) is not Kind.DECISION:
-        raise CliError(f"no decision node named {name!r}")
-    return name
-
-
-def _require_chance(d: Diagram, name: str) -> str:
-    if name not in d or d.kind(name) is not Kind.CHANCE:
-        raise CliError(f"no chance node named {name!r}")
+def _require(d: Diagram, name: str, kind: Kind) -> str:
+    if name not in d or d.kind(name) is not kind:
+        raise CliError(f"no {kind.value} node named {name!r}")
     return name
 
 
@@ -352,38 +345,29 @@ def cmd_check(args) -> int:
     return 0 if report.welldefined else 2
 
 
-def cmd_relevant(args) -> int:
+def cmd_outcome(args) -> int:
+    """`relevant` and `required`: one outcome set of a decision."""
     d, _ = load_file(args.file)
-    dec = _require_decision(d, args.decision)
+    dec = _require(d, args.decision, Kind.DECISION)
     analysis = _analysis.Analysis(d)
     schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema, analysis.po)
-    rel = d.sort_ids(analysis.relevant_utilities(schema, dec))
+    if args.command == "relevant":
+        found, what = analysis.relevant_utilities(schema, dec), "relevant utilities"
+    else:
+        found, what = analysis.required_variables(schema, dec), "required variables"
+    ids = d.sort_ids(found)
     emit(
         args,
-        {"decision": dec, "relevant": list(rel), "schema": _schema_payload(schema)},
-        f"relevant utilities for {dec}: {{{', '.join(rel)}}}\n",
-    )
-    return 0
-
-
-def cmd_required(args) -> int:
-    d, _ = load_file(args.file)
-    dec = _require_decision(d, args.decision)
-    analysis = _analysis.Analysis(d)
-    schema = canonical_schema(d, analysis.po) if args.schema is None else _pick_schema(d, args.schema, analysis.po)
-    req = d.sort_ids(analysis.required_variables(schema, dec))
-    emit(
-        args,
-        {"decision": dec, "required": list(req), "schema": _schema_payload(schema)},
-        f"required variables for {dec}: {{{', '.join(req)}}}\n",
+        {"decision": dec, args.command: list(ids), "schema": _schema_payload(schema)},
+        f"{what} for {dec}: {{{', '.join(ids)}}}\n",
     )
     return 0
 
 
 def cmd_significant(args) -> int:
     d, _ = load_file(args.file)
-    a = _require_chance(d, args.chance)
-    dec = _require_decision(d, args.decision)
+    a = _require(d, args.chance, Kind.CHANCE)
+    dec = _require(d, args.decision, Kind.DECISION)
     try:
         w = _analysis.Analysis(d).is_significant(a, dec)
     except ValueError as exc:
@@ -453,7 +437,7 @@ def cmd_fuzz(args) -> int:
     d, _ = load_file(args.file)
     analysis = _analysis.Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
-    report = _analysis.check_welldefined(d)
+    report = analysis.check()
     failures: list[str] = []
     checked = 0
     for t in range(args.trials):
@@ -487,14 +471,14 @@ def cmd_fuzz(args) -> int:
 def cmd_export_dot(args) -> int:
     d, _ = load_file(args.file)
     report = _analysis.check_welldefined(d) if args.annotate else None
-    sys.stdout.write(export_dot(d, report, annotate=args.annotate))
+    sys.stdout.write(export_dot(d, report))
     return 0
 
 
 def cmd_baselines(args) -> int:
     """Diagnostic: exact required set next to the two over-approximations."""
     d, _ = load_file(args.file)
-    dec = _require_decision(d, args.decision)
+    dec = _require(d, args.decision, Kind.DECISION)
     analysis = _analysis.Analysis(d)
     schema = canonical_schema(d, analysis.po)
     req = d.sort_ids(analysis.required_variables(schema, dec))
@@ -535,10 +519,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("schemas", cmd_schemas, help="enumerate admissible order schemas")
     p.add_argument("--limit", type=int, default=None)
     add("check", cmd_check, help="welldefinedness verdict (exit 0 yes, 2 no)")
-    p = add("relevant", cmd_relevant, help="relevant utility nodes for a decision")
+    p = add("relevant", cmd_outcome, help="relevant utility nodes for a decision")
     p.add_argument("-d", "--decision", required=True)
     p.add_argument("--schema", type=int, default=None, help="schema index from `schemas`")
-    p = add("required", cmd_required, help="required past variables for a decision")
+    p = add("required", cmd_outcome, help="required past variables for a decision")
     p.add_argument("-d", "--decision", required=True)
     p.add_argument("--schema", type=int, default=None)
     p = add("significant", cmd_significant, help="is a chance node significant for a decision?")

@@ -1,4 +1,4 @@
-"""d-connectivity and directed-path queries over diagram views, plus the two
+"""d-connectivity queries over diagram views, plus the two
 published baselines used for differential testing: the Decision Bayes-ball
 requisite set and the moral-graph elimination neighborhood.  Both baselines
 over-approximate the exact required set and are never used for verdicts.
@@ -6,7 +6,6 @@ over-approximate the exact required set and are never used for verdicts.
 from __future__ import annotations
 
 from collections import deque
-from typing import NamedTuple
 
 from .model import Diagram, GraphView, moral_view
 from .ordering import OrderSchema, induce_partial_order
@@ -14,11 +13,6 @@ from .ordering import OrderSchema, induce_partial_order
 
 class NotTotalOrder(ValueError):
     """The diagram does not force a total order on its decisions."""
-
-
-class ReachResult(NamedTuple):
-    reachable: frozenset[str]  # nodes on some active trail from the source
-    arrived: frozenset[str]    # every node a ball arrived at, observed or not
 
 
 def _ancestors_of(view: GraphView, seeds: frozenset[str]) -> set[str]:
@@ -33,14 +27,15 @@ def _ancestors_of(view: GraphView, seeds: frozenset[str]) -> set[str]:
     return out
 
 
-def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozenset[str]) -> ReachResult:
-    """Ball-passing BFS returning every node actively reachable from the
-    sources given the conditioning set (colliders open iff they or a
-    descendant are conditioned), plus the set of all arrival points.
+def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozenset[str]) -> frozenset[str]:
+    """Ball-passing BFS returning every node a ball passed from the sources
+    arrives at given the conditioning set (colliders open iff they or a
+    descendant are conditioned), observed or not.
 
     An arrival at an observed node does not extend any trail, but it does
     witness an active trail ENDING there, which is exactly what requisite
-    queries need.
+    queries need.  The unobserved arrivals are the nodes actively reachable
+    from the sources.
     """
     parents, children = view.parents_of, view.children_of
     anc_z = _ancestors_of(view, conditioning)
@@ -49,7 +44,6 @@ def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozens
     queue: deque[tuple[str, int]] = deque()
     visited: set[tuple[str, int]] = set()
     arrived: set[str] = set()
-    reachable: set[str] = set()
 
     for s in sources:
         queue.append((s, UP))
@@ -60,8 +54,6 @@ def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozens
         visited.add((v, direction))
         arrived.add(v)
         observed = v in conditioning
-        if not observed:
-            reachable.add(v)
         if direction == UP:
             if not observed:
                 for p in parents(v):
@@ -75,7 +67,7 @@ def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozens
             if v in anc_z:  # collider with itself or a descendant observed
                 for p in parents(v):
                     queue.append((p, UP))
-    return ReachResult(frozenset(reachable), frozenset(arrived))
+    return frozenset(arrived)
 
 
 def d_connected(
@@ -96,29 +88,7 @@ def d_connected(
         return True
     if not targets:
         return False
-    return not active_reach(view, frozenset({source}), conditioning).reachable.isdisjoint(targets)
-
-
-def directed_path_exists(view: GraphView, frm: str, to: str) -> bool:
-    """Directed reachability in the view; a node reaches itself (empty path)."""
-    if frm == to:
-        return True
-    stack = [frm]
-    seen = {frm}
-    while stack:
-        v = stack.pop()
-        for c in view.children_of(v):
-            if c == to:
-                return True
-            if c not in seen:
-                seen.add(c)
-                stack.append(c)
-    return False
-
-
-def full_view(d: Diagram) -> GraphView:
-    """All arcs, informational included; decisions act as plain nodes."""
-    return GraphView(d.ids, d.arcs())
+    return not active_reach(view, frozenset({source}), conditioning).isdisjoint(targets - conditioning)
 
 
 def bayes_ball_requisite(d: Diagram, dec: str) -> frozenset[str]:
@@ -138,12 +108,12 @@ def bayes_ball_requisite(d: Diagram, dec: str) -> frozenset[str]:
             if po.incompatible(a, b):
                 raise NotTotalOrder(f"not a total order: {a!r} and {b!r} are incompatible")
     pred = frozenset(x for x in d.carrier_ids if po.precedes(x, dec))
-    view = full_view(d)
     sources = frozenset(v for v in d.value_ids if v in d.descendants(dec))
     if not sources:
         return frozenset()
-    res = active_reach(view, sources, pred | {dec})
-    return frozenset(pred & res.arrived)
+    # All arcs, informational included; decisions act as plain nodes.
+    view = GraphView(d.ids, d.arcs())
+    return pred & active_reach(view, sources, pred | {dec})
 
 
 def elimination_neighbors(d: Diagram, dec: str, schema: OrderSchema) -> frozenset[str]:

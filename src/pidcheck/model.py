@@ -1,9 +1,8 @@
 """Diagram data model: typed DAG of chance, decision and value nodes.
 
-A diagram is immutable after construction.  All graph transformations
-(`strip_barren`, `strip_informational`, `moral_view`) are pure functions
-returning new objects, so diagrams and views are safe to share between
-threads.
+A diagram is immutable after construction.  The graph transformations
+(`strip_informational`, `moral_view`) are pure functions returning new
+views, so diagrams and views are safe to share between threads.
 """
 from __future__ import annotations
 
@@ -56,9 +55,6 @@ class Diagram:
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._by_id
 
-    def node(self, node_id: str) -> Node:
-        return self._by_id[node_id]
-
     def kind(self, node_id: str) -> Kind:
         return self._by_id[node_id].kind
 
@@ -70,12 +66,6 @@ class Diagram:
 
     def parents(self, node_id: str) -> tuple[str, ...]:
         return self._by_id[node_id].parents
-
-    def children(self, node_id: str) -> tuple[str, ...]:
-        return tuple(self._children[node_id])
-
-    def declaration_index(self, node_id: str) -> int:
-        return self._index[node_id]
 
     @cached_property
     def ids(self) -> tuple[str, ...]:
@@ -318,45 +308,6 @@ def validate(description: Mapping) -> Diagram:
 
 # ---------------------------------------------------------------------------
 # graph transformations
-
-
-def strip_barren(d: Diagram) -> Diagram:
-    """Remove every barren chance/decision node.
-
-    A node is barren iff it has no children or all its children are barren;
-    informational arcs count as ordinary child links, and value nodes are
-    never barren.  Idempotent, and never removes an ancestor of a value node
-    (a value node blocks barrenness from propagating past it).
-    """
-    barren: set[str] = set()
-    # Reverse-topological sweep: a node can be decided once its children are.
-    order = _topological(d)
-    for node_id in reversed(order):
-        if d.kind(node_id) is Kind.VALUE:
-            continue
-        kids = d.children(node_id)
-        if all(k in barren for k in kids):
-            barren.add(node_id)
-    kept = [
-        Node(n.id, n.kind, n.states, tuple(p for p in n.parents if p not in barren))
-        for n in d.nodes
-        if n.id not in barren
-    ]
-    return validate_nodes(kept)
-
-
-def _topological(d: Diagram) -> list[str]:
-    indeg = {n.id: len(n.parents) for n in d.nodes}
-    ready = [n.id for n in d.nodes if indeg[n.id] == 0]
-    out: list[str] = []
-    while ready:
-        v = ready.pop(0)
-        out.append(v)
-        for c in d.children(v):
-            indeg[c] -= 1
-            if indeg[c] == 0:
-                ready.append(c)
-    return out
 
 
 def strip_informational(d: Diagram) -> GraphView:

@@ -72,6 +72,13 @@ def _row_sum(values: Sequence[float], lo: int, n: int) -> float:
     return _row_sum(values, lo, half) + _row_sum(values, lo + half, n - half)
 
 
+def table_shape(d: Diagram, v: str) -> tuple[int, ...]:
+    """The axes of ``v``'s table: its parents' state counts in declared
+    order, then, for a chance node's CPT, its own."""
+    own = (len(d.states(v)),) if d.kind(v) is Kind.CHANCE else ()
+    return tuple(len(d.states(p)) for p in d.parents(v)) + own
+
+
 def check_tables(
     d: Diagram,
     cpts: Mapping[str, Any],
@@ -87,7 +94,7 @@ def check_tables(
     for c in d.chance_ids:
         if c not in cpts:
             raise InvalidRealization(f"missing CPT for chance node {c!r}")
-        expected = tuple(len(d.states(p)) for p in d.parents(c)) + (len(d.states(c)),)
+        expected = table_shape(d, c)
         t = cpts[c]
         if t.shape != expected:
             raise InvalidRealization(f"CPT for {c!r} has shape {t.shape}, expected {expected}")
@@ -101,7 +108,7 @@ def check_tables(
     for v in d.value_ids:
         if v not in utilities:
             raise InvalidRealization(f"missing utility table for value node {v!r}")
-        expected = tuple(len(d.states(p)) for p in d.parents(v))
+        expected = table_shape(d, v)
         t = utilities[v]
         if t.shape != expected:
             raise InvalidRealization(f"utility table for {v!r} has shape {t.shape}, expected {expected}")
@@ -136,13 +143,11 @@ def random_realization(d: Diagram, seed: int) -> Realization:
     rng = np.random.default_rng(seed)
     cpts: dict[str, np.ndarray] = {}
     for c in d.chance_ids:
-        shape = tuple(len(d.states(p)) for p in d.parents(c)) + (len(d.states(c)),)
-        raw = rng.uniform(1e-6, 1.0, size=shape)
+        raw = rng.uniform(1e-6, 1.0, size=table_shape(d, c))
         cpts[c] = raw / raw.sum(axis=-1, keepdims=True)
     utilities: dict[str, np.ndarray] = {}
     for v in d.value_ids:
-        shape = tuple(len(d.states(p)) for p in d.parents(v))
-        utilities[v] = rng.integers(0, 101, size=shape).astype(float)
+        utilities[v] = rng.integers(0, 101, size=table_shape(d, v)).astype(float)
     return Realization(cpts, utilities).validated(d)
 
 
@@ -335,17 +340,11 @@ def strategies_equal(s1: Strategy, s2: Strategy, tol: float = DEFAULT_TIE_TOL) -
     return Comparison.INCOMPARABLE if skipped else Comparison.EQUAL
 
 
-def oracle_required(
-    d: Diagram, r: Realization, schema: OrderSchema, dec: str
-) -> frozenset[str]:
-    """Past variables whose state changes the maximizer set of the decision
-    function, everything else fixed, for this single realization.  A sound
-    witness set: always a subset of the structurally required set."""
-    strategy, _ = solve(d, r, schema)
-    return required_from_strategy(strategy, dec)
-
-
 def required_from_strategy(strategy: Strategy, dec: str) -> frozenset[str]:
+    """Past variables whose state changes the maximizer set of the decision
+    function, everything else fixed, for the realization the strategy was
+    solved under.  A sound witness set: always a subset of the structurally
+    required set."""
     rule = strategy.rules[dec]
     out: set[str] = set()
     for axis, var in enumerate(rule.pred_vars):

@@ -154,18 +154,16 @@ class OrderSchema:
 
     decision_sequence: tuple[str, ...]
     slots: tuple[tuple[str, int], ...]
-    chance_order: tuple[str, ...] = field(compare=False)
 
     @cached_property
     def slot_of(self) -> dict[str, int]:
         return dict(self.slots)
 
     def induced_order(self) -> tuple[str, ...]:
-        slot_of = self.slot_of
-        out: list[str] = [c for c in self.chance_order if slot_of[c] == 0]
+        out: list[str] = [c for c, s in self.slots if s == 0]
         for k, dec in enumerate(self.decision_sequence, start=1):
             out.append(dec)
-            out.extend(c for c in self.chance_order if slot_of[c] == k)
+            out.extend(c for c, s in self.slots if s == k)
         return tuple(out)
 
     def position(self, dec: str) -> int:
@@ -176,8 +174,7 @@ class OrderSchema:
         """Everything observed or decided before ``dec``: chance nodes in
         earlier slots plus earlier decisions (no-forgetting)."""
         k = self.position(dec)
-        slot_of = self.slot_of
-        earlier_chance = {c for c in self.chance_order if slot_of[c] < k}
+        earlier_chance = {c for c, s in self.slots if s < k}
         return frozenset(earlier_chance | set(self.decision_sequence[: k - 1]))
 
     def decisions_after(self, dec: str) -> tuple[str, ...]:
@@ -187,7 +184,7 @@ class OrderSchema:
         slots = tuple(
             (c, slot if c == chance_id else s) for c, s in self.slots
         )
-        return OrderSchema(self.decision_sequence, slots, self.chance_order)
+        return OrderSchema(self.decision_sequence, slots)
 
 
 def is_admissible(po: PartialOrder, order: Sequence[str]) -> bool:
@@ -199,17 +196,6 @@ def is_admissible(po: PartialOrder, order: Sequence[str]) -> bool:
     return all(
         pos[x] < pos[y] for x in po.carrier for y in po.succ[x]
     )
-
-
-def c_swap_allowed(po: PartialOrder, order: Sequence[str], i: int) -> bool:
-    """Whether the adjacent pair at positions (i, i+1) may be permuted:
-    both chance, both decision, or incompatible."""
-    x, y = order[i], order[i + 1]
-    if po.kinds[x] is Kind.CHANCE and po.kinds[y] is Kind.CHANCE:
-        return True
-    if po.kinds[x] is Kind.DECISION and po.kinds[y] is Kind.DECISION:
-        return True
-    return po.incompatible(x, y)
 
 
 def _decision_extensions(po: PartialOrder, decisions: Sequence[str]) -> Iterator[tuple[str, ...]]:
@@ -269,7 +255,7 @@ def enumerate_schemas(d: Diagram, po: PartialOrder | None = None) -> Iterator[Or
     chance = d.chance_ids
     for seq, _, ranges in decision_sequences(d, po):
         for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
-            yield OrderSchema(seq, tuple(zip(chance, combo)), chance)
+            yield OrderSchema(seq, tuple(zip(chance, combo)))
 
 
 def schema_of(d: Diagram, order: Sequence[str]) -> OrderSchema:
@@ -283,9 +269,8 @@ def schema_of(d: Diagram, order: Sequence[str]) -> OrderSchema:
             count += 1
         else:
             slot_map[v] = count
-    chance = d.chance_ids
-    slots = tuple((c, slot_map[c]) for c in chance)
-    return OrderSchema(seq, slots, chance)
+    slots = tuple((c, slot_map[c]) for c in d.chance_ids)
+    return OrderSchema(seq, slots)
 
 
 def canonical_schema(d: Diagram, po: PartialOrder | None = None) -> OrderSchema:

@@ -17,8 +17,8 @@ from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.oracle import (
     Comparison,
     Realization,
-    oracle_required,
     random_realization,
+    required_from_strategy,
     significance_search,
     solve,
     strategies_equal,
@@ -138,9 +138,9 @@ def test_criterion_7_oracle_required_soundness():
                 dec: analysis.required_variables(schema, dec) for dec in d.decision_ids
             }
             for t in range(20):
-                r = random_realization(d, t)
+                strategy, _ = solve(d, random_realization(d, t), schema)
                 for dec in d.decision_ids:
-                    assert oracle_required(d, r, schema, dec) <= required[dec]
+                    assert required_from_strategy(strategy, dec) <= required[dec]
 
 
 def test_criterion_8_welldefined_strategy_invariance_and_counterexample():

@@ -10,7 +10,6 @@ from pidcheck.model import (
     Kind,
     Node,
     moral_view,
-    strip_barren,
     strip_informational,
     validate,
     validate_nodes,
@@ -72,56 +71,6 @@ class TestValidate:
     def test_value_node_with_states_rejected(self):
         with pytest.raises(InvalidDiagram):
             validate(_doc([{"id": "V", "kind": "value", "states": ["x"], "parents": []}]))
-
-
-class TestStripBarren:
-    def test_childless_chance_removed(self):
-        d = validate_nodes(
-            [
-                Node("A", Kind.CHANCE, ("x", "y"), ()),
-                Node("B", Kind.CHANCE, ("x", "y"), ("A",)),
-                Node("V", Kind.VALUE, None, ("A",)),
-            ]
-        )
-        stripped = strip_barren(d)
-        assert stripped.ids == ("A", "V")
-
-    def test_fixpoint_when_everything_feeds_a_value(self):
-        d = figures.fig2()
-        assert strip_barren(d) == d
-
-    def test_chain_without_values_fully_removed(self):
-        d = validate_nodes(
-            [
-                Node("A", Kind.CHANCE, ("x", "y"), ()),
-                Node("B", Kind.CHANCE, ("x", "y"), ("A",)),
-                Node("C", Kind.CHANCE, ("x", "y"), ("B",)),
-            ]
-        )
-        assert strip_barren(d).ids == ()
-
-    def test_observed_chance_is_not_barren(self):
-        # An informational arc counts as a child link.
-        d = validate_nodes(
-            [
-                Node("A", Kind.CHANCE, ("x", "y"), ()),
-                Node("D", Kind.DECISION, ("d1", "d2"), ("A",)),
-                Node("V", Kind.VALUE, None, ("D",)),
-            ]
-        )
-        assert strip_barren(d) == d
-
-    @given(st.integers(0, 500))
-    def test_idempotent_and_value_ancestors_kept(self, seed):
-        d = random_pid(np.random.default_rng(seed), max_carrier=6)
-        once = strip_barren(d)
-        assert strip_barren(once) == once
-        value_ancestors = set()
-        for v in d.value_ids:
-            for n in d.ids:
-                if v in d.descendants(n):
-                    value_ancestors.add(n)
-        assert value_ancestors <= set(once.ids)
 
 
 class TestStripInformational:

@@ -17,8 +17,8 @@ from pidcheck.oracle import (
     EvaluationError,
     InvalidRealization,
     Realization,
-    oracle_required,
     random_realization,
+    required_from_strategy,
     Strategy,
     significance_search,
     solve,
@@ -313,7 +313,7 @@ class TestOracleRequired:
     def test_fig7_detects_first_observation(self):
         d = figures.fig7()
         schema = schema_with_order(d, ("A", "D", "D2", "B", "D3", "C"))
-        got = oracle_required(d, figures.fig7_realization(), schema, "D")
+        got = required_from_strategy(solve(d, figures.fig7_realization(), schema)[0], "D")
         assert got == frozenset({"A"})
 
     def test_constant_utilities_require_nothing(self):
@@ -323,16 +323,16 @@ class TestOracleRequired:
             cpts=r.cpts,
             utilities={k: np.zeros_like(v) for k, v in r.utilities.items()},
         )
-        schema = canonical_schema(d)
+        strategy, _ = solve(d, flat, canonical_schema(d))
         for dec in d.decision_ids:
-            assert oracle_required(d, flat, schema, dec) == frozenset()
+            assert required_from_strategy(strategy, dec) == frozenset()
 
     def test_fig2_b_never_matters_for_d1(self):
         d = figures.fig2()
         schema = canonical_schema(d)
         for seed in range(200):
             r = random_realization(d, seed)
-            assert "B" not in oracle_required(d, r, schema, "D1")
+            assert "B" not in required_from_strategy(solve(d, r, schema)[0], "D1")
 
     @given(st.integers(0, 150))
     @settings(max_examples=30)
@@ -340,9 +340,9 @@ class TestOracleRequired:
         d = random_pid(np.random.default_rng(seed), max_carrier=5)
         analysis = Analysis(d)
         schema = canonical_schema(d, analysis.po)
-        r = random_realization(d, seed)
+        strategy, _ = solve(d, random_realization(d, seed), schema)
         for dec in d.decision_ids:
-            assert oracle_required(d, r, schema, dec) <= analysis.required_variables(schema, dec)
+            assert required_from_strategy(strategy, dec) <= analysis.required_variables(schema, dec)
 
 
 class TestSignificanceSearch:
