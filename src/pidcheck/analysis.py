@@ -29,21 +29,54 @@ and declaration order.  A repair constraint changes none of these:
 observing A before D adds an arc into a decision, which the bare graph
 drops, and forcing D before A only adds a pair to the partial order.  So an
 analysis derived under repair constraints (:meth:`Analysis.constrained`)
-shares its parent's memo, and only the partial order, the schema space and
-the significance pass are its own.  Otherwise instances are independent; a
-family of derived analyses is meant for one thread.
+shares its parent's memo and bare components, and only the partial order,
+the schema space and the significance pass are its own.  Otherwise
+instances are independent; a family of derived analyses is meant for one
+thread.
 
-Significance is decided by one backward pass over decision positions.  A
-state is the set of carrier nodes placed so far, which is upward-closed in
-the partial order, plus the outcomes of the placed decisions.  A step
-places one decision D and the chance nodes of the slot after it, and equal
-states merge.  D's past is then the set of unplaced nodes, so every schema
-that completes the state gives D the same outcome class.  (A, D) is
-significant iff some step placing D puts A in required(D) while A precedes
-no decision of D's past.  The unplaced nodes are downward-closed, so every
-state has a completion, and one with A in the slot immediately before D
-exactly when A precedes no decision of D's past.  So the pass answers as a
-scan of every schema would, on every input.
+The rules never leave a connected component of the bare graph.  A directed
+path, an active trail and a shared utility all stay inside one, so by
+induction down the decision sequence every decision's relevant utilities
+and required variables lie in its own component, and its outcome depends
+only on the part of its past, and the outcomes of the later decisions, in
+that component.  A pair whose chance node and decision lie in different
+components is therefore never significant.  The components are computed
+once per diagram.
+
+Significance is decided by one backward pass over decision positions for
+each component C that holds an incompatible (chance, decision) pair; the
+other components are never visited.  A state is the set of C's carrier
+nodes placed so far, upward-closed in the partial order restricted to C,
+plus the outcomes of the placed decisions of C.  A step places one
+decision D of C and the chance nodes of C in the slot after it, and equal
+states merge.  D's past within C is then the set P of unplaced nodes of C,
+so every schema that completes the state gives D the same outcome class.
+(A, D) is significant iff some step placing D puts A in required(D) while A
+precedes no node of P.
+
+Why that test.  Every base pair of the induced order has a decision at one
+end (clauses (a)-(d), and the repair constraints, which put a decision
+first), so a chance node A that precedes a node y precedes a decision e
+with e = y or e < y.  A schema puts A in the slot immediately before D iff
+A precedes no decision of D's past, and that past is downward-closed.  So
+if A precedes a node of P, the decision e on the way lies in D's past in
+every completion, even when e is outside C, and A cannot sit immediately
+before D.  Testing only the decisions of P is not enough: with A < E < X
+for a decision E outside C and X in P, it would accept A.
+
+Why every state extends to a full admissible schema.  P is downward-closed
+in C, and the past Q = down-closure of P and D in the full order, minus D,
+meets C in P.  Every linear extension of the order restricted to a subset
+extends to one of the full order (a cycle in the union would have to run
+forward along the restricted order all the way round), so Q, then D, then
+the placed nodes of C in the order the pass placed them, merged with the
+rest of the diagram, is an admissible order.  A precedes no decision of Q
+exactly when it precedes no node of P, and then Q's decisions can all come
+before A, which puts A in the slot immediately before D.  Conversely every
+admissible schema restricts to a sequence of steps in each component.  So
+the passes answer as a scan of every schema would, on every input.
+
+MAX_SCAN_STATES caps the states summed over all passes of one analysis.
 """
 from __future__ import annotations
 
@@ -129,15 +162,17 @@ class Report:
 
 
 class Analysis:
-    """Shared machinery for one diagram: the stripped view, the partial
-    order, the memoized rules and the significance pass.
+    """Shared machinery for one diagram: the stripped view and its
+    components, the partial order, the memoized rules and the significance
+    pass.
 
     The rules are memoized per outcome class (decision, past, outcomes of
     the later decisions), and the clause behind a witness per (decision,
     candidate, past, later outcomes in sequence order).  Entries are
     reproducible from scratch; the memo is a pure speedup.  Analyses
-    derived by :meth:`constrained` share it and the bare view with their
-    parent, and drop the parent's schemas and significance pass.
+    derived by :meth:`constrained` share it, the bare view and its
+    components with their parent, and drop the parent's schemas and
+    significance pass.
     """
 
     def __init__(self, d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()):
@@ -145,6 +180,7 @@ class Analysis:
         self._extra = tuple(extra_constraints)
         self.po: PartialOrder = induce_partial_order(d, self._extra)
         self.bare: GraphView = strip_informational(d)
+        self._components = _carrier_components(d, self.bare)
         self._bare_desc: dict[str, set[str]] = {}
         self._outcomes: dict[tuple, tuple[frozenset[str], frozenset[str]]] = {}
         self._clauses: dict[tuple, tuple | None] = {}
@@ -152,11 +188,11 @@ class Analysis:
     def constrained(self, constraints: Iterable[tuple[str, str, str]]) -> Analysis:
         """The analysis of this diagram under extra repair constraints
         (see :class:`Proposal`), with its own partial order, schemas and
-        significance pass but this instance's bare view and memo, which no
-        repair constraint can change.  Raises :class:`InconsistentOrder` if
-        the constraints contradict the order."""
+        significance pass but this instance's bare view, components and
+        memo, which no repair constraint can change.  Raises
+        :class:`InconsistentOrder` if the constraints contradict the order."""
         d, extra = _apply_constraints(self.diagram, constraints)
-        derived = copy.copy(self)  # a shallow copy shares bare and the memo
+        derived = copy.copy(self)  # a shallow copy shares bare, its components and the memo
         derived.diagram = d
         derived._extra = self._extra + tuple(extra)
         derived.po = induce_partial_order(d, derived._extra)
@@ -297,10 +333,23 @@ class Analysis:
 
     @cached_property
     def _significant(self) -> frozenset[tuple[str, str]]:
-        """The significant (chance, decision) pairs, by the backward pass
-        over decision positions that the module docstring describes.
-        Raises :class:`ScanBudgetExceeded` once the pass is known to need
-        more than MAX_SCAN_STATES states."""
+        """The significant (chance, decision) pairs, by one backward pass
+        per bare component that holds an incompatible pair, as the module
+        docstring describes.  Raises :class:`ScanBudgetExceeded` once the
+        passes are known to need more than MAX_SCAN_STATES states in all."""
+        significant: set[tuple[str, str]] = set()
+        visited = 0
+        for carrier in self._components:
+            found, visited = self._component_pass(carrier, visited)
+            significant |= found
+        return frozenset(significant)
+
+    def _component_pass(
+        self, carrier: frozenset[str], visited: int
+    ) -> tuple[set[tuple[str, str]], int]:
+        """The significant pairs of the bare component with carrier
+        ``carrier``, by the backward pass over its decision positions, and
+        ``visited`` plus the states the pass visited."""
 
         def admit(states: int) -> None:
             if states > MAX_SCAN_STATES:
@@ -309,19 +358,22 @@ class Analysis:
                 )
 
         d, po = self.diagram, self.po
-        carrier = frozenset(d.carrier_ids)
-        pairs = {(a, dec) for dec in d.decision_ids for a in d.chance_ids if po.incompatible(a, dec)}
+        decisions = [v for v in d.decision_ids if v in carrier]
+        chance = [c for c in d.chance_ids if c in carrier]
+        pairs = {(a, dec) for dec in decisions for a in chance if po.incompatible(a, dec)}
+        if not pairs:
+            return set(), visited
         pending = set(pairs)
-        decisions_after = {v: po.succ[v] & set(d.decision_ids) for v in carrier}
+        decisions_after = {v: po.succ[v].intersection(decisions) for v in carrier}
         # a slot's chance nodes with their successors first
-        chance = sorted(d.chance_ids, key=lambda c: len(po.succ[c]))
+        chance.sort(key=lambda c: len(po.succ[c]))
         states: set[tuple[frozenset[str], frozenset[Outcome]]] = {(frozenset(), frozenset())}
-        visited = len(states)
+        visited += len(states)
         while states and pending:
             step: set[tuple[frozenset[str], frozenset[Outcome]]] = set()
             for placed, later in states:
                 free = carrier - placed
-                for dec in d.decision_ids:
+                for dec in decisions:
                     if dec not in free or not decisions_after[dec] <= placed:
                         continue
                     # The slot after dec: every free successor of dec, plus
@@ -338,13 +390,13 @@ class Analysis:
                         past = free - slot - {dec}
                         rel, req = self._outcome(dec, past, later)
                         for a in req:
-                            if decisions_after[a].isdisjoint(past):
+                            if po.succ[a].isdisjoint(past):
                                 pending.discard((a, dec))
                         step.add((carrier - past, later | {(dec, rel, req)}))
                     admit(visited + len(step))
             visited += len(step)
             states = step
-        return frozenset(pairs - pending)
+        return pairs - pending, visited
 
     def _pair_schemas(self, a: str, dec: str) -> Iterator[OrderSchema]:
         """The admissible schemas placing ``a`` in the slot immediately
@@ -406,11 +458,33 @@ class Analysis:
         )
 
 
+def _carrier_components(d: Diagram, bare: GraphView) -> tuple[frozenset[str], ...]:
+    """The chance and decision nodes of each connected component of the
+    bare graph that holds any, in declaration order of its first node."""
+    seen: set[str] = set()
+    out = []
+    for start in d.carrier_ids:
+        if start in seen:
+            continue
+        part = {start}
+        stack = [start]
+        while stack:
+            v = stack.pop()
+            for w in (*bare.parents_of(v), *bare.children_of(v)):
+                if w not in part:
+                    part.add(w)
+                    stack.append(w)
+        seen |= part
+        out.append(frozenset(v for v in part if d.kind(v) is not Kind.VALUE))
+    return tuple(out)
+
+
 def check_welldefined(
     d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()
 ) -> Report:
     """The verdict of :meth:`Analysis.check` on ``d`` under the extra
-    precedence pairs."""
+    precedence pairs, each of which has a decision at one end, as repair
+    constraints do."""
     return Analysis(d, extra_constraints).check()
 
 

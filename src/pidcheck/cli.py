@@ -12,6 +12,7 @@ parse/validation/usage error, 2 reserved for "not welldefined".
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -484,7 +485,7 @@ def cmd_baselines(args) -> int:
     req = d.sort_ids(analysis.required_variables(schema, dec))
     neighbors = d.sort_ids(elimination_neighbors(d, dec, schema))
     try:
-        ball = list(d.sort_ids(bayes_ball_requisite(d, dec)))
+        ball = list(d.sort_ids(bayes_ball_requisite(d, analysis.po, dec)))
     except NotTotalOrder:
         ball = None
     payload = {"decision": dec, "required": list(req), "elimination_neighbors": list(neighbors), "bayes_ball": ball}
@@ -498,7 +499,10 @@ def cmd_baselines(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then shared by
+    every call in the process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="pidcheck",
         description="Analyze partial influence diagrams: temporal order, "

@@ -8,7 +8,7 @@ from __future__ import annotations
 from collections import deque
 
 from .model import Diagram, GraphView, moral_view
-from .ordering import OrderSchema, induce_partial_order
+from .ordering import OrderSchema, PartialOrder
 
 
 class NotTotalOrder(ValueError):
@@ -91,17 +91,17 @@ def d_connected(
     return not active_reach(view, frozenset({source}), conditioning).isdisjoint(targets - conditioning)
 
 
-def bayes_ball_requisite(d: Diagram, dec: str) -> frozenset[str]:
+def bayes_ball_requisite(d: Diagram, po: PartialOrder, dec: str) -> frozenset[str]:
     """Decision Bayes-ball baseline: observed past nodes that receive the
     ball when it is passed from the value descendants of ``dec``, with the
-    whole past (and the decision itself) observed.
+    whole past (and the decision itself) observed.  ``po`` is the partial
+    order induced on ``d``.
 
     Runs on the full diagram, informational arcs included and later
     decisions treated as chance nodes, which is what makes it an
     over-approximation of the exact required set.  Only defined on classic
     diagrams (total decision order).
     """
-    po = induce_partial_order(d)
     decisions = d.decision_ids
     for i, a in enumerate(decisions):
         for b in decisions[i + 1:]:

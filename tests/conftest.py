@@ -12,6 +12,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from pidcheck import analysis as analysis_module
 from pidcheck.analysis import Analysis, Proposal, Report, Witness, check_welldefined
 from pidcheck.dsep import d_connected
 from pidcheck.model import Diagram, Kind, Node, strip_informational, validate_nodes
@@ -151,6 +152,61 @@ def exact_witnesses(d: Diagram) -> tuple:
                     witnesses.append(w)
                     break
     return tuple(witnesses)
+
+
+# ---------------------------------------------------------------------------
+# reference significance pass: one backward pass over the whole carrier,
+# every component's placements tracked jointly
+
+
+def reference_significant(analysis: Analysis) -> frozenset[tuple[str, str]]:
+    """The significant (chance, decision) pairs of ``analysis``, by one
+    backward pass over decision positions on the whole diagram.  A state is
+    the upward-closed set of placed carrier nodes plus the outcomes of the
+    placed decisions; (A, D) is significant iff some step placing D puts A
+    in required(D) while A precedes no decision of D's past.  Raises
+    ``ScanBudgetExceeded`` past ``MAX_SCAN_STATES`` states."""
+
+    def admit(states: int) -> None:
+        if states > analysis_module.MAX_SCAN_STATES:
+            raise analysis_module.ScanBudgetExceeded(
+                "the significance pass needs more than the limit of "
+                f"{analysis_module.MAX_SCAN_STATES} states"
+            )
+
+    d, po = analysis.diagram, analysis.po
+    carrier = frozenset(d.carrier_ids)
+    pairs = {(a, dec) for dec in d.decision_ids for a in d.chance_ids if po.incompatible(a, dec)}
+    pending = set(pairs)
+    decisions_after = {v: po.succ[v] & set(d.decision_ids) for v in carrier}
+    # a slot's chance nodes with their successors first
+    chance = sorted(d.chance_ids, key=lambda c: len(po.succ[c]))
+    states: set[tuple[frozenset[str], frozenset]] = {(frozenset(), frozenset())}
+    visited = len(states)
+    while states and pending:
+        step: set[tuple[frozenset[str], frozenset]] = set()
+        for placed, later in states:
+            free = carrier - placed
+            for dec in d.decision_ids:
+                if dec not in free or not decisions_after[dec] <= placed:
+                    continue
+                slots = [po.succ[dec] & free]
+                for c in chance:
+                    if c in free and c not in slots[0] and decisions_after[c] <= placed:
+                        need = po.succ[c] & free
+                        slots += [s | {c} for s in slots if need <= s]
+                        admit(visited + len(slots))
+                for slot in slots:
+                    past = free - slot - {dec}
+                    rel, req = analysis._outcome(dec, past, later)
+                    for a in req:
+                        if decisions_after[a].isdisjoint(past):
+                            pending.discard((a, dec))
+                    step.add((carrier - past, later | {(dec, rel, req)}))
+                admit(visited + len(step))
+        visited += len(step)
+        states = step
+    return frozenset(pairs - pending)
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +383,30 @@ def reference_suggest(d: Diagram, report: Report) -> tuple[Proposal, ...]:
 # hidden H -> S_i and H into every U_i, which makes every (S_i, D_j) with
 # i != j significant through the direct clause.  The mixed variant adds H to
 # triples 0 and 1 only, so of the k(k-1) incompatible pairs exactly (S0, D1)
-# and (S1, D0) are significant, through the direct clause.
+# and (S1, D0) are significant, through the direct clause.  The coupled
+# variant adds H into every U_i and a hidden S_i -> C_i -> U_i: the bare graph
+# is then one component, yet every U_i is a collider between the triples, so
+# no pair is significant.
 
 
 def w_family(k: int, shared: bool | str = False) -> Diagram:
-    """W(k); ``shared`` is True for W(k)-shared and "mixed" for mixed W(k)."""
+    """W(k); ``shared`` is True for W(k)-shared, "mixed" for mixed W(k) and
+    "coupled" for coupled W(k)."""
     binary, act = ("s1", "s2"), ("d1", "d2")
+    coupled = shared == "coupled"
 
     def hidden(i: int) -> tuple[str, ...]:
-        return ("H",) if shared is True or (shared == "mixed" and i < 2) else ()
+        return ("H",) if shared is True or coupled or (shared == "mixed" and i < 2) else ()
 
     nodes = [Node("H", Kind.CHANCE, binary, ())] if shared else []
-    nodes += [Node(f"S{i}", Kind.CHANCE, binary, hidden(i)) for i in range(k)]
+    nodes += [Node(f"S{i}", Kind.CHANCE, binary, () if coupled else hidden(i)) for i in range(k)]
+    if coupled:
+        nodes += [Node(f"C{i}", Kind.CHANCE, binary, (f"S{i}",)) for i in range(k)]
     nodes += [Node(f"D{i}", Kind.DECISION, act, (f"S{i}",)) for i in range(k)]
-    nodes += [Node(f"U{i}", Kind.VALUE, None, (f"D{i}",) + hidden(i)) for i in range(k)]
+    nodes += [
+        Node(f"U{i}", Kind.VALUE, None, (f"D{i}",) + hidden(i) + ((f"C{i}",) if coupled else ()))
+        for i in range(k)
+    ]
     return validate_nodes(nodes)
 
 

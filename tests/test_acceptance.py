@@ -73,8 +73,9 @@ def test_criterion_2_fig2_three_analyses_separate():
     with _Budget(2, "fig2 exact vs bayes-ball vs elimination neighborhood", 1.0):
         d = figures.fig2()
         schema = canonical_schema(d)
-        assert "B" not in Analysis(d).required_variables(schema, "D1")
-        assert "B" in bayes_ball_requisite(d, "D1")
+        analysis = Analysis(d)
+        assert "B" not in analysis.required_variables(schema, "D1")
+        assert "B" in bayes_ball_requisite(d, analysis.po, "D1")
         assert "B" in elimination_neighbors(d, "D1", schema)
 
 

@@ -9,6 +9,7 @@ from conftest import (
     ReferenceRules,
     exact_witnesses,
     full_stream_pair_schemas,
+    reference_significant,
     reference_suggest,
     w_family,
     w_family_expected,
@@ -130,7 +131,7 @@ class TestRequiredVariables:
         schema = canonical_schema(d, analysis.po)
         for dec in d.decision_ids:
             required = analysis.required_variables(schema, dec)
-            bound = bayes_ball_requisite(d, dec) & elimination_neighbors(d, dec, schema)
+            bound = bayes_ball_requisite(d, analysis.po, dec) & elimination_neighbors(d, dec, schema)
             assert required <= bound
 
 
@@ -317,12 +318,65 @@ class TestMatchesReferenceRules:
         assert "later-required" in _assert_matches_reference_rules(d)
 
 
+class TestSignificancePass:
+    """One backward pass per bare component finds the significant pairs
+    that one pass over the whole diagram finds."""
+
+    @staticmethod
+    def _assert_matches_reference(d) -> frozenset[tuple[str, str]]:
+        significant = Analysis(d)._significant
+        assert significant == reference_significant(Analysis(d))
+        return significant
+
+    @pytest.mark.parametrize("name", sorted(figures.ALL_FIGURES))
+    def test_fixtures(self, name):
+        self._assert_matches_reference(figures.ALL_FIGURES[name]())
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shared", [False, True, "mixed"])
+    def test_w_family(self, k, shared):
+        self._assert_matches_reference(w_family(k, shared))
+
+    @pytest.mark.parametrize("max_carrier, max_decisions", [(8, 4), (10, 5)])
+    def test_random_draws(self, max_carrier, max_decisions):
+        significant = 0
+        for seed in range(1500):
+            d = random_pid(np.random.default_rng(seed), max_carrier=max_carrier, max_decisions=max_decisions)
+            significant += bool(self._assert_matches_reference(d))
+        assert significant >= 100
+
+    def test_chance_node_preceding_a_past_node_through_another_component(self):
+        # E observes A and F observes X and E, so A < E < X, and E is alone
+        # in its bare component.  With X in D's past, A cannot sit in the
+        # slot immediately before D, although it precedes no decision of
+        # D's component.
+        binary = ("x", "y")
+        d = validate_nodes(
+            [
+                Node("A", Kind.CHANCE, binary, ()),
+                Node("W", Kind.CHANCE, binary, ()),
+                Node("X", Kind.CHANCE, binary, ("A", "W")),
+                Node("D", Kind.DECISION, binary, ()),
+                Node("E", Kind.DECISION, binary, ("A",)),
+                Node("F", Kind.DECISION, binary, ("X", "E")),
+                Node("U", Kind.VALUE, None, ("W", "D")),
+            ]
+        )
+        assert Analysis(d)._significant == {("X", "D")}
+        assert check_welldefined(d).significant_pairs == (("X", "D"),)
+
+    def test_derived_analysis_shares_the_components(self):
+        base = Analysis(figures.two_witness_pid())
+        derived = base.constrained([("precede", "D", "A"), ("observe", "A9", "D9")])
+        assert derived._components is base._components
+
+
 class TestCheckWelldefined:
     @pytest.mark.parametrize(
         "shared, k",
         [(shared, k) for shared in (False, True) for k in (3, 4, 5, 6)]
         + [("mixed", k) for k in (4, 5, 6)]
-        + [(False, 7)],
+        + [(False, 7), (False, 8), (False, 9), ("coupled", 7)],
     )
     def test_w_family_verdict_within_budget(self, k, shared):
         d = w_family(k, shared)
@@ -339,13 +393,14 @@ class TestCheckWelldefined:
     def test_wide_slot_stops_at_the_state_cap(self):
         # D precedes none of the X_i, which D2 observes, so the slot after D
         # may take any subset of them: 2^17 states, past MAX_SCAN_STATES.
+        # The arcs X_i -> V put the X_i in D's bare component.
         observed = [Node(f"X{i}", Kind.CHANCE, ("x", "y"), ()) for i in range(17)]
         d = validate_nodes(
             observed
             + [
                 Node("D", Kind.DECISION, ("d1", "d2"), ()),
                 Node("D2", Kind.DECISION, ("d1", "d2"), tuple(x.id for x in observed)),
-                Node("V", Kind.VALUE, None, ("D", "D2")),
+                Node("V", Kind.VALUE, None, ("D", "D2") + tuple(x.id for x in observed)),
             ]
         )
         start = time.perf_counter()

@@ -2,7 +2,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import hypothesis.strategies as st
@@ -244,9 +247,10 @@ class TestSubcommandOutputs:
         assert "limit of 157 rechecks" in err
 
     def test_check_over_scan_state_limit_is_an_error(self, tmp_path, capsys, monkeypatch):
-        # The significance pass on W(3) visits 20 states.
-        path = tmp_path / "w3.pid"
-        path.write_text(serialize_document(w_family(3)))
+        # The significance pass on coupled W(3), one bare component, visits
+        # 20 states.
+        path = tmp_path / "w3_coupled.pid"
+        path.write_text(serialize_document(w_family(3, shared="coupled")))
         monkeypatch.setattr(analysis, "MAX_SCAN_STATES", 20)
         code, payload = run_json(capsys, "check", path)
         assert code == 0 and payload["welldefined"] is True
@@ -263,8 +267,9 @@ class TestSubcommandOutputs:
             (["fuzz", "fig1.pid", "--trials", "1"], 1),
             (["relevant", "fig1.pid", "-d", "D1", "--schema", "1"], 1),
             (["required", "fig1.pid", "-d", "D1", "--schema", "1"], 1),
+            (["baselines", "fig2.pid", "-d", "D1"], 1),
         ],
-        ids=["fuzz", "relevant", "required"],
+        ids=["fuzz", "relevant", "required", "baselines"],
     )
     def test_partial_order_induced_once(self, monkeypatch, capsys, argv, inductions):
         calls = []
@@ -274,8 +279,9 @@ class TestSubcommandOutputs:
             calls.append(args)
             return induce(*args, **kwargs)
 
-        for module in (ordering, analysis, cli):
-            monkeypatch.setattr(module, "induce_partial_order", counted)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("pidcheck") and getattr(module, "induce_partial_order", None) is induce:
+                monkeypatch.setattr(module, "induce_partial_order", counted)
         code, _, _ = run(capsys, argv[0], FIXTURES / argv[1], *argv[2:])
         assert code == 0
         assert len(calls) == inductions
@@ -363,6 +369,37 @@ class TestSubcommandOutputs:
         code, payload = run_json(capsys, argv[0], FIXTURES / "fig6.pid", *argv[1:])
         assert code in (0, 2)
         assert isinstance(payload, dict)
+
+
+class TestParser:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_reused_parser_answers_as_a_fresh_process(self, capsys, monkeypatch):
+        # One process: a usage error first, then three commands on the same
+        # parser.  Each must print and exit as `python -m pidcheck.cli` does.
+        monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+        env = dict(os.environ, PYTHONPATH=str(FIXTURES.parent / "src"))
+        argvs = [
+            ["relevant", str(FIXTURES / "fig1.pid")],
+            ["check", str(FIXTURES / "fig6.pid")],
+            ["fuzz", str(FIXTURES / "fig1.pid"), "--trials", "1"],
+            ["relevant", str(FIXTURES / "fig1.pid"), "-d", "D1"],
+        ]
+        codes = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            fresh = subprocess.run(
+                [sys.executable, "-m", "pidcheck.cli", *argv],
+                capture_output=True, text=True, timeout=120, env=env,
+            )
+            assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+            codes.append(code)
+        assert codes == [2, 2, 0, 0]
 
 
 class TestExportDot:

@@ -14,7 +14,7 @@ from pidcheck.dsep import (
 )
 from pidcheck.generate import random_classic_id
 from pidcheck.model import GraphView, Kind, Node, strip_informational, validate_nodes
-from pidcheck.ordering import canonical_schema, enumerate_schemas
+from pidcheck.ordering import canonical_schema, enumerate_schemas, induce_partial_order
 
 
 def _view(arcs, nodes=None):
@@ -106,7 +106,8 @@ class TestDirectedPath:
 
 class TestBayesBall:
     def test_fig2_marks_b(self):
-        assert "B" in bayes_ball_requisite(figures.fig2(), "D1")
+        d = figures.fig2()
+        assert "B" in bayes_ball_requisite(d, induce_partial_order(d), "D1")
 
     def test_no_observations_gives_empty_set(self):
         d = validate_nodes(
@@ -116,7 +117,7 @@ class TestBayesBall:
                 Node("V", Kind.VALUE, None, ("A",)),
             ]
         )
-        assert bayes_ball_requisite(d, "D") == frozenset()
+        assert bayes_ball_requisite(d, induce_partial_order(d), "D") == frozenset()
 
     def test_observation_feeding_the_utility_is_requisite(self):
         d = validate_nodes(
@@ -127,11 +128,12 @@ class TestBayesBall:
             ]
         )
         po_pred = {"A"}
-        assert bayes_ball_requisite(d, "D") == frozenset(po_pred)
+        assert bayes_ball_requisite(d, induce_partial_order(d), "D") == frozenset(po_pred)
 
     def test_rejects_partial_diagrams(self):
+        d = figures.fig6()
         with pytest.raises(NotTotalOrder, match="not a total order"):
-            bayes_ball_requisite(figures.fig6(), "D")
+            bayes_ball_requisite(d, induce_partial_order(d), "D")
 
     @given(st.integers(0, 200))
     @settings(max_examples=25)
@@ -140,7 +142,7 @@ class TestBayesBall:
         schema = canonical_schema(d)
         analysis = Analysis(d)
         for dec in d.decision_ids:
-            assert analysis.required_variables(schema, dec) <= bayes_ball_requisite(d, dec)
+            assert analysis.required_variables(schema, dec) <= bayes_ball_requisite(d, analysis.po, dec)
 
 
 class TestEliminationNeighbors:

@@ -107,3 +107,8 @@ print("numpy" in sys.modules)
     for name in ("model", "ordering", "dsep", "analysis", "oracle"):
         assert f"'pidcheck.{name}'" in modules
     assert numpy_loaded == "False"
+
+
+def test_importing_cli_does_not_build_the_parser():
+    code = "import pidcheck.cli\nprint(pidcheck.cli.build_parser.cache_info().currsize)\n"
+    assert _run_python(code).strip() == "0"
