@@ -77,6 +77,12 @@ admissible schema restricts to a sequence of steps in each component.  So
 the passes answer as a scan of every schema would, on every input.
 
 MAX_SCAN_STATES caps the states summed over all passes of one analysis.
+
+A repair recheck reads only the verdict and the first witness
+(:meth:`Analysis.first_witness`), and is memoized per constraint set.  A set
+is enough: observe arcs added in another order change only the order of a
+decision's parent tuple, which the bare graph drops, and the partial order
+is built from sets of base pairs.
 """
 from __future__ import annotations
 
@@ -328,8 +334,11 @@ class Analysis:
     # -- significance ---------------------------------------------------------
 
     @cached_property
-    def _sequences(self) -> tuple[SequenceSlots, ...]:
-        return tuple(decision_sequences(self.diagram, self.po))
+    def _sequences(self) -> Iterator[SequenceSlots]:
+        """The decision sequences, generated as far as some copy of this
+        iterator has read them and kept: copies read independently, and
+        witness recovery usually stops within the first few."""
+        return itertools.tee(decision_sequences(self.diagram, self.po), 1)[0]
 
     @cached_property
     def _significant(self) -> frozenset[tuple[str, str]]:
@@ -404,7 +413,7 @@ class Analysis:
         directly: ``a`` is pinned and the other chance nodes range freely."""
         chance = self.diagram.chance_ids
         ai = chance.index(a)
-        for seq, pos, ranges in self._sequences:
+        for seq, pos, ranges in copy.copy(self._sequences):
             k = pos[dec]
             lo, hi = ranges[ai]
             if not lo <= k - 1 <= hi:
@@ -432,6 +441,13 @@ class Analysis:
         raise AssertionError(f"no schema fires for the significant pair ({a!r}, {dec!r})")
 
     # -- the verdict ----------------------------------------------------------
+
+    def first_witness(self) -> Witness | None:
+        """The first witness of :meth:`check`, or None if the diagram is
+        welldefined, without the rest of the report."""
+        d = self.diagram
+        pairs = [(a, dec) for dec in d.decision_ids for a in d.chance_ids if (a, dec) in self._significant]
+        return self.is_significant(*pairs[0]) if pairs else None
 
     def check(self) -> Report:
         """Welldefinedness verdict: the diagram is a welldefined scenario iff
@@ -519,8 +535,8 @@ def replay_witness(d: Diagram, w: Witness) -> bool:
 def _apply_constraints(
     d: Diagram, constraints: Iterable[tuple[str, str, str]]
 ) -> tuple[Diagram, list[tuple[str, str]]]:
-    """The diagram with every observe arc added, validated once, and the
-    precedence pairs of the precede constraints."""
+    """The diagram with every observe arc added, and the precedence pairs
+    of the precede constraints."""
     arcs: list[tuple[str, str]] = []
     extra: list[tuple[str, str]] = []
     for kind, x, y in constraints:
@@ -542,40 +558,50 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
     first.
 
     Every recheck runs on an analysis derived from one analysis of ``d``,
-    so they all share its memo.  Raises
-    :class:`RepairBudgetExceeded` before a recheck beyond MAX_RECHECKS."""
+    so they all share its memo, and each constraint set is analysed once.
+    Raises :class:`RepairBudgetExceeded` before a recheck beyond
+    MAX_RECHECKS, counting a set as often as it is reached."""
     if report.welldefined:
         return ()
     base = Analysis(d)
     proposals: list[Proposal] = []
     rechecks = 0
+    # constraint set -> (chance, decision) of its first witness, None or
+    # "inconsistent"; never the exception, whose traceback holds analyses
+    verdicts: dict[frozenset[tuple[str, str, str]], tuple[str, str] | str | None] = {}
 
-    def recheck(constraints: tuple[tuple[str, str, str], ...]) -> Report:
+    def recheck(constraints: tuple[tuple[str, str, str], ...]) -> tuple[str, str] | str | None:
         nonlocal rechecks
         if rechecks == MAX_RECHECKS:
             raise RepairBudgetExceeded(
                 f"suggest needs more than the limit of {MAX_RECHECKS} rechecks"
             )
         rechecks += 1
-        return base.constrained(constraints).check()
+        key = frozenset(constraints)
+        if key not in verdicts:
+            try:
+                w = base.constrained(constraints).first_witness()
+                verdicts[key] = None if w is None else (w.chance, w.decision)
+            except InconsistentOrder:
+                verdicts[key] = "inconsistent"
+        return verdicts[key]
 
     # Each constraint tuple is grown at most once: the roots come from
     # distinct witnesses, and a tuple extends only the first witness of its
     # own recheck.
     def branch(
-        constraints: tuple[tuple[str, str, str], ...], witnesses: tuple[Witness, ...], depth: int
+        constraints: tuple[tuple[str, str, str], ...], pairs: Iterable[tuple[str, str]], depth: int
     ) -> None:
-        for w in witnesses:
-            for option in (("observe", w.chance, w.decision), ("precede", w.decision, w.chance)):
+        for a, dec in pairs:
+            for option in (("observe", a, dec), ("precede", dec, a)):
                 nxt = constraints + (option,)
-                try:
-                    rep = recheck(nxt)
-                except InconsistentOrder:
+                first = recheck(nxt)
+                if first == "inconsistent":
                     continue
-                proposals.append(Proposal(constraints=nxt, welldefined=rep.welldefined))
-                if not rep.welldefined and depth > 0:
-                    branch(nxt, rep.witnesses[:1], depth - 1)
+                proposals.append(Proposal(constraints=nxt, welldefined=first is None))
+                if first is not None and depth > 0:
+                    branch(nxt, (first,), depth - 1)
 
-    branch((), report.witnesses, len(report.witnesses) + 1)
+    branch((), report.significant_pairs, len(report.witnesses) + 1)
     proposals.sort(key=lambda p: (not p.welldefined, len(p.constraints)))
     return tuple(proposals)

@@ -546,8 +546,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code != 2:  # --help
+            raise
+        return 1  # a usage error: argparse's 2 means "not welldefined" here
     try:
         return args.fn(args)
     except CliError as exc:

@@ -112,17 +112,27 @@ class Diagram:
 
     def with_arcs(self, arcs: Iterable[tuple[str, str]]) -> "Diagram":
         """The diagram with every (tail, head) arc added that is not there
-        yet, validated once."""
+        yet.  Only what a new arc can break is checked: an unknown endpoint,
+        a value-node tail into a non-value node, and acyclicity, since a new
+        cycle runs through a new arc.  :func:`validate_nodes` reports these."""
         added: dict[str, tuple[str, ...]] = {}
+        new: list[tuple[str, str]] = []
         for tail, head in arcs:
+            if head not in self:
+                raise InvalidDiagram([f"dangling parent: arc ({tail!r}, {head!r})"])
             parents = added.get(head, self.parents(head))
             if tail not in parents:
                 added[head] = parents + (tail,)
+                new.append((tail, head))
         nodes = [
             Node(n.id, n.kind, n.states, added[n.id]) if n.id in added else n
             for n in self.nodes
         ]
-        return validate_nodes(nodes)
+        if all(t in self and (self.kind(t) is not Kind.VALUE or self.kind(h) is Kind.VALUE) for t, h in new):
+            d = Diagram(nodes)
+            if not any(t in d.descendants(h) for t, h in new):
+                return d
+        return validate_nodes(nodes)  # raises
 
     def without_arc(self, tail: str, head: str) -> "Diagram":
         nodes = []

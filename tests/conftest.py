@@ -331,8 +331,8 @@ class ReferenceRules:
 
 
 # ---------------------------------------------------------------------------
-# reference repair search: a fresh check_welldefined per recheck, one
-# validated Diagram per observe constraint
+# reference repair search: a fresh check_welldefined per recheck, on a
+# diagram validated in full by validate_nodes
 
 
 def reference_suggest(d: Diagram, report: Report) -> tuple[Proposal, ...]:
@@ -344,12 +344,15 @@ def reference_suggest(d: Diagram, report: Report) -> tuple[Proposal, ...]:
     seen: set[tuple] = set()
 
     def recheck(constraints):
-        current, extra = d, []
+        parents = {n.id: n.parents for n in d.nodes}
+        extra = []
         for kind, x, y in constraints:
             if kind == "observe":
-                current = current.with_arc(x, y)
+                if x not in parents[y]:
+                    parents[y] += (x,)
             else:
                 extra.append((x, y))
+        current = validate_nodes([Node(n.id, n.kind, n.states, parents[n.id]) for n in d.nodes])
         return check_welldefined(current, extra_constraints=extra)
 
     def grow(constraints, rep: Report, depth: int) -> None:

@@ -1,3 +1,4 @@
+import pathlib
 import time
 
 import hypothesis.strategies as st
@@ -22,10 +23,14 @@ from pidcheck.analysis import (
     replay_witness,
     suggest_resolutions,
 )
+from pidcheck.cli import load_file
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
 from pidcheck.generate import random_classic_id, random_pid
 from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.ordering import InconsistentOrder, canonical_schema, enumerate_schemas
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def schema_with_order(d, order):
@@ -524,18 +529,26 @@ class TestSuggestResolutions:
         assert ambiguous >= 300
 
     def test_each_constraint_set_rechecked_once(self, monkeypatch):
-        # Every recheck is a distinct constraint tuple, and one with observe
-        # constraints validates its diagram once.
+        # The 158 rechecks of W(3)-shared reach 108 distinct constraint
+        # sets; each is analysed once, every recheck still counts against
+        # the budget, and no recheck revalidates the whole diagram.
+        import pidcheck.analysis
         import pidcheck.model
 
-        tried = []
+        d = w_family(3, shared=True)
+        report = check_welldefined(d)
+        tried, inconsistent = [], []
         constrained = Analysis.constrained
         validations = 0
         validate = pidcheck.model.validate_nodes
 
         def record(self, constraints):
-            tried.append(tuple(constraints))
-            return constrained(self, constraints)
+            tried.append(frozenset(constraints))
+            try:
+                return constrained(self, constraints)
+            except InconsistentOrder:
+                inconsistent.append(tried[-1])
+                raise
 
         def count(nodes):
             nonlocal validations
@@ -544,10 +557,89 @@ class TestSuggestResolutions:
 
         monkeypatch.setattr(Analysis, "constrained", record)
         monkeypatch.setattr(pidcheck.model, "validate_nodes", count)
+        proposals = suggest_resolutions(d, report)
+        assert len(proposals) + 6 == 158  # six rechecks are inconsistent
+        assert len(tried) == len(set(tried)) == 108
+        assert set(tried) == {frozenset(p.constraints) for p in proposals} | set(inconsistent)
+        assert validations == 0
+        monkeypatch.setattr(pidcheck.analysis, "MAX_RECHECKS", 158)
+        assert suggest_resolutions(d, report) == proposals
+        monkeypatch.setattr(pidcheck.analysis, "MAX_RECHECKS", 157)
+        with pytest.raises(pidcheck.analysis.RepairBudgetExceeded):
+            suggest_resolutions(d, report)
+
+
+def _first(analysis):
+    w = analysis.first_witness()
+    return () if w is None else (w,)
+
+
+class TestFirstWitness:
+    """`first_witness`, which each repair recheck runs, is the first witness
+    of a full check."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        d, _ = load_file(str(path))
+        assert _first(Analysis(d)) == Analysis(d).check().witnesses[:1]
+
+    @pytest.mark.parametrize("shared", [False, True, "mixed", "coupled"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_w_families(self, k, shared):
+        d = w_family(k, shared)
+        assert _first(Analysis(d)) == Analysis(d).check().witnesses[:1]
+
+    def test_random_draws_and_their_single_constraint_analyses(self):
+        derived = 0
+        for seed in range(1000):
+            d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            base = Analysis(d)
+            report = Analysis(d).check()
+            assert _first(base) == report.witnesses[:1], seed
+            for a, dec in report.pairs_checked:
+                for option in (("observe", a, dec), ("precede", dec, a)):
+                    try:
+                        constrained = base.constrained([option])
+                    except InconsistentOrder:
+                        continue
+                    expected = base.constrained([option]).check().witnesses[:1]
+                    assert _first(constrained) == expected, (seed, option)
+                    derived += 1
+        assert derived >= 1000
+
+    def test_constraint_order_does_not_matter(self):
+        # Every tuple the repair search tries on W(3)-shared, against its
+        # reverse: the same order and the same first witness.
         d = w_family(3, shared=True)
-        suggest_resolutions(d, check_welldefined(d))
-        assert len(tried) == len(set(tried)) == 158
-        assert validations == sum(any(c[0] == "observe" for c in t) for t in tried)
+        base = Analysis(d)
+        report = base.check()
+        for p in suggest_resolutions(d, report):
+            forward = base.constrained(p.constraints)
+            backward = base.constrained(p.constraints[::-1])
+            assert forward.po.succ == backward.po.succ
+            assert _first(forward) == _first(backward)
+
+    def test_interleaved_pair_schemas(self):
+        # The decision sequences are generated lazily into one shared list;
+        # iterators that run interleaved, at different paces, still see
+        # every sequence once and in order.
+        d = w_family(3, shared=True)
+        pairs = [("S0", "D1"), ("S1", "D0"), ("S0", "D1")]
+        expected = [list(Analysis(d)._pair_schemas(a, dec)) for a, dec in pairs]
+        analysis = Analysis(d)
+        iters = [analysis._pair_schemas(a, dec) for a, dec in pairs]
+        got: list[list] = [[], [], []]
+        live = [0, 1, 2]
+        while live:
+            for i in list(live):
+                for _ in range(i + 1):
+                    item = next(iters[i], None)
+                    if item is None:
+                        live.remove(i)
+                        break
+                    got[i].append(item)
+        assert got == expected
+        assert len({s.decision_sequence for s in expected[0]}) > 1
 
 
 class TestDerivedAnalysis:

@@ -399,7 +399,7 @@ class TestParser:
             )
             assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
             codes.append(code)
-        assert codes == [2, 2, 0, 0]
+        assert codes == [1, 2, 0, 0]
 
 
 class TestExportDot:

@@ -1,9 +1,12 @@
+import pathlib
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given
 
 from pidcheck import figures
+from pidcheck.cli import load_file
 from pidcheck.generate import random_pid
 from pidcheck.model import (
     InvalidDiagram,
@@ -14,6 +17,8 @@ from pidcheck.model import (
     validate,
     validate_nodes,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def _doc(nodes):
@@ -71,6 +76,81 @@ class TestValidate:
     def test_value_node_with_states_rejected(self):
         with pytest.raises(InvalidDiagram):
             validate(_doc([{"id": "V", "kind": "value", "states": ["x"], "parents": []}]))
+
+
+def _nodes_with_arcs(d, arcs):
+    """``d``'s nodes with each arc appended to its head's parents, unless
+    there already: the nodes `Diagram.with_arcs` is to return."""
+    parents = {n.id: n.parents for n in d.nodes}
+    for tail, head in arcs:
+        if tail not in parents[head]:
+            parents[head] += (tail,)
+    return [Node(n.id, n.kind, n.states, parents[n.id]) for n in d.nodes]
+
+
+def _violations(fn):
+    with pytest.raises(InvalidDiagram) as exc:
+        fn()
+    return exc.value.violations
+
+
+class TestWithArcs:
+    """`with_arcs` checks only what a new arc can break, and answers as
+    `validate_nodes` of the same nodes does."""
+
+    @pytest.mark.parametrize(
+        "arcs, expected",
+        [
+            ([("Z", "D1")], ["dangling parent: arc ('Z', 'D1')"]),
+            ([("B", "Z")], ["dangling parent: arc ('B', 'Z')"]),
+            ([("V", "D2")], ["value node with child: arc ('V', 'D2')"]),
+            ([("E", "E")], ["cycle: E -> E"]),
+            ([("E", "F"), ("F", "E")], ["cycle: E -> F -> E"]),
+        ],
+        ids=["dangling-tail", "dangling-head", "value-tail", "self-loop", "two-arc-cycle"],
+    )
+    def test_each_violation_has_the_validate_nodes_text(self, arcs, expected):
+        d = figures.fig1()
+        assert _violations(lambda: d.with_arcs(arcs)) == expected
+        if arcs[0][1] != "Z":  # an unknown head has no node to carry the arc
+            assert _violations(lambda: validate_nodes(_nodes_with_arcs(d, arcs))) == expected
+
+    def test_each_arc_of_the_two_arc_cycle_is_valid_alone(self):
+        d = figures.fig1()
+        for tail, head in [("E", "F"), ("F", "E")]:
+            assert d.with_arc(tail, head) == validate_nodes(_nodes_with_arcs(d, [(tail, head)]))
+
+    def test_value_node_into_value_node_is_accepted_as_validate_nodes_does(self):
+        d = validate_nodes(
+            [
+                Node("A", Kind.CHANCE, ("x", "y"), ()),
+                Node("U", Kind.VALUE, None, ("A",)),
+                Node("W", Kind.VALUE, None, ("A",)),
+            ]
+        )
+        assert d.with_arc("U", "W") == validate_nodes(_nodes_with_arcs(d, [("U", "W")]))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_validate_nodes_on_random_arcs(self, seed):
+        # Fixtures and 20 draws per seed, 200 in all, with random arc sets
+        # that may or may not be valid.
+        rng = np.random.default_rng(seed)
+        diagrams = [random_pid(rng, max_carrier=8, max_decisions=4) for _ in range(20)]
+        if seed == 0:
+            diagrams += [load_file(str(p))[0] for p in sorted(FIXTURES.glob("*.pid"))]
+        valid = 0
+        for d in diagrams:
+            for _ in range(5):
+                k = int(rng.integers(1, 4))
+                arcs = [tuple(rng.choice(d.ids, size=2)) for _ in range(k)]
+                try:
+                    expected = validate_nodes(_nodes_with_arcs(d, arcs))
+                except InvalidDiagram as exc:
+                    assert _violations(lambda: d.with_arcs(arcs)) == exc.violations
+                    continue
+                assert d.with_arcs(arcs) == expected
+                valid += 1
+        assert valid >= 20
 
 
 class TestStripInformational:
