@@ -25,14 +25,30 @@ of every later decision: D's *outcome class*.  The rules are memoized per
 outcome class, and the outcomes under a schema are worked out by walking its
 decision sequence backward.  Besides the class, the rules read only the
 graph without informational arcs (the "bare" graph) and the node ids, kinds
-and declaration order.  A repair constraint changes none of these:
-observing A before D adds an arc into a decision, which the bare graph
-drops, and forcing D before A only adds a pair to the partial order.  So an
-analysis derived under repair constraints (:meth:`Analysis.constrained`)
-shares its parent's memo and bare components, and only the partial order,
-the schema space and the significance pass are its own.  Otherwise
-instances are independent; a family of derived analyses is meant for one
-thread.
+and declaration order.  A repair constraint changes none of these: it is
+one more base pair of the partial order.  Forcing D before A is the pair
+(D, A).  Observing A before D is the pair (A, D), and that is exact: the
+order induced on the diagram plus the arc A -> D equals the order induced
+on the diagram with the extra pair (A, D).
+  - Clauses (a) and (b) close to the same relation either way.  Clause (a)
+    on the arc is the pair itself.  Split a directed path of the extended
+    diagram at its added arcs: each piece is an original path that starts
+    at a decision (the path's start, or the head of an added arc) and ends
+    at a chance tail or at the path's end.  So every clause-(b) pair of the
+    extended diagram follows from the original clause (b) and the added
+    pairs by transitivity, and the converse holds since adding arcs removes
+    no path.
+  - Clauses (c) and (d) read only that closure and the node kinds.
+  - An arc that would close a cycle means that D reaches A, so D < A, and
+    the pair raises InconsistentOrder where the arc would make the diagram
+    invalid.  The repair search never proposes such an arc: it observes A
+    before D only for a pair that is incompatible under the constraints it
+    extends.
+So an analysis derived under repair constraints
+(:meth:`Analysis.constrained`) keeps its parent's diagram, memo and bare
+components, builds no diagram, and only the partial order, the schema
+space and the significance pass are its own.  Otherwise instances are
+independent; a family of derived analyses is meant for one thread.
 
 The rules never leave a connected component of the bare graph.  A directed
 path, an active trail and a shared utility all stay inside one, so by
@@ -55,13 +71,13 @@ so every schema that completes the state gives D the same outcome class.
 precedes no node of P.
 
 Why that test.  Every base pair of the induced order has a decision at one
-end (clauses (a)-(d), and the repair constraints, which put a decision
-first), so a chance node A that precedes a node y precedes a decision e
-with e = y or e < y.  A schema puts A in the slot immediately before D iff
-A precedes no decision of D's past, and that past is downward-closed.  So
-if A precedes a node of P, the decision e on the way lies in D's past in
-every completion, even when e is outside C, and A cannot sit immediately
-before D.  Testing only the decisions of P is not enough: with A < E < X
+end (clauses (a)-(d), and the repair constraints, each of which pairs a
+chance node with a decision), so a chance node A that precedes a node y
+precedes a decision e with e = y or e < y.  A schema puts A in the slot
+immediately before D iff A precedes no decision of D's past, and that past
+is downward-closed.  So if A precedes a node of P, the decision e on the
+way lies in D's past in every completion, even when e is outside C, and A
+cannot sit immediately before D.  Testing only the decisions of P is not enough: with A < E < X
 for a decision E outside C and X in P, it would accept A.
 
 Why every state extends to a full admissible schema.  P is downward-closed
@@ -80,9 +96,7 @@ MAX_SCAN_STATES caps the states summed over all passes of one analysis.
 
 A repair recheck reads only the verdict and the first witness
 (:meth:`Analysis.first_witness`), and is memoized per constraint set.  A set
-is enough: observe arcs added in another order change only the order of a
-decision's parent tuple, which the bare graph drops, and the partial order
-is built from sets of base pairs.
+is enough: the partial order is built from a set of base pairs.
 """
 from __future__ import annotations
 
@@ -193,15 +207,22 @@ class Analysis:
 
     def constrained(self, constraints: Iterable[tuple[str, str, str]]) -> Analysis:
         """The analysis of this diagram under extra repair constraints
-        (see :class:`Proposal`), with its own partial order, schemas and
-        significance pass but this instance's bare view, components and
-        memo, which no repair constraint can change.  Raises
-        :class:`InconsistentOrder` if the constraints contradict the order."""
-        d, extra = _apply_constraints(self.diagram, constraints)
-        derived = copy.copy(self)  # a shallow copy shares bare, its components and the memo
-        derived.diagram = d
-        derived._extra = self._extra + tuple(extra)
-        derived.po = induce_partial_order(d, derived._extra)
+        (see :class:`Proposal`), each a base pair of the partial order:
+        ("observe", A, D) is the pair (A, D) and ("precede", D, A) the pair
+        (D, A).  The pair orders as the arc A -> D would (module
+        docstring), so the derived analysis keeps this diagram, its bare
+        view, components and memo, and has its own partial order, schemas
+        and significance pass.  Raises :class:`InconsistentOrder` if the
+        constraints contradict the order, which is also what an observe
+        arc closing a cycle does, and ``ValueError`` on an unknown kind."""
+        pairs = []
+        for kind, x, y in constraints:
+            if kind not in ("observe", "precede"):
+                raise ValueError(f"unknown constraint kind {kind!r}")
+            pairs.append((x, y))
+        derived = copy.copy(self)  # a shallow copy shares the diagram, bare, its components and the memo
+        derived._extra = self._extra + tuple(pairs)
+        derived.po = induce_partial_order(self.diagram, derived._extra)
         for cached in ("_sequences", "_significant"):  # both follow the order
             vars(derived).pop(cached, None)
         return derived
@@ -277,9 +298,11 @@ class Analysis:
         taken, hence known).
         """
         conditioning = (pred | {dec}) - {x}
-        if d_connected(self.bare, x, rel, conditioning):
-            psi = next(v for v in self.diagram.value_ids
-                       if v in rel and d_connected(self.bare, x, frozenset({v}), conditioning))
+        # x is d-connected to a target outside the conditioning set iff one
+        # ball from x arrives there, so one ball answers every query below
+        reach = active_reach(self.bare, frozenset({x}), conditioning)
+        psi = next((v for v in self.diagram.value_ids if v in rel and v in reach), None)
+        if psi is not None:
             return ("direct", psi, None, None)
         for later_dec, later_rel, later_req in later:
             common = rel & later_rel
@@ -292,7 +315,8 @@ class Analysis:
                 if (
                     self.diagram.kind(y) is Kind.CHANCE
                     and y != x
-                    and d_connected(self.bare, x, frozenset({y}), conditioning)
+                    and y not in conditioning
+                    and y in reach
                 ):
                     return ("later-chain", psi, later_dec, y)
         return None
@@ -495,13 +519,9 @@ def _carrier_components(d: Diagram, bare: GraphView) -> tuple[frozenset[str], ..
     return tuple(out)
 
 
-def check_welldefined(
-    d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()
-) -> Report:
-    """The verdict of :meth:`Analysis.check` on ``d`` under the extra
-    precedence pairs, each of which has a decision at one end, as repair
-    constraints do."""
-    return Analysis(d, extra_constraints).check()
+def check_welldefined(d: Diagram) -> Report:
+    """The verdict of :meth:`Analysis.check` on ``d``."""
+    return Analysis(d).check()
 
 
 def replay_witness(d: Diagram, w: Witness) -> bool:
@@ -530,23 +550,6 @@ def replay_witness(d: Diagram, w: Witness) -> bool:
             and d_connected(analysis.bare, w.chance, frozenset({w.chain_node}), conditioning)
         )
     return False
-
-
-def _apply_constraints(
-    d: Diagram, constraints: Iterable[tuple[str, str, str]]
-) -> tuple[Diagram, list[tuple[str, str]]]:
-    """The diagram with every observe arc added, and the precedence pairs
-    of the precede constraints."""
-    arcs: list[tuple[str, str]] = []
-    extra: list[tuple[str, str]] = []
-    for kind, x, y in constraints:
-        if kind == "observe":
-            arcs.append((x, y))
-        elif kind == "precede":
-            extra.append((x, y))
-        else:
-            raise ValueError(f"unknown constraint kind {kind!r}")
-    return (d.with_arcs(arcs) if arcs else d), extra
 
 
 def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:

@@ -105,34 +105,24 @@ class Diagram:
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ids, key=self._index.__getitem__))
 
-    # -- functional edits (used by fixtures and resolution suggestions) --
+    # -- functional edits (used by pidcheck.figures) ---------------------
 
     def with_arc(self, tail: str, head: str) -> "Diagram":
         return self.with_arcs([(tail, head)])
 
     def with_arcs(self, arcs: Iterable[tuple[str, str]]) -> "Diagram":
         """The diagram with every (tail, head) arc added that is not there
-        yet.  Only what a new arc can break is checked: an unknown endpoint,
-        a value-node tail into a non-value node, and acyclicity, since a new
-        cycle runs through a new arc.  :func:`validate_nodes` reports these."""
+        yet, checked by :func:`validate_nodes`."""
         added: dict[str, tuple[str, ...]] = {}
-        new: list[tuple[str, str]] = []
         for tail, head in arcs:
-            if head not in self:
+            if head not in self:  # validate_nodes has no node to carry the arc
                 raise InvalidDiagram([f"dangling parent: arc ({tail!r}, {head!r})"])
             parents = added.get(head, self.parents(head))
             if tail not in parents:
                 added[head] = parents + (tail,)
-                new.append((tail, head))
-        nodes = [
-            Node(n.id, n.kind, n.states, added[n.id]) if n.id in added else n
-            for n in self.nodes
-        ]
-        if all(t in self and (self.kind(t) is not Kind.VALUE or self.kind(h) is Kind.VALUE) for t, h in new):
-            d = Diagram(nodes)
-            if not any(t in d.descendants(h) for t, h in new):
-                return d
-        return validate_nodes(nodes)  # raises
+        return validate_nodes(
+            [Node(n.id, n.kind, n.states, added.get(n.id, n.parents)) for n in self.nodes]
+        )
 
     def without_arc(self, tail: str, head: str) -> "Diagram":
         nodes = []
@@ -252,8 +242,6 @@ def validate_nodes(nodes: Sequence[Node]) -> Diagram:
             elif len(set(n.states)) != len(n.states):
                 violations.append(f"duplicate state label on node {n.id!r}")
     for n in nodes:
-        if n.kind is Kind.VALUE:
-            continue
         for p in n.parents:
             if p in by_id and by_id[p].kind is Kind.VALUE:
                 violations.append(f"value node with child: arc ({p!r}, {n.id!r})")

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from pidcheck import analysis as analysis_module
-from pidcheck.analysis import Analysis, Proposal, Report, Witness, check_welldefined
+from pidcheck.analysis import Analysis, Proposal, Report, Witness
 from pidcheck.dsep import d_connected
 from pidcheck.model import Diagram, Kind, Node, strip_informational, validate_nodes
 from pidcheck.oracle import CPT_ROW_TOL, DecisionRule, EvaluationError, InvalidRealization, Strategy
@@ -331,7 +331,7 @@ class ReferenceRules:
 
 
 # ---------------------------------------------------------------------------
-# reference repair search: a fresh check_welldefined per recheck, on a
+# reference repair search: a fresh Analysis check per recheck, on a
 # diagram validated in full by validate_nodes
 
 
@@ -353,7 +353,7 @@ def reference_suggest(d: Diagram, report: Report) -> tuple[Proposal, ...]:
             else:
                 extra.append((x, y))
         current = validate_nodes([Node(n.id, n.kind, n.states, parents[n.id]) for n in d.nodes])
-        return check_welldefined(current, extra_constraints=extra)
+        return Analysis(current, extra).check()
 
     def grow(constraints, rep: Report, depth: int) -> None:
         if constraints in seen:

@@ -27,7 +27,7 @@ from pidcheck.cli import load_file
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
 from pidcheck.generate import random_classic_id, random_pid
 from pidcheck.model import Kind, Node, validate_nodes
-from pidcheck.ordering import InconsistentOrder, canonical_schema, enumerate_schemas
+from pidcheck.ordering import InconsistentOrder, canonical_schema, enumerate_schemas, induce_partial_order
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -485,7 +485,7 @@ class TestSuggestResolutions:
         # re-check each proposal by hand
         observed = d.with_arc("A", "D")
         assert check_welldefined(observed).welldefined
-        assert check_welldefined(d, extra_constraints=[("D", "A")]).welldefined
+        assert Analysis(d, [("D", "A")]).check().welldefined
 
     def test_welldefined_input_returns_empty(self):
         d = figures.fig2()
@@ -531,7 +531,7 @@ class TestSuggestResolutions:
     def test_each_constraint_set_rechecked_once(self, monkeypatch):
         # The 158 rechecks of W(3)-shared reach 108 distinct constraint
         # sets; each is analysed once, every recheck still counts against
-        # the budget, and no recheck revalidates the whole diagram.
+        # the budget, and no recheck builds or validates a diagram.
         import pidcheck.analysis
         import pidcheck.model
 
@@ -539,8 +539,8 @@ class TestSuggestResolutions:
         report = check_welldefined(d)
         tried, inconsistent = [], []
         constrained = Analysis.constrained
-        validations = 0
-        validate = pidcheck.model.validate_nodes
+        diagrams = 0
+        init = pidcheck.model.Diagram.__init__
 
         def record(self, constraints):
             tried.append(frozenset(constraints))
@@ -550,23 +550,74 @@ class TestSuggestResolutions:
                 inconsistent.append(tried[-1])
                 raise
 
-        def count(nodes):
-            nonlocal validations
-            validations += 1
-            return validate(nodes)
+        def build(self, nodes):
+            nonlocal diagrams
+            diagrams += 1
+            init(self, nodes)
 
         monkeypatch.setattr(Analysis, "constrained", record)
-        monkeypatch.setattr(pidcheck.model, "validate_nodes", count)
+        monkeypatch.setattr(pidcheck.model.Diagram, "__init__", build)
         proposals = suggest_resolutions(d, report)
         assert len(proposals) + 6 == 158  # six rechecks are inconsistent
         assert len(tried) == len(set(tried)) == 108
         assert set(tried) == {frozenset(p.constraints) for p in proposals} | set(inconsistent)
-        assert validations == 0
+        assert diagrams == 0  # validate_nodes would build one too
         monkeypatch.setattr(pidcheck.analysis, "MAX_RECHECKS", 158)
         assert suggest_resolutions(d, report) == proposals
         monkeypatch.setattr(pidcheck.analysis, "MAX_RECHECKS", 157)
         with pytest.raises(pidcheck.analysis.RepairBudgetExceeded):
             suggest_resolutions(d, report)
+
+
+class TestConstraintsArePairs:
+    """A repair constraint is a base pair of the partial order: under every
+    constraint set the repair search reaches, the derived order is the
+    order induced on the diagram with the observe arcs added and the
+    precede pairs as extra pairs, or both raise."""
+
+    @staticmethod
+    def _reached_sets(d):
+        tried = []
+        constrained = Analysis.constrained
+
+        def record(self, constraints):
+            tried.append(tuple(constraints))
+            return constrained(self, constraints)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(Analysis, "constrained", record)
+            suggest_resolutions(d, check_welldefined(d))
+        return tried
+
+    @staticmethod
+    def _assert_same_order(d, sets):
+        base = Analysis(d)
+        for cs in sets:
+            arcs = [(x, y) for kind, x, y in cs if kind == "observe"]
+            extra = [(x, y) for kind, x, y in cs if kind == "precede"]
+            try:
+                expected = induce_partial_order(d.with_arcs(arcs), extra).succ
+            except InconsistentOrder:
+                with pytest.raises(InconsistentOrder):
+                    base.constrained(cs)
+                continue
+            assert base.constrained(cs).po.succ == expected, cs
+
+    @pytest.mark.parametrize("name", ["w3_shared", "fig6", "fig7", "fig8", "two_witness"])
+    def test_fixtures_and_w3_shared(self, name):
+        d = w_family(3, shared=True) if name == "w3_shared" else figures.ALL_FIGURES[name]()
+        sets = self._reached_sets(d)
+        assert sets
+        self._assert_same_order(d, sets)
+
+    def test_random_draws(self):
+        reached = 0
+        for seed in range(600):
+            d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            sets = self._reached_sets(d)
+            self._assert_same_order(d, sets)
+            reached += len(sets)
+        assert reached >= 180
 
 
 def _first(analysis):
@@ -649,7 +700,6 @@ class TestDerivedAnalysis:
     @staticmethod
     def _assert_matches_fresh(derived, fresh):
         d = fresh.diagram
-        assert derived.diagram == d
         assert derived.po.succ == fresh.po.succ
         for schema in enumerate_schemas(d, fresh.po):
             for dec in d.decision_ids:

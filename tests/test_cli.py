@@ -21,6 +21,22 @@ from pidcheck.generate import random_pid
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
+# Every subcommand with a JSON form, with the options fig6 needs.
+SUBCOMMANDS = [
+    ("validate",),
+    ("order",),
+    ("schemas",),
+    ("check",),
+    ("relevant", "-d", "D"),
+    ("required", "-d", "D"),
+    ("significant", "-a", "A", "-d", "D"),
+    ("solve",),
+    ("suggest",),
+    ("fuzz", "--trials", "1"),
+    ("baselines", "-d", "D"),
+]
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
@@ -168,6 +184,32 @@ class TestExitCodes:
     def test_unknown_decision_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "required", FIXTURES / "fig2.pid", "-d", "nope")
         assert code == 1 and "no decision node" in err
+
+
+class TestValueNodeWithChild:
+    """A value node has no children, so a document with an arc out of one
+    ends every subcommand in exit 1 at validation."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_every_subcommand_exits_one(self, tmp_path, capsys, path):
+        doc = json.loads(path.read_text())
+        ids = [n["id"] for n in doc["nodes"]]
+        values = [n["id"] for n in doc["nodes"] if n["kind"] == "value"]
+        assert values
+        for v in values:
+            for i, head in enumerate(ids):
+                if head == v:
+                    continue
+                mutated = copy.deepcopy(doc)
+                mutated["nodes"][i]["parents"].append(v)
+                f = tmp_path / f"{v}-{head}.pid"
+                f.write_text(json.dumps(mutated))
+                for argv in SUBCOMMANDS + [("export-dot",), ("export-dot", "--annotate")]:
+                    for json_flag in ((), ("--json",)):
+                        code, out, err = run(capsys, argv[0], f, *argv[1:], *json_flag)
+                        assert code == 1, (v, head, argv)
+                        assert err.startswith("error: "), (v, head, argv)
+                        assert f"value node with child: arc ({v!r}, {head!r})" in err
 
 
 class TestSubcommandOutputs:
@@ -348,23 +390,7 @@ class TestSubcommandOutputs:
         got = {tuple(p) for p in payload["incompatible"]}
         assert got == {("F", "D4"), ("D2", "D3"), ("D2", "D4"), ("D3", "D4")}
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("validate",),
-            ("order",),
-            ("schemas",),
-            ("check",),
-            ("relevant", "-d", "D"),
-            ("required", "-d", "D"),
-            ("significant", "-a", "A", "-d", "D"),
-            ("solve",),
-            ("suggest",),
-            ("fuzz", "--trials", "1"),
-            ("baselines", "-d", "D"),
-        ],
-        ids=lambda a: a[0],
-    )
+    @pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: a[0])
     def test_json_shape_on_every_subcommand(self, capsys, argv):
         code, payload = run_json(capsys, argv[0], FIXTURES / "fig6.pid", *argv[1:])
         assert code in (0, 2)

@@ -95,8 +95,8 @@ def _violations(fn):
 
 
 class TestWithArcs:
-    """`with_arcs` checks only what a new arc can break, and answers as
-    `validate_nodes` of the same nodes does."""
+    """`with_arcs` answers as `validate_nodes` of the same nodes does, and
+    names an unknown head, which `validate_nodes` cannot see."""
 
     @pytest.mark.parametrize(
         "arcs, expected",
@@ -120,7 +120,7 @@ class TestWithArcs:
         for tail, head in [("E", "F"), ("F", "E")]:
             assert d.with_arc(tail, head) == validate_nodes(_nodes_with_arcs(d, [(tail, head)]))
 
-    def test_value_node_into_value_node_is_accepted_as_validate_nodes_does(self):
+    def test_value_node_into_value_node_is_rejected(self):
         d = validate_nodes(
             [
                 Node("A", Kind.CHANCE, ("x", "y"), ()),
@@ -128,7 +128,9 @@ class TestWithArcs:
                 Node("W", Kind.VALUE, None, ("A",)),
             ]
         )
-        assert d.with_arc("U", "W") == validate_nodes(_nodes_with_arcs(d, [("U", "W")]))
+        expected = ["value node with child: arc ('U', 'W')"]
+        assert _violations(lambda: d.with_arc("U", "W")) == expected
+        assert _violations(lambda: validate_nodes(_nodes_with_arcs(d, [("U", "W")]))) == expected
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_validate_nodes_on_random_arcs(self, seed):
