@@ -106,8 +106,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .model import Diagram, GraphView, Kind, strip_informational
-from .dsep import active_reach, d_connected
+from .model import Diagram, Kind
+from .dsep import active_reach
 from .ordering import (
     InconsistentOrder,
     OrderSchema,
@@ -182,15 +182,14 @@ class Report:
 
 
 class Analysis:
-    """Shared machinery for one diagram: the stripped view and its
-    components, the partial order, the memoized rules and the significance
-    pass.
+    """Shared machinery for one diagram: the components of its bare view,
+    the partial order, the memoized rules and the significance pass.
 
     The rules are memoized per outcome class (decision, past, outcomes of
     the later decisions), and the clause behind a witness per (decision,
     candidate, past, later outcomes in sequence order).  Entries are
     reproducible from scratch; the memo is a pure speedup.  Analyses
-    derived by :meth:`constrained` share it, the bare view and its
+    derived by :meth:`constrained` share it, the diagram and the bare
     components with their parent, and drop the parent's schemas and
     significance pass.
     """
@@ -199,9 +198,7 @@ class Analysis:
         self.diagram = d
         self._extra = tuple(extra_constraints)
         self.po: PartialOrder = induce_partial_order(d, self._extra)
-        self.bare: GraphView = strip_informational(d)
-        self._components = _carrier_components(d, self.bare)
-        self._bare_desc: dict[str, set[str]] = {}
+        self._components = _carrier_components(d)
         self._outcomes: dict[tuple, tuple[frozenset[str], frozenset[str]]] = {}
         self._clauses: dict[tuple, tuple | None] = {}
 
@@ -211,7 +208,7 @@ class Analysis:
         ("observe", A, D) is the pair (A, D) and ("precede", D, A) the pair
         (D, A).  The pair orders as the arc A -> D would (module
         docstring), so the derived analysis keeps this diagram, its bare
-        view, components and memo, and has its own partial order, schemas
+        components and memo, and has its own partial order, schemas
         and significance pass.  Raises :class:`InconsistentOrder` if the
         constraints contradict the order, which is also what an observe
         arc closing a cycle does, and ``ValueError`` on an unknown kind."""
@@ -220,27 +217,12 @@ class Analysis:
             if kind not in ("observe", "precede"):
                 raise ValueError(f"unknown constraint kind {kind!r}")
             pairs.append((x, y))
-        derived = copy.copy(self)  # a shallow copy shares the diagram, bare, its components and the memo
+        derived = copy.copy(self)  # a shallow copy shares the diagram, its components and the memo
         derived._extra = self._extra + tuple(pairs)
         derived.po = induce_partial_order(self.diagram, derived._extra)
         for cached in ("_sequences", "_significant"):  # both follow the order
             vars(derived).pop(cached, None)
         return derived
-
-    # -- graph helpers ----------------------------------------------------
-
-    def bare_descendants(self, node: str) -> set[str]:
-        if node not in self._bare_desc:
-            out: set[str] = set()
-            stack = [node]
-            while stack:
-                v = stack.pop()
-                for c in self.bare.children_of(v):
-                    if c not in out:
-                        out.add(c)
-                        stack.append(c)
-            self._bare_desc[node] = out
-        return self._bare_desc[node]
 
     # -- the rules ---------------------------------------------------------
 
@@ -253,7 +235,7 @@ class Analysis:
         key = (dec, pred, later)
         hit = self._outcomes.get(key)
         if hit is None:
-            desc = self.bare_descendants(dec)
+            desc = self.diagram.bare.descendants(dec)
             rel = {v for v in self.diagram.value_ids if v in desc}  # direct influence on the payoff
             for _, later_rel, later_req in later:
                 # dec feeds the later decision: it is required there, or has
@@ -276,7 +258,7 @@ class Analysis:
                 *(later_req for _, later_rel, later_req in later if not rel.isdisjoint(later_rel))
             )
             chain = {y for y in shared if self.diagram.kind(y) is Kind.CHANCE}
-            reached = active_reach(self.bare, rel | chain, pred | {dec})
+            reached = active_reach(self.diagram.bare, rel | chain, pred | {dec})
             req = frozenset(x for x in pred if x in shared or x in reached)
             hit = self._outcomes[key] = (rel, req)
         return hit
@@ -300,7 +282,7 @@ class Analysis:
         conditioning = (pred | {dec}) - {x}
         # x is d-connected to a target outside the conditioning set iff one
         # ball from x arrives there, so one ball answers every query below
-        reach = active_reach(self.bare, frozenset({x}), conditioning)
+        reach = active_reach(self.diagram.bare, frozenset({x}), conditioning)
         psi = next((v for v in self.diagram.value_ids if v in rel and v in reach), None)
         if psi is not None:
             return ("direct", psi, None, None)
@@ -498,7 +480,7 @@ class Analysis:
         )
 
 
-def _carrier_components(d: Diagram, bare: GraphView) -> tuple[frozenset[str], ...]:
+def _carrier_components(d: Diagram) -> tuple[frozenset[str], ...]:
     """The chance and decision nodes of each connected component of the
     bare graph that holds any, in declaration order of its first node."""
     seen: set[str] = set()
@@ -510,7 +492,7 @@ def _carrier_components(d: Diagram, bare: GraphView) -> tuple[frozenset[str], ..
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in (*bare.parents_of(v), *bare.children_of(v)):
+            for w in (*d.bare.parents_of(v), *d.bare.children_of(v)):
                 if w not in part:
                     part.add(w)
                     stack.append(w)
@@ -522,34 +504,6 @@ def _carrier_components(d: Diagram, bare: GraphView) -> tuple[frozenset[str], ..
 def check_welldefined(d: Diagram) -> Report:
     """The verdict of :meth:`Analysis.check` on ``d``."""
     return Analysis(d).check()
-
-
-def replay_witness(d: Diagram, w: Witness) -> bool:
-    """Re-derive a witness verdict from its trace alone."""
-    analysis = Analysis(d)
-    pred = w.schema.pred(w.decision)
-    conditioning = (pred | {w.decision}) - {w.chance}
-    rel = analysis.relevant_utilities(w.schema, w.decision)
-    if w.utility not in rel:
-        return False
-    if w.clause == "direct":
-        return d_connected(analysis.bare, w.chance, frozenset({w.utility}), conditioning)
-    if w.later_decision is None:
-        return False
-    later_rel = analysis.relevant_utilities(w.schema, w.later_decision)
-    later_req = analysis.required_variables(w.schema, w.later_decision)
-    if w.utility not in later_rel:
-        return False
-    if w.clause == "later-required":
-        return w.chance in later_req
-    if w.clause == "later-chain":
-        return (
-            w.chain_node is not None
-            and w.chain_node in later_req
-            and w.chain_node in w.schema.pred(w.later_decision)
-            and d_connected(analysis.bare, w.chance, frozenset({w.chain_node}), conditioning)
-        )
-    return False
 
 
 def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:

@@ -499,6 +499,18 @@ def cmd_baselines(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """The argparse type of --limit, --trials and --seed: an int that is not
+    negative.  Text that is no int gets the message of ``type=int``."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative int value: {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then shared by
@@ -521,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("validate", cmd_validate, help="check diagram invariants")
     add("order", cmd_order, help="print the induced partial order and incompatible pairs")
     p = add("schemas", cmd_schemas, help="enumerate admissible order schemas")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_count, default=None)
     add("check", cmd_check, help="welldefinedness verdict (exit 0 yes, 2 no)")
     p = add("relevant", cmd_outcome, help="relevant utility nodes for a decision")
     p.add_argument("-d", "--decision", required=True)
@@ -535,8 +547,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("solve", cmd_solve, help="exact strategies and MEU (needs a realization)")
     p.add_argument("--schema", type=int, default=None)
     p = add("fuzz", cmd_fuzz, help="random-realization differential suite")
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_count, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=_count, default=0)
     add("suggest", cmd_suggest, help="ordering constraints that repair an ambiguous diagram")
     p = add("export-dot", cmd_export_dot, help="Graphviz export")
     p.add_argument("--annotate", action="store_true", help="dash informational arcs, color significant pairs")

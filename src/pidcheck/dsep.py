@@ -1,7 +1,8 @@
-"""d-connectivity queries over diagram views, plus the two
-published baselines used for differential testing: the Decision Bayes-ball
-requisite set and the moral-graph elimination neighborhood.  Both baselines
-over-approximate the exact required set and are never used for verdicts.
+"""One active-trail reach over a diagram view (`active_reach`), plus the
+two published baselines used for differential testing: the Decision
+Bayes-ball requisite set and the moral-graph elimination neighborhood.  Both
+baselines over-approximate the exact required set and are never used for
+verdicts.
 """
 from __future__ import annotations
 
@@ -15,18 +16,6 @@ class NotTotalOrder(ValueError):
     """The diagram does not force a total order on its decisions."""
 
 
-def _ancestors_of(view: GraphView, seeds: frozenset[str]) -> set[str]:
-    out = set(seeds)
-    stack = list(seeds)
-    while stack:
-        v = stack.pop()
-        for p in view.parents_of(v):
-            if p not in out:
-                out.add(p)
-                stack.append(p)
-    return out
-
-
 def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozenset[str]) -> frozenset[str]:
     """Ball-passing BFS returning every node a ball passed from the sources
     arrives at given the conditioning set (colliders open iff they or a
@@ -38,7 +27,7 @@ def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozens
     from the sources.
     """
     parents, children = view.parents_of, view.children_of
-    anc_z = _ancestors_of(view, conditioning)
+    anc_z = view.ancestors(conditioning)
 
     UP, DOWN = 0, 1  # up: arrived from a child; down: arrived from a parent
     queue: deque[tuple[str, int]] = deque()
@@ -70,27 +59,6 @@ def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozens
     return frozenset(arrived)
 
 
-def d_connected(
-    view: GraphView, source: str, targets: frozenset[str], conditioning: frozenset[str]
-) -> bool:
-    """True iff an active trail links the source to some target given the
-    conditioning set; the analysis rules and witness replay both ask this.
-
-    A conditioned target is never connected: an observed node carries no
-    information beyond its (known) state.  An empty target set is never
-    connected; a source that is its own target always is.  Raises
-    ``ValueError`` if the source is conditioned, so callers remove it from
-    the conditioning set first.
-    """
-    if source in conditioning:
-        raise ValueError("source must not be conditioned")
-    if source in targets:
-        return True
-    if not targets:
-        return False
-    return not active_reach(view, frozenset({source}), conditioning).isdisjoint(targets - conditioning)
-
-
 def bayes_ball_requisite(d: Diagram, po: PartialOrder, dec: str) -> frozenset[str]:
     """Decision Bayes-ball baseline: observed past nodes that receive the
     ball when it is passed from the value descendants of ``dec``, with the
@@ -108,12 +76,11 @@ def bayes_ball_requisite(d: Diagram, po: PartialOrder, dec: str) -> frozenset[st
             if po.incompatible(a, b):
                 raise NotTotalOrder(f"not a total order: {a!r} and {b!r} are incompatible")
     pred = frozenset(x for x in d.carrier_ids if po.precedes(x, dec))
-    sources = frozenset(v for v in d.value_ids if v in d.descendants(dec))
+    sources = d.graph.descendants(dec).intersection(d.value_ids)
     if not sources:
         return frozenset()
     # All arcs, informational included; decisions act as plain nodes.
-    view = GraphView(d.ids, d.arcs())
-    return pred & active_reach(view, sources, pred | {dec})
+    return pred & active_reach(d.graph, sources, pred | {dec})
 
 
 def elimination_neighbors(d: Diagram, dec: str, schema: OrderSchema) -> frozenset[str]:

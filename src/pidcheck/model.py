@@ -1,15 +1,18 @@
 """Diagram data model: typed DAG of chance, decision and value nodes.
 
-A diagram is immutable after construction.  The graph transformations
-(`strip_informational`, `moral_view`) are pure functions returning new
-views, so diagrams and views are safe to share between threads.
+A diagram is immutable after construction.  It builds its two views,
+`graph` (every arc) and `bare` (no informational arcs), once, on first use,
+and `moral_view` returns a new view.  A view memoizes descendants; a memo
+write always stores the same frozenset for a node, so the writes are
+idempotent and diagrams and views stay safe to share between threads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 
 class Kind(str, Enum):
@@ -44,10 +47,6 @@ class Diagram:
     def __init__(self, nodes: Sequence[Node]):
         self.nodes: tuple[Node, ...] = tuple(nodes)
         self._by_id = {n.id: n for n in self.nodes}
-        self._children: dict[str, list[str]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            for p in n.parents:
-                self._children[p].append(n.id)
         self._index = {n.id: i for i, n in enumerate(self.nodes)}
 
     # -- basic accessors ------------------------------------------------
@@ -91,16 +90,16 @@ class Diagram:
     def arcs(self) -> tuple[tuple[str, str], ...]:
         return tuple((p, n.id) for n in self.nodes for p in n.parents)
 
-    def descendants(self, node_id: str) -> set[str]:
-        """All nodes reachable from ``node_id`` by directed arcs (any type)."""
-        out: set[str] = set()
-        stack = list(self._children[node_id])
-        while stack:
-            v = stack.pop()
-            if v not in out:
-                out.add(v)
-                stack.extend(self._children[v])
-        return out
+    @cached_property
+    def graph(self) -> GraphView:
+        """The view with every arc."""
+        return GraphView(self.ids, self.arcs())
+
+    @cached_property
+    def bare(self) -> GraphView:
+        """The view without informational arcs (arcs into decisions)."""
+        arcs = ((p, n.id) for n in self.nodes if n.kind is not Kind.DECISION for p in n.parents)
+        return GraphView(self.ids, tuple(arcs))
 
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ids, key=self._index.__getitem__))
@@ -148,11 +147,15 @@ class GraphView:
 
     The node set always equals the source diagram's node set (value nodes may
     be absent after moralization).  For undirected views every edge is stored
-    in both directions.  Parent and child maps are built once, on first use.
+    in both directions.  Parent and child maps are built once, on first use,
+    and so is each node's set of descendants.
     """
 
     node_ids: tuple[str, ...]
     arc_list: tuple[tuple[str, str], ...]
+    _descendants: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
@@ -174,6 +177,31 @@ class GraphView:
 
     def has_edge(self, a: str, b: str) -> bool:
         return b in self._adjacency[1][a]
+
+    def descendants(self, node_id: str) -> frozenset[str]:
+        """Every node reachable from ``node_id`` by one or more arcs."""
+        hit = self._descendants.get(node_id)
+        if hit is None:
+            hit = self._descendants[node_id] = frozenset(_reached(self._adjacency[1], (node_id,)))
+        return hit
+
+    def ancestors(self, seeds: Collection[str]) -> set[str]:
+        """The seeds and every node with a directed path to one of them."""
+        out = _reached(self._adjacency[0], seeds)
+        out.update(seeds)
+        return out
+
+
+def _reached(step: Mapping[str, Sequence[str]], seeds: Iterable[str]) -> set[str]:
+    """Every node at the end of one or more steps from a seed."""
+    out: set[str] = set()
+    stack = list(seeds)
+    while stack:
+        for w in step[stack.pop()]:
+            if w not in out:
+                out.add(w)
+                stack.append(w)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -308,37 +336,15 @@ def validate(description: Mapping) -> Diagram:
 # graph transformations
 
 
-def strip_informational(d: Diagram) -> GraphView:
-    """The view of ``d`` without informational arcs (arcs into decisions)."""
-    arcs = tuple(
-        (p, n.id) for n in d.nodes if n.kind is not Kind.DECISION for p in n.parents
-    )
-    return GraphView(d.ids, arcs)
-
-
 def moral_view(d: Diagram) -> GraphView:
     """Moral graph: informational arcs removed, co-parents of any remaining
     node linked, value nodes removed, directions dropped."""
-    bare = strip_informational(d)
+    bare = d.bare
     edges: set[tuple[str, str]] = set()
-
-    def add(a: str, b: str) -> None:
-        if a != b:
-            edges.add((a, b))
-            edges.add((b, a))
-
-    for t, h in bare.arc_list:
-        add(t, h)
-    for n in d.nodes:
-        if n.kind is Kind.DECISION:
-            continue
-        co = bare.parents_of(n.id)
-        for i in range(len(co)):
-            for j in range(i + 1, len(co)):
-                add(co[i], co[j])
-    keep = tuple(i for i in d.ids if d.kind(i) is not Kind.VALUE)
-    keep_set = set(keep)
-    kept_edges = tuple(
-        (a, b) for a, b in sorted(edges) if a in keep_set and b in keep_set
-    )
-    return GraphView(keep, kept_edges)
+    for v in d.ids:
+        co = bare.parents_of(v)  # none for a decision
+        for a, b in itertools.chain(((p, v) for p in co), itertools.combinations(co, 2)):
+            edges.update(((a, b), (b, a)))
+    keep = frozenset(d.carrier_ids)
+    kept_edges = tuple((a, b) for a, b in sorted(edges) if a in keep and b in keep)
+    return GraphView(d.carrier_ids, kept_edges)

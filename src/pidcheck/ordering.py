@@ -96,7 +96,7 @@ def induce_partial_order(
             if p in carrier_set:
                 succ[p].add(dec)
     for dec in decisions:  # clause (b)
-        succ[dec] |= d.descendants(dec) & carrier_set
+        succ[dec] |= d.graph.descendants(dec) & carrier_set
     for x, y in extra:
         if x not in carrier_set or y not in carrier_set:
             raise ValueError(f"constraint ({x!r}, {y!r}) references unknown node")

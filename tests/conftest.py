@@ -14,8 +14,7 @@ import pytest
 
 from pidcheck import analysis as analysis_module
 from pidcheck.analysis import Analysis, Proposal, Report, Witness
-from pidcheck.dsep import d_connected
-from pidcheck.model import Diagram, Kind, Node, strip_informational, validate_nodes
+from pidcheck.model import Diagram, Kind, Node, validate_nodes
 from pidcheck.oracle import CPT_ROW_TOL, DecisionRule, EvaluationError, InvalidRealization, Strategy
 from pidcheck.ordering import (
     InconsistentOrder,
@@ -28,6 +27,60 @@ hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=40, derandomize=True
 )
 hypothesis.settings.load_profile("suite")
+
+
+# ---------------------------------------------------------------------------
+# brute-force reachability and d-connection, read off the nodes' parent lists
+
+
+def all_arcs(d: Diagram) -> list[tuple[str, str]]:
+    return [(p, n.id) for n in d.nodes for p in n.parents]
+
+
+def bare_arcs(d: Diagram) -> list[tuple[str, str]]:
+    """The arcs that do not end at a decision."""
+    return [(p, n.id) for n in d.nodes if n.kind is not Kind.DECISION for p in n.parents]
+
+
+def bf_reachable(arcs, sources) -> set[str]:
+    """Every node at the head of a directed path of one or more arcs from a
+    source, by sweeping the whole arc list until nothing is added."""
+    out: set[str] = set()
+    while True:
+        new = {h for t, h in arcs if (t in sources or t in out) and h not in out}
+        if not new:
+            return out
+        out |= new
+
+
+def moral_d_connected(arcs, source: str, targets, conditioning) -> bool:
+    """True iff an active trail links ``source`` to a target outside the
+    conditioning set, decided by the moralized ancestral graph (Lauritzen,
+    Dawid, Larsen & Leimer, Networks 1990): keep the source, the targets,
+    the conditioning set and their ancestors, link every two parents of a
+    kept node, drop directions, and look for a path from the source to a
+    target that avoids the conditioning set.  A source that is its own
+    target is connected."""
+    assert source not in conditioning
+    targets = set(targets) - set(conditioning)
+    keep = {source} | targets | set(conditioning)
+    keep |= bf_reachable([(h, t) for t, h in arcs], keep)
+    links: dict[str, set[str]] = {v: set() for v in keep}
+    for v in keep:
+        parents = [t for t, h in arcs if h == v]
+        for a, b in [(p, v) for p in parents] + list(itertools.combinations(parents, 2)):
+            links[a].add(b)
+            links[b].add(a)
+    seen, stack = {source}, [source]
+    while stack:
+        v = stack.pop()
+        if v in targets:
+            return True
+        for w in links[v] - seen:
+            if w not in conditioning:
+                seen.add(w)
+                stack.append(w)
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -44,8 +97,9 @@ def naive_partial_order(d: Diagram, extra=()) -> dict[str, set[str]]:
         for p in d.parents(dec):
             if p in carrier:
                 pairs.add((p, dec))
+    arcs = all_arcs(d)
     for dec in decisions:
-        for y in d.descendants(dec):
+        for y in bf_reachable(arcs, {dec}):
             if y in carrier:
                 pairs.add((dec, y))
 
@@ -217,25 +271,17 @@ def reference_significant(analysis: Analysis) -> frozenset[tuple[str, str]]:
 class ReferenceRules:
     """The rules of ``pidcheck.analysis`` evaluated schema by schema: every
     later decision's sets are recomputed for the schema at hand, and every
-    candidate gets its own d-connection queries."""
+    candidate gets its own d-connection queries, answered on the moralized
+    ancestral graph rather than by the package's ball passing."""
 
     def __init__(self, d: Diagram):
         self.diagram = d
         self.po = induce_partial_order(d)
-        self.bare = strip_informational(d)
+        self.bare = bare_arcs(d)
+        self._bare_desc = {v: bf_reachable(self.bare, {v}) for v in d.ids}
         self._relevant_memo: dict[tuple, frozenset[str]] = {}
         self._required_memo: dict[tuple, frozenset[str]] = {}
         self._clause_memo: dict[tuple, tuple | None] = {}
-
-    def bare_descendants(self, node: str) -> set[str]:
-        out: set[str] = set()
-        stack = [node]
-        while stack:
-            for c in self.bare.children_of(stack.pop()):
-                if c not in out:
-                    out.add(c)
-                    stack.append(c)
-        return out
 
     @staticmethod
     def _suffix_key(schema, dec: str) -> tuple:
@@ -248,7 +294,7 @@ class ReferenceRules:
         if key in self._relevant_memo:
             return self._relevant_memo[key]
         rel: set[str] = set()
-        desc = self.bare_descendants(dec)
+        desc = self._bare_desc[dec]
         for v in self.diagram.value_ids:  # direct influence on the payoff
             if v in desc:
                 rel.add(v)
@@ -289,9 +335,9 @@ class ReferenceRules:
         pred = schema.pred(dec)
         rel = self.relevant_utilities(schema, dec)
         conditioning = (pred | {dec}) - {x}
-        if d_connected(self.bare, x, rel, conditioning):
+        if moral_d_connected(self.bare, x, rel, conditioning):
             psi = next(v for v in self.diagram.value_ids
-                       if v in rel and d_connected(self.bare, x, frozenset({v}), conditioning))
+                       if v in rel and moral_d_connected(self.bare, x, {v}, conditioning))
             return ("direct", psi, None, None)
         for later in schema.decisions_after(dec):
             common = rel & self.relevant_utilities(schema, later)
@@ -306,7 +352,7 @@ class ReferenceRules:
                     self.diagram.kind(y) is Kind.CHANCE
                     and y in later_req
                     and y != x
-                    and d_connected(self.bare, x, frozenset({y}), conditioning)
+                    and moral_d_connected(self.bare, x, {y}, conditioning)
                 ):
                     return ("later-chain", psi, later, y)
         return None
@@ -328,6 +374,35 @@ class ReferenceRules:
                         out.append(Witness(a, dec, schema, psi, clause, later, chain))
                         break
         return tuple(out)
+
+
+def replay_witness(d: Diagram, w: Witness) -> bool:
+    """Re-derive a witness verdict from its trace alone: the clause's sets
+    come from a fresh analysis, its d-connections from the moralized
+    ancestral graph."""
+    analysis = Analysis(d)
+    bare = bare_arcs(d)
+    conditioning = (w.schema.pred(w.decision) | {w.decision}) - {w.chance}
+    if w.utility not in analysis.relevant_utilities(w.schema, w.decision):
+        return False
+    if w.clause == "direct":
+        return moral_d_connected(bare, w.chance, {w.utility}, conditioning)
+    if w.later_decision is None:
+        return False
+    later_rel = analysis.relevant_utilities(w.schema, w.later_decision)
+    later_req = analysis.required_variables(w.schema, w.later_decision)
+    if w.utility not in later_rel:
+        return False
+    if w.clause == "later-required":
+        return w.chance in later_req
+    if w.clause == "later-chain":
+        return (
+            w.chain_node is not None
+            and w.chain_node in later_req
+            and w.chain_node in w.schema.pred(w.later_decision)
+            and moral_d_connected(bare, w.chance, {w.chain_node}, conditioning)
+        )
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import (
     full_stream_pair_schemas,
     reference_significant,
     reference_suggest,
+    replay_witness,
     w_family,
     w_family_expected,
 )
@@ -20,7 +21,6 @@ from pidcheck.analysis import (
     Analysis,
     ScanBudgetExceeded,
     check_welldefined,
-    replay_witness,
     suggest_resolutions,
 )
 from pidcheck.cli import load_file
@@ -75,7 +75,7 @@ class TestRelevantUtilities:
             schema = canonical_schema(d, analysis.po)
             for dec in d.decision_ids:
                 rule1 = {
-                    v for v in d.value_ids if v in analysis.bare_descendants(dec)
+                    v for v in d.value_ids if v in d.bare.descendants(dec)
                 }
                 assert rule1 <= analysis.relevant_utilities(schema, dec)
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -427,6 +428,22 @@ class TestParser:
             codes.append(code)
         assert codes == [1, 2, 0, 0]
 
+    @pytest.mark.parametrize("argv", [
+        ("fuzz", "fig1.pid", "--seed", "-1"),
+        ("fuzz", "fig1.pid", "--trials", "-3"),
+        ("schemas", "fig1.pid", "--limit", "-2"),
+    ], ids=lambda a: a[2])
+    def test_negative_count_is_a_usage_error(self, capsys, argv):
+        command, name, option, value = argv
+        code, out, err = run(capsys, command, FIXTURES / name, option, value)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"error: argument {option}: invalid non-negative int value: '{value}'\n")
+
+    def test_count_that_is_no_int_reads_as_before(self, capsys):
+        code, _, err = run(capsys, "schemas", FIXTURES / "fig1.pid", "--limit", "x")
+        assert code == 1
+        assert err.endswith("error: argument --limit: invalid int value: 'x'\n")
+
 
 class TestExportDot:
     def test_fig1_shapes(self, capsys):
@@ -454,6 +471,12 @@ class TestExportDot:
         assert '  "A\\\\x" [shape=circle];' in out
         assert '  "D1\\"q" [shape=box];' in out
         assert '  "A\\\\x" -> "D1\\"q";' in out
+
+    @pytest.mark.parametrize("annotate", [(), ("--annotate",)], ids=["plain", "annotate"])
+    def test_json_flag_is_ignored(self, capsys, annotate):
+        # export-dot always writes DOT
+        plain = run(capsys, "export-dot", FIXTURES / "fig6.pid", *annotate)
+        assert run(capsys, "export-dot", FIXTURES / "fig6.pid", *annotate, "--json") == plain
 
     def test_annotated_fig6_highlights_pair(self, capsys):
         code, out, _ = run(capsys, "export-dot", FIXTURES / "fig6.pid", "--annotate")
@@ -523,6 +546,57 @@ def mutated_documents(draw):
     return doc
 
 
+TABLE_ENTRIES = st.one_of(st.floats(-1, 2), st.integers(-2, 2), st.just(0.5))
+
+
+@st.composite
+def generated_documents(draw):
+    """A document drawn from scratch: up to six nodes of drawn kinds, with
+    distinct state labels and parents among the earlier chance and decision
+    nodes.  In half the documents one in four draws of each part breaks a
+    rule instead: a state list that is empty, repeats a label or sits on a
+    value node, or parents drawn from every id and a dangling one, which
+    makes cycles and arcs out of value nodes.  Half the documents carry a
+    realization whose tables have the shape the diagram asks for, with
+    uniform rows or drawn numbers, or in a faulty document a drawn
+    length."""
+    faulty = draw(st.booleans())
+
+    def rarely() -> bool:
+        return faulty and draw(st.integers(0, 3)) == 0
+
+    ids = [f"N{i}" for i in range(draw(st.integers(0, 6)))]
+    nodes = []
+    for node_id in ids:
+        kind = draw(st.sampled_from(["chance", "decision", "value"]))
+        node = {"id": node_id, "kind": kind}
+        if rarely():
+            node["states"] = draw(st.lists(st.sampled_from(["s0", "s1", "s2"]), max_size=3))
+        elif kind != "value":
+            node["states"] = [f"s{k}" for k in range(draw(st.integers(1, 3)))]
+        pool = ids + ["ghost"] if rarely() else [n["id"] for n in nodes if n["kind"] != "value"]
+        node["parents"] = draw(st.lists(st.sampled_from(pool), max_size=3, unique=True)) if pool else []
+        nodes.append(node)
+    doc = {"nodes": nodes}
+    if draw(st.booleans()):
+        states = {n["id"]: len(n.get("states", ())) for n in nodes}
+        tables = {"cpts": {}, "utilities": {}}
+        for n in nodes:
+            if n["kind"] == "decision":
+                continue
+            own = [] if n["kind"] == "value" else [states[n["id"]]]
+            size = math.prod([states.get(p, 0) for p in n["parents"]] + own)
+            if rarely():
+                size = draw(st.integers(0, 9))
+            if n["kind"] != "value" and not rarely():
+                entries = [1 / max(1, states[n["id"]])] * size
+            else:
+                entries = draw(st.lists(TABLE_ENTRIES, min_size=size, max_size=size))
+            tables["utilities" if n["kind"] == "value" else "cpts"][n["id"]] = entries
+        doc["realization"] = tables
+    return doc
+
+
 @pytest.fixture(scope="module")
 def mutation_file(tmp_path_factory):
     return tmp_path_factory.mktemp("mutations") / "doc.pid"
@@ -531,6 +605,18 @@ def mutation_file(tmp_path_factory):
 @given(doc=mutated_documents())
 @settings(max_examples=400, deadline=None)
 def test_mutated_documents_never_crash(mutation_file, doc):
+    _assert_exits_cleanly(mutation_file, doc)
+
+
+@given(doc=generated_documents())
+@settings(max_examples=300, deadline=None)
+def test_generated_documents_never_crash(mutation_file, doc):
+    _assert_exits_cleanly(mutation_file, doc)
+
+
+def _assert_exits_cleanly(mutation_file, doc):
+    """Every command in MUTATION_COMMANDS exits 0, 1 or 2 on ``doc``, with
+    an ``error:`` line on exit 1."""
     mutation_file.write_text(json.dumps(doc))
     for command, *rest in MUTATION_COMMANDS:
         out, err = io.StringIO(), io.StringIO()

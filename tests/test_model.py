@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from conftest import all_arcs, bare_arcs, bf_reachable
 from pidcheck import figures
 from pidcheck.cli import load_file
 from pidcheck.generate import random_pid
@@ -13,7 +14,6 @@ from pidcheck.model import (
     Kind,
     Node,
     moral_view,
-    strip_informational,
     validate,
     validate_nodes,
 )
@@ -155,9 +155,45 @@ class TestWithArcs:
         assert valid >= 20
 
 
+class TestGraphView:
+    """Each diagram's two views against brute-force reachability over its
+    parent lists."""
+
+    @staticmethod
+    def _assert_matches_brute_force(d, rng):
+        for view, arcs in ((d.graph, all_arcs(d)), (d.bare, bare_arcs(d))):
+            backward = [(h, t) for t, h in arcs]
+            for v in d.ids:
+                assert view.descendants(v) == bf_reachable(arcs, {v}), v
+                assert view.ancestors([v]) == {v} | bf_reachable(backward, {v}), v
+            for _ in range(5):
+                size = int(rng.integers(0, min(4, len(d.ids)) + 1))
+                seeds = set(rng.choice(d.ids, size=size, replace=False))
+                assert view.ancestors(seeds) == seeds | bf_reachable(backward, seeds), seeds
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        self._assert_matches_brute_force(load_file(str(path))[0], np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_draws(self, seed):
+        # 50 draws per seed, 200 in all
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            self._assert_matches_brute_force(random_pid(rng, max_carrier=8, max_decisions=4), rng)
+
+    def test_views_are_built_once_and_descendants_are_frozen(self):
+        d = figures.fig8()
+        assert d.graph is d.graph and d.bare is d.bare
+        assert d.graph.arc_list == d.arcs()
+        desc = d.bare.descendants("D")
+        assert type(desc) is frozenset
+        assert d.bare.descendants("D") is desc
+
+
 class TestStripInformational:
     def test_fig2_decisions_become_parentless(self):
-        view = strip_informational(figures.fig2())
+        view = figures.fig2().bare
         assert view.parents_of("D1") == ()
         assert view.parents_of("D2") == ()
 
@@ -168,7 +204,7 @@ class TestStripInformational:
                 Node("B", Kind.CHANCE, ("x", "y"), ("A",)),
             ]
         )
-        view = strip_informational(d)
+        view = d.bare
         assert set(view.arc_list) == set(d.arcs())
 
     def test_keeps_chance_arc_drops_decision_arc(self):
@@ -179,14 +215,14 @@ class TestStripInformational:
                 Node("B", Kind.CHANCE, ("x", "y"), ("A",)),
             ]
         )
-        view = strip_informational(d)
+        view = d.bare
         assert ("A", "B") in view.arc_list
         assert ("A", "D") not in view.arc_list
 
     @given(st.integers(0, 500))
     def test_arcs_into_chance_and_value_preserved(self, seed):
         d = random_pid(np.random.default_rng(seed), max_carrier=6)
-        view = strip_informational(d)
+        view = d.bare
         expected = {
             (p, n.id) for n in d.nodes if n.kind is not Kind.DECISION for p in n.parents
         }
@@ -233,7 +269,7 @@ class TestMoralView:
         moral = moral_view(d)
         for a, b in moral.arc_list:
             assert (b, a) in moral.arc_list
-        bare = strip_informational(d)
+        bare = d.bare
         for t, h in bare.arc_list:
             if d.kind(t) is not Kind.VALUE and d.kind(h) is not Kind.VALUE:
                 assert moral.has_edge(t, h)
