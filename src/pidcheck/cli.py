@@ -28,10 +28,12 @@ from .oracle import (
     EvaluationError,
     InvalidRealization,
     Realization,
+    batch_trials,
     check_tables,
     random_realization,
     required_from_strategy,
     solve,
+    solve_many,
     strategies_equal,
     table_shape,
 )
@@ -213,7 +215,7 @@ def emit(args, payload: dict, text: str) -> None:
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
         print(json.dumps(payload, indent=2))
-    else:
+    elif text:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
@@ -316,11 +318,11 @@ def cmd_schemas(args) -> int:
         if args.limit is not None and i >= args.limit:
             break
         out.append(_schema_payload(schema))
-    text = "\n".join(
-        f"[{i}] decisions: {' '.join(s['decisions'])}  order: {' < '.join(s['order'])}"
+    text = "".join(
+        f"[{i}] decisions: {' '.join(s['decisions'])}  order: {' < '.join(s['order'])}\n"
         for i, s in enumerate(out)
     )
-    emit(args, {"schemas": out}, text + "\n")
+    emit(args, {"schemas": out}, text)
     return 0
 
 
@@ -439,26 +441,36 @@ def cmd_fuzz(args) -> int:
     analysis = _analysis.Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
     report = analysis.check()
+    required = [[analysis.required_variables(s, dec) for dec in d.decision_ids] for s in schemas]
     failures: list[str] = []
-    checked = 0
-    for t in range(args.trials):
-        r = random_realization(d, args.seed + t)
-        strategies = [solve(d, r, s)[0] for s in schemas]
-        for schema, strategy in zip(schemas, strategies):
-            for dec in d.decision_ids:
-                oracle_set = required_from_strategy(strategy, dec)
-                struct = analysis.required_variables(schema, dec)
-                checked += 1
-                if not oracle_set <= struct:
-                    failures.append(
-                        f"trial {t}: oracle_required({dec}) = {sorted(oracle_set)} "
-                        f"not within required_variables = {sorted(struct)}"
-                    )
-        if report.welldefined:
-            base = strategies[0]
-            for other in strategies[1:]:
-                if strategies_equal(base, other) is Comparison.DIFFERENT:
-                    failures.append(f"trial {t}: strategies differ across schemas")
+    size = batch_trials(d)
+    for start in range(0, args.trials, size):
+        trials = range(start, min(start + size, args.trials))
+        realizations = [random_realization(d, args.seed + t) for t in trials]
+        found: dict[int, list[str]] = {t: [] for t in trials}
+        differ = dict.fromkeys(trials, 0)
+        base = None
+        for schema, struct in zip(schemas, required):
+            solved = solve_many(d, realizations, schema)
+            for t, (strategy, _) in zip(trials, solved):
+                for dec, req in zip(d.decision_ids, struct):
+                    oracle_set = required_from_strategy(strategy, dec)
+                    if not oracle_set <= req:
+                        found[t].append(
+                            f"trial {t}: oracle_required({dec}) = {sorted(oracle_set)} "
+                            f"not within required_variables = {sorted(req)}"
+                        )
+            if not report.welldefined:
+                continue
+            if base is None:
+                base = solved
+                continue
+            for t, (first, _), (other, _) in zip(trials, base, solved):
+                if strategies_equal(first, other) is Comparison.DIFFERENT:
+                    differ[t] += 1
+        for t in trials:
+            failures += found[t] + [f"trial {t}: strategies differ across schemas"] * differ[t]
+    checked = args.trials * len(schemas) * len(d.decision_ids)
     ok = not failures
     text = (
         f"fuzz: {args.trials} realizations x {len(schemas)} schemas, {checked} oracle checks: "

@@ -8,19 +8,24 @@ rule is recorded over the full past.  Only the rule tables span a whole
 prefix; every other table spans the variables one elimination step touches,
 and no table may exceed MAX_TABLE_CELLS.  No junction tree.
 
-Everything here is pure: solving never mutates its inputs, and search
-trials are independent, so callers may parallelize them as long as the
-lowest-trial-index counterexample is the one kept.
+`solve_many` solves one schema for several realizations at once: each
+table has a leading trial axis, and products, last-axis sums, means and
+maxima and the tie test all work trial by trial, so each trial's rules and
+MEU are bit for bit those of a lone `solve`.  MAX_TABLE_CELLS bounds the
+tables of one trial; `batch_trials` realizations keep the batched tables
+within it too, and their number within MAX_BATCH.  Solving never mutates
+its inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from .model import Diagram, Kind
-from .ordering import OrderSchema, enumerate_schemas, induce_partial_order
+from .ordering import OrderSchema
 
 # numpy is imported inside the functions that compute, so that the
 # structural commands, which import this module, never load it.
@@ -31,6 +36,9 @@ DEFAULT_TIE_TOL = 1e-9
 CPT_ROW_TOL = 1e-12
 # Largest table, factor or decision rule, that solve allocates.
 MAX_TABLE_CELLS = 1 << 24
+# Most realizations in one batch.  Each costs Python objects that no cell
+# count sees, and past a few dozen a batch saves no more per-call overhead.
+MAX_BATCH = 64
 
 
 class EvaluationError(ArithmeticError):
@@ -182,8 +190,8 @@ class Strategy:
     rules: dict[str, DecisionRule]
 
 
-# A factor's variables are sorted by schema position and its table's axes
-# follow them.
+# A factor's variables are sorted by schema position; its table's first axis
+# is the trial, and the others follow the variables.
 Factor = tuple[tuple[str, ...], "np.ndarray"]
 
 
@@ -199,9 +207,12 @@ def _check_cells(scope: Sequence[str], cards: Mapping[str, int]) -> None:
 
 
 def _aligned(factors: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> list[np.ndarray]:
-    """Each factor's table reshaped to broadcast over the axes of ``scope``,
-    a sorted superset of its variables."""
-    return [table.reshape([cards[v] if v in vars_of else 1 for v in scope]) for vars_of, table in factors]
+    """Each factor's table reshaped to broadcast over the trial axis and the
+    axes of ``scope``, a sorted superset of its variables."""
+    return [
+        table.reshape([table.shape[0]] + [cards[v] if v in vars_of else 1 for v in scope])
+        for vars_of, table in factors
+    ]
 
 
 def _product(phis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
@@ -209,7 +220,7 @@ def _product(phis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, i
 
     tables = _aligned(phis, scope, cards)
     if not tables:
-        return np.ones((1,) * len(scope))
+        return np.ones((1,) * (len(scope) + 1))
     return reduce(np.multiply, tables[1:], tables[0])
 
 
@@ -218,7 +229,7 @@ def _utility(psis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, i
 
     tables = _aligned(psis, scope, cards)
     if not tables:
-        return np.zeros((1,) * len(scope))
+        return np.zeros((1,) * (len(scope) + 1))
     total = reduce(np.add, tables[1:], tables[0])
     if not np.isfinite(total).all():
         raise EvaluationError("evaluation failure: non-finite table entries")
@@ -231,32 +242,56 @@ def _split(factors: list[Factor], v: str) -> tuple[list[Factor], list[Factor]]:
 
 
 def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, float]:
+    """`solve_many` on the one realization ``r``."""
+    return solve_many(d, (r,), schema)[0]
+
+
+def batch_trials(d: Diagram) -> int:
+    """How many realizations of ``d`` one `solve_many` call may carry: at
+    most MAX_BATCH, and at least one.  No table spans more than the carrier,
+    so the batched tables stay within MAX_TABLE_CELLS whenever the carrier's
+    state space does."""
+    cells = math.prod(len(d.states(v)) for v in d.carrier_ids)
+    return max(1, min(MAX_BATCH, MAX_TABLE_CELLS // cells))
+
+
+def solve_many(
+    d: Diagram, realizations: Sequence[Realization], schema: OrderSchema
+) -> list[tuple[Strategy, float]]:
     """Eliminate variables in reverse schema order (sum over chance,
     max over decisions), recording for every decision its full
-    decision-function table over the past, and return the total maximum
-    expected utility.  Raises EvaluationError on non-finite tables and on
-    any table over MAX_TABLE_CELLS."""
+    decision-function table over the past, and return, per realization,
+    the strategy and the total maximum expected utility.  Raises
+    EvaluationError on non-finite tables and on any table over
+    MAX_TABLE_CELLS per realization."""
     import numpy as np
 
-    r.validated(d)
+    for r in realizations:
+        r.validated(d)
+    if not realizations:
+        return []
     order = schema.induced_order()
     if sorted(order) != sorted(d.carrier_ids):
         raise ValueError("schema does not cover this diagram's chance and decision nodes")
     position = {v: i for i, v in enumerate(order)}
     cards = {v: len(d.states(v)) for v in order}
+    n = len(realizations)
 
     def scope_of(factors: Sequence[Factor]) -> tuple[str, ...]:
         # Every factor lies in the prefix ending at the variable being
         # eliminated, so that variable comes last.
         return tuple(sorted({v for vars_of, _ in factors for v in vars_of}, key=position.__getitem__))
 
-    def factor(vars_of: tuple[str, ...], table: np.ndarray) -> Factor:
+    def factor(vars_of: tuple[str, ...], tables: list[np.ndarray]) -> Factor:
         perm = sorted(range(len(vars_of)), key=lambda j: position[vars_of[j]])
-        return tuple(vars_of[j] for j in perm), table.transpose(perm)
+        if n == 1:  # no copy: the trial axis is added to a view
+            return tuple(vars_of[j] for j in perm), tables[0].transpose(perm)[None]
+        return tuple(vars_of[j] for j in perm), np.stack(tables).transpose([0] + [j + 1 for j in perm])
 
-    phis = [factor(d.parents(c) + (c,), r.cpts[c]) for c in d.chance_ids]
-    psis = [factor(d.parents(v), r.utilities[v]) for v in d.value_ids]
-    rules: dict[str, DecisionRule] = {}
+    phis = [factor(d.parents(c) + (c,), [r.cpts[c] for r in realizations]) for c in d.chance_ids]
+    psis = [factor(d.parents(v), [r.utilities[v] for r in realizations]) for v in d.value_ids]
+    # Per decision: its past, and the tie and value tables with the trial axis first.
+    rules: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
     # Overflow shows up as non-finite entries.  Every utility factor ends up
     # in some _utility sum, which reports them.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -271,7 +306,7 @@ def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, fl
                 joint = _product(phi_v, scope, cards)
                 marginal = joint.sum(axis=-1)
                 phi_scope = scope_of(phi_v)[:-1]
-                phis.append((phi_scope, marginal.reshape([cards[u] for u in phi_scope])))
+                phis.append((phi_scope, marginal.reshape([n] + [cards[u] for u in phi_scope])))
                 if psi_v:
                     expected = (joint * _utility(psi_v, scope, cards)).sum(axis=-1)
                     psis.append((scope[:-1], np.where(marginal > 0.0, expected / marginal, 0.0)))
@@ -283,27 +318,34 @@ def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, fl
             scope = order[: i + 1]
             _check_cells(scope, cards)
             possible = _product(phis + phi_v, scope, cards).any(axis=-1)
-            rho = np.zeros([cards[u] for u in scope])
+            rho = np.zeros([n] + [cards[u] for u in scope])
             np.copyto(rho, _utility(psis + psi_v, scope, cards), where=possible[..., None])
             best = rho.max(axis=-1)
             tol = DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
-            rules[v] = DecisionRule(
-                decision=v,
-                pred_vars=tuple(order[:i]),
-                states=d.states(v),
-                ties=rho >= (best - tol)[..., None],
-                values=best,
-            )
+            rules[v] = (tuple(order[:i]), rho >= (best - tol)[..., None], best)
             if phi_v:
                 scope = scope_of(phi_v)
                 phis.append((scope[:-1], _product(phi_v, scope, cards).mean(axis=-1)))
             if psi_v:
                 scope = scope_of(psi_v)
                 psis.append((scope[:-1], _utility(psi_v, scope, cards).max(axis=-1)))
-        meu = float(_product(phis, (), cards) * _utility(psis, (), cards))
-    if not np.isfinite(meu):
+        # Without chance and value nodes the product has no trial axis.
+        meus = _product(phis, (), cards) * _utility(psis, (), cards) * np.ones(n)
+    if not np.isfinite(meus).all():
         raise EvaluationError("evaluation failure: non-finite MEU")
-    return Strategy(schema=schema, rules=rules), meu
+    return [
+        (
+            Strategy(
+                schema=schema,
+                rules={
+                    dec: DecisionRule(dec, pred_vars, d.states(dec), ties[k], values[k])
+                    for dec, (pred_vars, ties, values) in rules.items()
+                },
+            ),
+            meu,
+        )
+        for k, meu in enumerate(meus.tolist())
+    ]
 
 
 class Comparison(Enum):
@@ -352,128 +394,3 @@ def required_from_strategy(strategy: Strategy, dec: str) -> frozenset[str]:
         if (rule.ties != first).any():
             out.add(var)
     return frozenset(out)
-
-
-def _rule_differs_with_extra_coord(rich: DecisionRule, poor: DecisionRule, extra: str) -> tuple | None:
-    """First configuration where the richer table (past includes ``extra``)
-    fails to be constant in ``extra`` and equal to the poorer table."""
-    import numpy as np
-
-    axis = rich.pred_vars.index(extra)
-    moved = np.moveaxis(rich.ties, axis, -2)
-    perm = [poor.pred_vars.index(v) for v in rich.pred_vars if v != extra]
-    poor_ties = poor.ties.transpose(perm + [len(perm)])
-    differs = np.any(moved != poor_ties[..., None, :], axis=-1)
-    hits = np.argwhere(differs.reshape(-1, differs.shape[-1]))
-    if len(hits) == 0:
-        return None
-    j, k = hits[0]
-    return (int(j), int(k))
-
-
-@dataclass(frozen=True, eq=False)
-class Counterexample:
-    """A realization plus an order-schema pair under which the decision
-    function changes when the chance node crosses the decision."""
-
-    chance: str
-    decision: str
-    realization: Realization
-    schema_before: OrderSchema
-    schema_after: OrderSchema
-    trial: int
-    detail: tuple
-
-
-def _swap_schemas(
-    a: str, dec: str, schemas: Sequence[OrderSchema]
-) -> list[tuple[OrderSchema, OrderSchema]]:
-    out = []
-    for s in schemas:
-        k = s.position(dec)
-        if s.slot_of[a] == k - 1:
-            out.append((s, s.with_slot(a, k)))
-    return out
-
-
-def significance_search(
-    d: Diagram,
-    a: str,
-    dec: str,
-    trials: int = 200,
-    seed: int = 0,
-    try_first: Iterable[Realization] = (),
-) -> Counterexample | None:
-    """Random search for a realization under which observing ``a`` just
-    before ``dec`` changes the optimal decision function.
-
-    For every candidate realization and every admissible schema placing
-    ``a`` immediately before ``dec``, solve, shift ``a`` to just after
-    ``dec``, solve again, and compare the decision function on the common
-    past: the richer table must be constant in ``a``'s coordinate and match
-    the poorer one.  Returns the first discrepancy (lowest trial index), or
-    None - random search is incomplete, so None is inconclusive.
-    """
-    import numpy as np
-
-    po = induce_partial_order(d)
-    if not po.incompatible(a, dec):
-        raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
-    pairs = _swap_schemas(a, dec, list(enumerate_schemas(d, po)))
-
-    def check(r: Realization) -> tuple | None:
-        for before, after in pairs:
-            s_before, _ = solve(d, r, before)
-            s_after, _ = solve(d, r, after)
-            diff = _rule_differs_with_extra_coord(
-                s_before.rules[dec], s_after.rules[dec], a
-            )
-            if diff is not None:
-                return (before, after, diff)
-        return None
-
-    first = list(try_first)
-
-    def candidates() -> Iterator[tuple[int, Realization]]:
-        yield from enumerate(first)
-        for t in range(trials):
-            trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
-            yield len(first) + t, random_realization(d, trial_seed)
-
-    for trial, r in candidates():
-        if check(r) is None:
-            continue
-        r = _minimize_counterexample(d, r, check)
-        before, after, detail = check(r)  # re-derive on the minimized tables
-        return Counterexample(
-            chance=a,
-            decision=dec,
-            realization=r,
-            schema_before=before,
-            schema_after=after,
-            trial=trial,
-            detail=detail,
-        )
-    return None
-
-
-def _minimize_counterexample(d: Diagram, r: Realization, check) -> Realization:
-    """Greedily round CPT entries to {0, 1/2, 1} while the discrepancy
-    persists, to shrink reproduction fixtures."""
-    import numpy as np
-
-    grid = np.array([0.0, 0.5, 1.0])
-    cpts = {k: v.copy() for k, v in r.cpts.items()}
-    for c in sorted(cpts):
-        table = cpts[c]
-        rows = table.reshape(-1, table.shape[-1])
-        for i in range(rows.shape[0]):
-            original = rows[i].copy()
-            rounded = grid[np.abs(rows[i][:, None] - grid[None, :]).argmin(axis=1)]
-            total = rounded.sum()
-            if total <= 0:
-                continue
-            rows[i] = rounded / total
-            if check(Realization(cpts, r.utilities)) is None:
-                rows[i] = original
-    return Realization(cpts, r.utilities).validated(d)

@@ -180,12 +180,6 @@ class OrderSchema:
     def decisions_after(self, dec: str) -> tuple[str, ...]:
         return self.decision_sequence[self.position(dec):]
 
-    def with_slot(self, chance_id: str, slot: int) -> "OrderSchema":
-        slots = tuple(
-            (c, slot if c == chance_id else s) for c, s in self.slots
-        )
-        return OrderSchema(self.decision_sequence, slots)
-
 
 def is_admissible(po: PartialOrder, order: Sequence[str]) -> bool:
     """True iff ``order`` (a permutation of the carrier) violates no

@@ -7,17 +7,31 @@ rather than tautology.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import hypothesis
 import numpy as np
 import pytest
 
 from pidcheck import analysis as analysis_module
+from pidcheck import oracle
 from pidcheck.analysis import Analysis, Proposal, Report, Witness
 from pidcheck.model import Diagram, Kind, Node, validate_nodes
-from pidcheck.oracle import CPT_ROW_TOL, DecisionRule, EvaluationError, InvalidRealization, Strategy
+from pidcheck.oracle import (
+    CPT_ROW_TOL,
+    Comparison,
+    DecisionRule,
+    EvaluationError,
+    InvalidRealization,
+    Realization,
+    Strategy,
+    random_realization,
+    required_from_strategy,
+    solve,
+)
 from pidcheck.ordering import (
     InconsistentOrder,
+    OrderSchema,
     PartialOrder,
     enumerate_schemas,
     induce_partial_order,
@@ -677,6 +691,173 @@ def dense_solve(d: Diagram, r, schema, tie_tol: float = 1e-9):
     if not np.isfinite(meu):
         raise EvaluationError("evaluation failure: non-finite MEU")
     return Strategy(schema=schema, rules=rules), meu
+
+
+# ---------------------------------------------------------------------------
+# random significance search: an incomplete, realization-level check of a
+# significant pair, kept for the tests that pin counterexamples
+
+
+def with_slot(schema: OrderSchema, chance_id: str, slot: int) -> OrderSchema:
+    slots = tuple((c, slot if c == chance_id else s) for c, s in schema.slots)
+    return OrderSchema(schema.decision_sequence, slots)
+
+
+def _rule_differs_with_extra_coord(rich: DecisionRule, poor: DecisionRule, extra: str) -> tuple | None:
+    """First configuration where the richer table (past includes ``extra``)
+    fails to be constant in ``extra`` and equal to the poorer table."""
+    axis = rich.pred_vars.index(extra)
+    moved = np.moveaxis(rich.ties, axis, -2)
+    perm = [poor.pred_vars.index(v) for v in rich.pred_vars if v != extra]
+    poor_ties = poor.ties.transpose(perm + [len(perm)])
+    differs = np.any(moved != poor_ties[..., None, :], axis=-1)
+    hits = np.argwhere(differs.reshape(-1, differs.shape[-1]))
+    if len(hits) == 0:
+        return None
+    j, k = hits[0]
+    return (int(j), int(k))
+
+
+@dataclass(frozen=True, eq=False)
+class Counterexample:
+    """A realization plus an order-schema pair under which the decision
+    function changes when the chance node crosses the decision."""
+
+    chance: str
+    decision: str
+    realization: Realization
+    schema_before: OrderSchema
+    schema_after: OrderSchema
+    trial: int
+    detail: tuple
+
+
+def _swap_schemas(a: str, dec: str, schemas) -> list[tuple[OrderSchema, OrderSchema]]:
+    out = []
+    for s in schemas:
+        k = s.position(dec)
+        if s.slot_of[a] == k - 1:
+            out.append((s, with_slot(s, a, k)))
+    return out
+
+
+def significance_search(
+    d: Diagram,
+    a: str,
+    dec: str,
+    trials: int = 200,
+    seed: int = 0,
+    try_first=(),
+) -> Counterexample | None:
+    """Random search for a realization under which observing ``a`` just
+    before ``dec`` changes the optimal decision function.
+
+    For every candidate realization and every admissible schema placing
+    ``a`` immediately before ``dec``, solve, shift ``a`` to just after
+    ``dec``, solve again, and compare the decision function on the common
+    past: the richer table must be constant in ``a``'s coordinate and match
+    the poorer one.  Returns the first discrepancy (lowest trial index), or
+    None - random search is incomplete, so None is inconclusive.
+    """
+    po = induce_partial_order(d)
+    if not po.incompatible(a, dec):
+        raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
+    pairs = _swap_schemas(a, dec, list(enumerate_schemas(d, po)))
+
+    def check(r: Realization) -> tuple | None:
+        for before, after in pairs:
+            s_before, _ = solve(d, r, before)
+            s_after, _ = solve(d, r, after)
+            diff = _rule_differs_with_extra_coord(s_before.rules[dec], s_after.rules[dec], a)
+            if diff is not None:
+                return (before, after, diff)
+        return None
+
+    first = list(try_first)
+
+    def candidates():
+        yield from enumerate(first)
+        for t in range(trials):
+            trial_seed = int(np.random.SeedSequence([seed, t]).generate_state(1)[0])
+            yield len(first) + t, random_realization(d, trial_seed)
+
+    for trial, r in candidates():
+        if check(r) is None:
+            continue
+        r = _minimize_counterexample(d, r, check)
+        before, after, detail = check(r)  # re-derive on the minimized tables
+        return Counterexample(
+            chance=a,
+            decision=dec,
+            realization=r,
+            schema_before=before,
+            schema_after=after,
+            trial=trial,
+            detail=detail,
+        )
+    return None
+
+
+def _minimize_counterexample(d: Diagram, r: Realization, check) -> Realization:
+    """Greedily round CPT entries to {0, 1/2, 1} while the discrepancy
+    persists, to shrink reproduction fixtures."""
+    grid = np.array([0.0, 0.5, 1.0])
+    cpts = {k: v.copy() for k, v in r.cpts.items()}
+    for c in sorted(cpts):
+        table = cpts[c]
+        rows = table.reshape(-1, table.shape[-1])
+        for i in range(rows.shape[0]):
+            original = rows[i].copy()
+            rounded = grid[np.abs(rows[i][:, None] - grid[None, :]).argmin(axis=1)]
+            total = rounded.sum()
+            if total <= 0:
+                continue
+            rows[i] = rounded / total
+            if check(Realization(cpts, r.utilities)) is None:
+                rows[i] = original
+    return Realization(cpts, r.utilities).validated(d)
+
+
+# ---------------------------------------------------------------------------
+# reference fuzz: one lone solve per (trial, schema), as `pidcheck fuzz` did
+# before it solved a batch of trials per schema
+
+
+def reference_fuzz(d: Diagram, trials: int, seed: int) -> tuple[int, str, dict]:
+    """Exit code, text output and JSON payload (without the version and
+    command keys) of `pidcheck fuzz`.  `Analysis.required_variables` and
+    `oracle.strategies_equal` are looked up on each call, so a test can
+    patch them for this and the command alike."""
+    analysis = Analysis(d)
+    schemas = list(enumerate_schemas(d, analysis.po))
+    report = analysis.check()
+    failures: list[str] = []
+    checked = 0
+    for t in range(trials):
+        r = random_realization(d, seed + t)
+        strategies = [solve(d, r, s)[0] for s in schemas]
+        for schema, strategy in zip(schemas, strategies):
+            for dec in d.decision_ids:
+                oracle_set = required_from_strategy(strategy, dec)
+                struct = analysis.required_variables(schema, dec)
+                checked += 1
+                if not oracle_set <= struct:
+                    failures.append(
+                        f"trial {t}: oracle_required({dec}) = {sorted(oracle_set)} "
+                        f"not within required_variables = {sorted(struct)}"
+                    )
+        if report.welldefined:
+            base = strategies[0]
+            for other in strategies[1:]:
+                if oracle.strategies_equal(base, other) is Comparison.DIFFERENT:
+                    failures.append(f"trial {t}: strategies differ across schemas")
+    ok = not failures
+    text = (
+        f"fuzz: {trials} realizations x {len(schemas)} schemas, {checked} oracle checks: "
+        + ("all consistent" if ok else f"{len(failures)} failures")
+        + ("\n" + "\n".join(failures) if failures else "")
+    )
+    return (0 if ok else 1), text + "\n", {"ok": ok, "failures": failures, "checks": checked}
 
 
 # ---------------------------------------------------------------------------

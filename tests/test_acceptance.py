@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_admissible_orders, exact_witnesses, swap_graph_connected
+from conftest import all_admissible_orders, exact_witnesses, significance_search, swap_graph_connected
 from pidcheck import figures
 from pidcheck.analysis import Analysis, check_welldefined
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
@@ -19,7 +19,6 @@ from pidcheck.oracle import (
     Realization,
     random_realization,
     required_from_strategy,
-    significance_search,
     solve,
     strategies_equal,
 )

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import fingerprint, w_family
+from conftest import fingerprint, reference_fuzz, w_family
 from pidcheck import analysis, cli, figures, oracle, ordering
 from pidcheck.cli import export_dot, main, parse_document, serialize_document
 from pidcheck.generate import random_pid
@@ -225,6 +225,11 @@ class TestSubcommandOutputs:
         code, payload = run_json(capsys, "schemas", FIXTURES / "fig1.pid", "--limit", "3")
         assert code == 0 and len(payload["schemas"]) == 3
 
+    def test_schemas_limit_zero_lists_nothing(self, capsys):
+        assert run(capsys, "schemas", FIXTURES / "fig1.pid", "--limit", "0") == (0, "", "")
+        code, payload = run_json(capsys, "schemas", FIXTURES / "fig1.pid", "--limit", "0")
+        assert code == 0 and payload["schemas"] == []
+
     def test_required_fig2_excludes_b(self, capsys):
         code, payload = run_json(capsys, "required", FIXTURES / "fig2.pid", "-d", "D1")
         assert code == 0 and payload["required"] == []
@@ -359,10 +364,11 @@ class TestSubcommandOutputs:
     def test_fuzz_validates_each_realization_once(self, capsys, monkeypatch):
         checks, solves = [], []
         monkeypatch.setattr(oracle, "check_tables", _recorder(oracle.check_tables, checks))
-        monkeypatch.setattr(cli, "solve", _recorder(cli.solve, solves))
+        monkeypatch.setattr(cli, "solve_many", _recorder(cli.solve_many, solves))
         assert run(capsys, "fuzz", FIXTURES / "fig1.pid", "--trials", "50")[0] == 0
         assert run(capsys, "fuzz", FIXTURES / "fig8.pid", "--trials", "2")[0] == 0
-        assert len(solves) == 1_000
+        assert len(solves) == 308  # one per schema: 8 for fig1, 300 for fig8
+        assert sum(len(realizations) for _, realizations, _ in solves) == 1_000
         assert len(checks) == 52  # one per trial
 
     def test_long_chain(self, tmp_path, capsys):
@@ -396,6 +402,62 @@ class TestSubcommandOutputs:
         code, payload = run_json(capsys, argv[0], FIXTURES / "fig6.pid", *argv[1:])
         assert code in (0, 2)
         assert isinstance(payload, dict)
+
+
+class TestFuzzAgainstReference:
+    """`fuzz` solves a batch of trials per schema.  Its output equals that of
+    `reference_fuzz`, one lone solve per (trial, schema), also when checks
+    fail and when the trials span several batches."""
+
+    def assert_matches_reference(self, capsys, path, trials, seed):
+        d, _ = cli.load_file(str(path))
+        want_code, want_text, want_payload = reference_fuzz(d, trials, seed)
+        argv = ("fuzz", path, "--trials", trials, "--seed", seed)
+        assert run(capsys, *argv) == (want_code, want_text, "")
+        code, payload = run_json(capsys, *argv)
+        assert code == want_code
+        assert {k: payload[k] for k in want_payload} == want_payload
+        return want_payload["failures"]
+
+    @pytest.fixture
+    def no_required(self, monkeypatch):
+        monkeypatch.setattr(analysis.Analysis, "required_variables", lambda self, schema, dec: frozenset())
+
+    @pytest.fixture
+    def some_differ(self, monkeypatch):
+        """`strategies_equal` that calls some pairs DIFFERENT, by the other
+        strategy's rule values, so the verdict varies with trial and schema."""
+        real = oracle.strategies_equal
+
+        def compare(s1, s2, tol=oracle.DEFAULT_TIE_TOL):
+            total = sum(float(rule.values.sum()) for rule in s2.rules.values())
+            return oracle.Comparison.DIFFERENT if int(total) % 3 == 0 else real(s1, s2, tol)
+
+        monkeypatch.setattr(oracle, "strategies_equal", compare)
+        monkeypatch.setattr(cli, "strategies_equal", compare)
+
+    @pytest.mark.parametrize("trials", [0, 1, 7])
+    def test_required_failures(self, capsys, no_required, trials):
+        failures = self.assert_matches_reference(capsys, FIXTURES / "fig1.pid", trials, 3)
+        assert bool(failures) == (trials > 0)
+
+    @pytest.mark.parametrize("trials", [0, 1, 7])
+    def test_strategies_differ(self, capsys, some_differ, trials):
+        failures = self.assert_matches_reference(capsys, FIXTURES / "fig1.pid", trials, 5)
+        assert bool(failures) == (trials > 0)
+
+    @pytest.mark.parametrize("limit, per_batch", [("MAX_TABLE_CELLS", 1), ("MAX_TABLE_CELLS", 3), ("MAX_BATCH", 3)])
+    def test_batch_boundaries(self, capsys, monkeypatch, no_required, some_differ, limit, per_batch):
+        d, _ = cli.load_file(str(FIXTURES / "fig1.pid"))
+        cells = math.prod(len(d.states(v)) for v in d.carrier_ids) if limit == "MAX_TABLE_CELLS" else 1
+        monkeypatch.setattr(oracle, limit, per_batch * cells)
+        solves = []
+        monkeypatch.setattr(cli, "solve_many", _recorder(cli.solve_many, solves))
+        failures = self.assert_matches_reference(capsys, FIXTURES / "fig1.pid", 7, 1)
+        assert any("differ" in f for f in failures) and any("oracle_required" in f for f in failures)
+        sizes = [len(realizations) for _, realizations, _ in solves]
+        batches = [min(per_batch, 7 - start) for start in range(0, 7, per_batch)]
+        assert sizes == [n for _ in range(2) for n in batches for _ in range(8)]
 
 
 class TestParser:

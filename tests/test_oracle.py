@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import bf_best_meu, dense_solve, fingerprint
+from conftest import bf_best_meu, dense_solve, fingerprint, significance_search
 from pidcheck import figures, oracle
 from pidcheck.cli import load_file
 from pidcheck.analysis import Analysis, check_welldefined
@@ -20,8 +20,8 @@ from pidcheck.oracle import (
     random_realization,
     required_from_strategy,
     Strategy,
-    significance_search,
     solve,
+    solve_many,
     strategies_equal,
 )
 from pidcheck.ordering import canonical_schema, enumerate_schemas
@@ -282,6 +282,58 @@ class TestMatchesDenseReference:
         assert_matches_dense(d, huge, canonical_schema(d))
         with pytest.raises(EvaluationError, match="non-finite table entries"):
             solve(d, huge, canonical_schema(d))
+
+
+def assert_batch_matches_lone(d, realizations, schema):
+    """Each trial of one `solve_many` call has, bit for bit, the tables and
+    MEU of a lone `solve` on its realization."""
+    batched = solve_many(d, realizations, schema)
+    assert len(batched) == len(realizations)
+    for r, (strategy, meu) in zip(realizations, batched):
+        lone, lone_meu = solve(d, r, schema)
+        assert meu == lone_meu
+        assert strategy.schema is schema and list(strategy.rules) == list(lone.rules)
+        for dec, rule in lone.rules.items():
+            mine = strategy.rules[dec]
+            assert (mine.decision, mine.pred_vars, mine.states) == (rule.decision, rule.pred_vars, rule.states)
+            assert np.array_equal(mine.ties, rule.ties)
+            assert np.array_equal(mine.values, rule.values)
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        d, _ = load_file(str(path))
+        realizations = [random_realization(d, seed) for seed in range(3)]
+        realizations += [_rounded(r) for r in realizations]
+        for schema in itertools.islice(enumerate_schemas(d), 40):
+            assert_batch_matches_lone(d, realizations, schema)
+
+    def test_random_diagrams(self):
+        for seed in range(200):
+            rng = np.random.default_rng(70_000 + seed)
+            d = random_pid(rng, max_carrier=int(rng.integers(3, 9)), n_values=int(rng.integers(1, 3)))
+            if seed % 2:
+                # Sums over more than two states, whose order shows in the last bit.
+                d = validate_nodes([
+                    n if n.kind is Kind.VALUE else Node(n.id, n.kind, tuple(f"s{i}" for i in range(int(rng.choice([2, 3, 5, 9])))), n.parents)
+                    for n in d.nodes
+                ])
+            realizations = [random_realization(d, 3 * seed + k) for k in range(3)]
+            realizations += [_rounded(r) for r in realizations]
+            for schema in itertools.islice(enumerate_schemas(d), 4):
+                assert_batch_matches_lone(d, realizations, schema)
+
+    def test_no_realizations(self):
+        d = figures.fig4()
+        assert solve_many(d, [], canonical_schema(d)) == []
+
+    def test_one_bad_trial_fails_the_batch(self):
+        d = figures.fig4()
+        r = figures.fig4_realization()
+        huge = Realization(r.cpts, {v: np.full_like(t, np.inf) for v, t in r.utilities.items()})
+        with pytest.raises(EvaluationError, match="non-finite table entries"):
+            solve_many(d, [r, huge, r], canonical_schema(d))
 
 
 class TestStrategiesEqual:
