@@ -317,6 +317,10 @@ class Analysis:
     def required_variables(self, schema: OrderSchema, dec: str) -> frozenset[str]:
         return self._walk(schema, schema.position(dec) - 1)[0][2]
 
+    def required_sets(self, schema: OrderSchema) -> dict[str, frozenset[str]]:
+        """`required_variables` of every decision of ``schema``, from one walk."""
+        return {dec: req for dec, _, req in self._walk(schema, 0)}
+
     def significant_rel(self, schema: OrderSchema, a: str, dec: str) -> Witness | None:
         """Significance of chance node ``a`` for ``dec`` under one schema
         that places ``a`` in the slot immediately before ``dec``."""
@@ -515,17 +519,25 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
     first.
 
     Every recheck runs on an analysis derived from one analysis of ``d``,
-    so they all share its memo, and each constraint set is analysed once.
-    Raises :class:`RepairBudgetExceeded` before a recheck beyond
-    MAX_RECHECKS, counting a set as often as it is reached."""
+    so they all share its memo.  The first witness follows from the diagram
+    and the induced order alone, so it is found once per order, and each
+    constraint set is analysed once.  Raises :class:`RepairBudgetExceeded`
+    before a recheck beyond MAX_RECHECKS, counting a set as often as it is
+    reached."""
     if report.welldefined:
         return ()
     base = Analysis(d)
     proposals: list[Proposal] = []
     rechecks = 0
-    # constraint set -> (chance, decision) of its first witness, None or
-    # "inconsistent"; never the exception, whose traceback holds analyses
+    # constraint set, and induced order -> (chance, decision) of the first
+    # witness, None or "inconsistent"; never the exception, whose traceback
+    # holds analyses.  An order is keyed by its precedence pairs, one bit
+    # each: W(4)-shared keeps hundreds, which as sets of pairs take
+    # megabytes.
     verdicts: dict[frozenset[tuple[str, str, str]], tuple[str, str] | str | None] = {}
+    by_order: dict[int, tuple[str, str] | None] = {}
+    bit = {v: 1 << i for i, v in enumerate(d.carrier_ids)}
+    width = len(bit)
 
     def recheck(constraints: tuple[tuple[str, str, str], ...]) -> tuple[str, str] | str | None:
         nonlocal rechecks
@@ -537,10 +549,17 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
         key = frozenset(constraints)
         if key not in verdicts:
             try:
-                w = base.constrained(constraints).first_witness()
-                verdicts[key] = None if w is None else (w.chance, w.decision)
+                derived = base.constrained(constraints)
             except InconsistentOrder:
                 verdicts[key] = "inconsistent"
+                return verdicts[key]
+            order = 0
+            for i, x in enumerate(d.carrier_ids):
+                order |= sum(bit[y] for y in derived.po.succ[x]) << (i * width)
+            if order not in by_order:
+                w = derived.first_witness()
+                by_order[order] = None if w is None else (w.chance, w.decision)
+            verdicts[key] = by_order[order]
         return verdicts[key]
 
     # Each constraint tuple is grown at most once: the roots come from

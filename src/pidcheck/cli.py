@@ -28,12 +28,13 @@ from .oracle import (
     EvaluationError,
     InvalidRealization,
     Realization,
+    Strategy,
     batch_trials,
     check_tables,
     random_realization,
     required_from_strategy,
     solve,
-    solve_many,
+    solve_schemas,
     strategies_equal,
     table_shape,
 )
@@ -441,7 +442,7 @@ def cmd_fuzz(args) -> int:
     analysis = _analysis.Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
     report = analysis.check()
-    required = [[analysis.required_variables(s, dec) for dec in d.decision_ids] for s in schemas]
+    required = [analysis.required_sets(s) for s in schemas]
     failures: list[str] = []
     size = batch_trials(d)
     for start in range(0, args.trials, size):
@@ -449,25 +450,39 @@ def cmd_fuzz(args) -> int:
         realizations = [random_realization(d, args.seed + t) for t in trials]
         found: dict[int, list[str]] = {t: [] for t in trials}
         differ = dict.fromkeys(trials, 0)
+        # Per trial, the oracle's required set of each decision's latest
+        # rule, and the decisions whose latest rule agrees with schema 0's.
+        # A rule that a schema shares with the previous one keeps both.
+        oracle_sets: list[dict[str, frozenset[str]]] = [{} for _ in trials]
+        agree: list[set[str]] = [set() for _ in trials]
         base = None
-        for schema, struct in zip(schemas, required):
-            solved = solve_many(d, realizations, schema)
-            for t, (strategy, _) in zip(trials, solved):
-                for dec, req in zip(d.decision_ids, struct):
-                    oracle_set = required_from_strategy(strategy, dec)
-                    if not oracle_set <= req:
-                        found[t].append(
-                            f"trial {t}: oracle_required({dec}) = {sorted(oracle_set)} "
-                            f"not within required_variables = {sorted(req)}"
-                        )
-            if not report.welldefined:
-                continue
+        for struct, (solved, fresh) in zip(required, solve_schemas(d, realizations, schemas)):
+            compare = base is not None and report.welldefined
             if base is None:
                 base = solved
-                continue
-            for t, (first, _), (other, _) in zip(trials, base, solved):
-                if strategies_equal(first, other) is Comparison.DIFFERENT:
+            for t, (strategy, _), (first, _), sets, agreed in zip(trials, solved, base, oracle_sets, agree):
+                for dec in fresh:
+                    sets[dec] = required_from_strategy(strategy, dec)
+                    agreed.discard(dec)
+                for dec in d.decision_ids:
+                    if not sets[dec] <= struct[dec]:
+                        found[t].append(
+                            f"trial {t}: oracle_required({dec}) = {sorted(sets[dec])} "
+                            f"not within required_variables = {sorted(struct[dec])}"
+                        )
+                pending = [dec for dec in d.decision_ids if dec not in agreed] if compare else []
+                if not pending:
+                    continue
+                # Strategies differ iff the rules of some decision do, so
+                # the pending rules are compared together.
+                verdict = strategies_equal(
+                    Strategy(first.schema, {dec: first.rules[dec] for dec in pending}),
+                    Strategy(strategy.schema, {dec: strategy.rules[dec] for dec in pending}),
+                )
+                if verdict is Comparison.DIFFERENT:
                     differ[t] += 1
+                else:
+                    agreed.update(pending)
         for t in trials:
             failures += found[t] + [f"trial {t}: strategies differ across schemas"] * differ[t]
     checked = args.trials * len(schemas) * len(d.decision_ids)

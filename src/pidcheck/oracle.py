@@ -8,13 +8,31 @@ rule is recorded over the full past.  Only the rule tables span a whole
 prefix; every other table spans the variables one elimination step touches,
 and no table may exceed MAX_TABLE_CELLS.  No junction tree.
 
-`solve_many` solves one schema for several realizations at once: each
-table has a leading trial axis, and products, last-axis sums, means and
-maxima and the tie test all work trial by trial, so each trial's rules and
-MEU are bit for bit those of a lone `solve`.  MAX_TABLE_CELLS bounds the
-tables of one trial; `batch_trials` realizations keep the batched tables
-within it too, and their number within MAX_BATCH.  Solving never mutates
-its inputs.
+`solve_schemas` is the one elimination; `solve` and `solve_many` call it
+on one schema.  It solves several realizations at once: each table has a
+leading trial axis, and products, last-axis sums, means and maxima and the
+tie test all work trial by trial, so each trial's rules and MEU are bit for
+bit those of a lone `solve`.  MAX_TABLE_CELLS bounds the tables of one
+trial; `batch_trials` realizations keep the batched tables within it too,
+and their number within MAX_BATCH.
+
+It also shares eliminations across schemas.  A factor's axes follow its
+variables in declaration (carrier) order, whatever the schema; a step moves
+the axis of the variable it eliminates last, so every sum still runs over a
+last axis of a freshly computed table.  The factor list starts in
+declaration order and each step splits it stably and appends, so the list,
+the order of every elementwise product and sum, and every table depend only
+on the sequence of variables eliminated so far, the order suffix, and not
+on the order of the prefix still waiting.  A decision's table spans its
+past as a set, in declaration order, and is handed out as a view with its
+past in schema order.  Two schemas whose orders end alike therefore take
+the same steps, with the same bits, until that suffix is used up.  The
+routine resumes each schema from the state after the longest suffix it
+shares with the previous one, which in `enumerate_schemas` order is often
+most of it.  It looks one schema ahead and keeps only the states along the
+suffix that the next schema shares, so memory holds at most one path.  An
+error fires at the same schema, with the same message, as a solve per
+schema.  Solving never mutates its inputs, nor a table it has handed out.
 """
 from __future__ import annotations
 
@@ -22,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Diagram, Kind
 from .ordering import OrderSchema
@@ -190,12 +208,12 @@ class Strategy:
     rules: dict[str, DecisionRule]
 
 
-# A factor's variables are sorted by schema position; its table's first axis
-# is the trial, and the others follow the variables.
-Factor = tuple[tuple[str, ...], "np.ndarray"]
+# A factor's variables are carrier indices in ascending (declaration) order;
+# its table's first axis is the trial, and the others follow the variables.
+Factor = tuple[tuple[int, ...], "np.ndarray"]
 
 
-def _check_cells(scope: Sequence[str], cards: Mapping[str, int]) -> None:
+def _check_cells(scope: Sequence[int], cards: Sequence[int]) -> None:
     cells = 1
     for v in scope:
         cells *= cards[v]
@@ -206,16 +224,32 @@ def _check_cells(scope: Sequence[str], cards: Mapping[str, int]) -> None:
         )
 
 
-def _aligned(factors: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> list[np.ndarray]:
-    """Each factor's table reshaped to broadcast over the trial axis and the
-    axes of ``scope``, a sorted superset of its variables."""
-    return [
-        table.reshape([table.shape[0]] + [cards[v] if v in vars_of else 1 for v in scope])
-        for vars_of, table in factors
-    ]
+def _scope(factors: Sequence[Factor], v: int) -> tuple[int, ...]:
+    """The variables of ``factors`` other than ``v`` in declaration order,
+    then ``v``."""
+    union = {u for vars_of, _ in factors for u in vars_of}
+    union.discard(v)
+    return (*sorted(union), v)
 
 
-def _product(phis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+def _aligned(factors: Sequence[Factor], scope: Sequence[int], cards: Sequence[int]) -> list[np.ndarray]:
+    """Each factor's table as a view that broadcasts over the trial axis and
+    the axes of ``scope``, a superset of its variables in declaration order
+    but for the last one, whose axis moves last."""
+    last = scope[-1] if scope else None
+    out = []
+    for vars_of, table in factors:
+        if vars_of == scope:
+            out.append(table)
+            continue
+        if last in vars_of and vars_of[-1] != last:
+            j = vars_of.index(last) + 1
+            table = table.transpose([*range(j), *range(j + 1, table.ndim), j])
+        out.append(table.reshape([table.shape[0]] + [cards[u] if u in vars_of else 1 for u in scope]))
+    return out
+
+
+def _product(phis: Sequence[Factor], scope: Sequence[int], cards: Sequence[int]) -> np.ndarray:
     import numpy as np
 
     tables = _aligned(phis, scope, cards)
@@ -224,7 +258,7 @@ def _product(phis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, i
     return reduce(np.multiply, tables[1:], tables[0])
 
 
-def _utility(psis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+def _utility(psis: Sequence[Factor], scope: Sequence[int], cards: Sequence[int]) -> np.ndarray:
     import numpy as np
 
     tables = _aligned(psis, scope, cards)
@@ -236,8 +270,8 @@ def _utility(psis: Sequence[Factor], scope: Sequence[str], cards: Mapping[str, i
     return total
 
 
-def _split(factors: list[Factor], v: str) -> tuple[list[Factor], list[Factor]]:
-    """(factors over ``v``, the others)."""
+def _split(factors: list[Factor], v: int) -> tuple[list[Factor], list[Factor]]:
+    """(factors over ``v``, the others), as new lists."""
     return [f for f in factors if v in f[0]], [f for f in factors if v not in f[0]]
 
 
@@ -247,7 +281,7 @@ def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, fl
 
 
 def batch_trials(d: Diagram) -> int:
-    """How many realizations of ``d`` one `solve_many` call may carry: at
+    """How many realizations of ``d`` one `solve_schemas` call may carry: at
     most MAX_BATCH, and at least one.  No table spans more than the carrier,
     so the batched tables stay within MAX_TABLE_CELLS whenever the carrier's
     state space does."""
@@ -258,94 +292,153 @@ def batch_trials(d: Diagram) -> int:
 def solve_many(
     d: Diagram, realizations: Sequence[Realization], schema: OrderSchema
 ) -> list[tuple[Strategy, float]]:
-    """Eliminate variables in reverse schema order (sum over chance,
-    max over decisions), recording for every decision its full
-    decision-function table over the past, and return, per realization,
-    the strategy and the total maximum expected utility.  Raises
-    EvaluationError on non-finite tables and on any table over
-    MAX_TABLE_CELLS per realization."""
+    """`solve_schemas` on the one schema ``schema``."""
+    return next(solve_schemas(d, realizations, (schema,)))[0]
+
+
+def solve_schemas(
+    d: Diagram, realizations: Sequence[Realization], schemas: Iterable[OrderSchema]
+) -> Iterator[tuple[list[tuple[Strategy, float]], tuple[str, ...]]]:
+    """Per schema, eliminate variables in reverse schema order (sum over
+    chance, max over decisions), recording for every decision its full
+    decision-function table over the past, and yield, per realization, the
+    strategy and the total maximum expected utility, together with the
+    decisions whose rules this schema did not share with the previous one
+    (module docstring).  Raises EvaluationError, at the first schema that
+    meets one, on non-finite tables and on any table over MAX_TABLE_CELLS
+    per realization."""
     import numpy as np
 
     for r in realizations:
         r.validated(d)
     if not realizations:
-        return []
-    order = schema.induced_order()
-    if sorted(order) != sorted(d.carrier_ids):
-        raise ValueError("schema does not cover this diagram's chance and decision nodes")
-    position = {v: i for i, v in enumerate(order)}
-    cards = {v: len(d.states(v)) for v in order}
+        yield from (([], ()) for _ in schemas)
+        return
+    carrier = d.carrier_ids
+    covered = sorted(carrier)
+    rank = {v: j for j, v in enumerate(carrier)}
+    cards = [len(d.states(v)) for v in carrier]
+    is_chance = [d.kind(v) is Kind.CHANCE for v in carrier]
     n = len(realizations)
 
-    def scope_of(factors: Sequence[Factor]) -> tuple[str, ...]:
-        # Every factor lies in the prefix ending at the variable being
-        # eliminated, so that variable comes last.
-        return tuple(sorted({v for vars_of, _ in factors for v in vars_of}, key=position.__getitem__))
-
     def factor(vars_of: tuple[str, ...], tables: list[np.ndarray]) -> Factor:
-        perm = sorted(range(len(vars_of)), key=lambda j: position[vars_of[j]])
+        ranks = [rank[v] for v in vars_of]
+        perm = sorted(range(len(ranks)), key=ranks.__getitem__)
         if n == 1:  # no copy: the trial axis is added to a view
-            return tuple(vars_of[j] for j in perm), tables[0].transpose(perm)[None]
-        return tuple(vars_of[j] for j in perm), np.stack(tables).transpose([0] + [j + 1 for j in perm])
+            return tuple(ranks[j] for j in perm), tables[0].transpose(perm)[None]
+        return tuple(ranks[j] for j in perm), np.stack(tables).transpose([0] + [j + 1 for j in perm])
 
     phis = [factor(d.parents(c) + (c,), [r.cpts[c] for r in realizations]) for c in d.chance_ids]
     psis = [factor(d.parents(v), [r.utilities[v] for r in realizations]) for v in d.value_ids]
-    # Per decision: its past, and the tie and value tables with the trial axis first.
-    rules: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
-    # Overflow shows up as non-finite entries.  Every utility factor ends up
-    # in some _utility sum, which reports them.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(len(order) - 1, -1, -1):
-            v = order[i]
-            phi_v, phis = _split(phis, v)
-            psi_v, psis = _split(psis, v)
-            if d.kind(v) is Kind.CHANCE:
-                # phi' = sum_v prod(phi_v); psi' = sum_v prod(phi_v) sum(psi_v) / phi'.
-                scope = scope_of(phi_v + psi_v)
-                _check_cells(scope, cards)
-                joint = _product(phi_v, scope, cards)
-                marginal = joint.sum(axis=-1)
-                phi_scope = scope_of(phi_v)[:-1]
-                phis.append((phi_scope, marginal.reshape([n] + [cards[u] for u in phi_scope])))
-                if psi_v:
-                    expected = (joint * _utility(psi_v, scope, cards)).sum(axis=-1)
-                    psis.append((scope[:-1], np.where(marginal > 0.0, expected / marginal, 0.0)))
+    # The states that the next schema resumes from: entry j holds the
+    # factors left after the last j variables of the order are eliminated.
+    stack: list[tuple[list[Factor], list[Factor]]] = [(phis, psis)]
+    # Per variable eliminated on the current path, in elimination order, the
+    # decision's rule (its past in declaration order, and its tie and value
+    # tables with the trial axis first), or None for a chance node.  Entries
+    # of both lists are never changed once pushed.
+    path: list[tuple | None] = []
+    pending = iter(schemas)
+    following = next(pending, None)
+    upcoming = () if following is None else following.induced_order()
+    previous: tuple[str, ...] = ()
+    while following is not None:
+        schema, order = following, upcoming
+        following = next(pending, None)
+        upcoming = () if following is None else following.induced_order()
+        if sorted(order) != covered:
+            raise ValueError("schema does not cover this diagram's chance and decision nodes")
+        ranks = tuple(map(rank.__getitem__, order))
+        m = len(ranks)
+        kept = _shared_suffix(order, previous)
+        # The next schema resumes after the suffix it shares with this one,
+        # so only the states up to there are kept.
+        keep = _shared_suffix(order, upcoming)
+        phis, psis = stack[kept]
+        del stack[keep + 1:]
+        del path[kept:]
+        previous = order
+        fresh = []
+        # Overflow shows up as non-finite entries.  Every utility factor
+        # ends up in some _utility sum, which reports them.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(m - 1 - kept, -1, -1):
+                v = ranks[i]
+                phi_v, phis = _split(phis, v)
+                psi_v, psis = _split(psis, v)
+                rule = None
+                if is_chance[v]:
+                    # phi' = sum_v prod(phi_v); psi' = sum_v prod(phi_v) sum(psi_v) / phi'.
+                    scope = _scope(phi_v + psi_v, v)
+                    _check_cells(scope, cards)
+                    joint = _product(phi_v, scope, cards)
+                    marginal = joint.sum(axis=-1)
+                    phi_scope = _scope(phi_v, v)[:-1] if psi_v else scope[:-1]
+                    phis.append((phi_scope, marginal.reshape([n] + [cards[u] for u in phi_scope])))
+                    if psi_v:
+                        expected = (joint * _utility(psi_v, scope, cards)).sum(axis=-1)
+                        psis.append((scope[:-1], np.where(marginal > 0.0, expected / marginal, 0.0)))
+                else:
+                    # Every remaining factor lies in the past and v.
+                    # Descendants of the decision all come after it, so the
+                    # weight of the past does not depend on it, and the
+                    # summed utility factors are the expected utility
+                    # wherever the past has positive weight.
+                    scope = (*sorted(ranks[:i]), v)
+                    _check_cells(scope, cards)
+                    possible = _product(phis + phi_v, scope, cards).any(axis=-1)
+                    rho = np.zeros([n] + [cards[u] for u in scope])
+                    np.copyto(rho, _utility(psis + psi_v, scope, cards), where=possible[..., None])
+                    best = rho.max(axis=-1)
+                    tol = DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
+                    rule = (scope[:-1], rho >= (best - tol)[..., None], best)
+                    fresh.append(carrier[v])
+                    if phi_v:
+                        scope = _scope(phi_v, v)
+                        phis.append((scope[:-1], _product(phi_v, scope, cards).mean(axis=-1)))
+                    if psi_v:
+                        scope = _scope(psi_v, v)
+                        psis.append((scope[:-1], _utility(psi_v, scope, cards).max(axis=-1)))
+                path.append(rule)
+                if m - i <= keep:
+                    stack.append((phis, psis))
+            # Without chance and value nodes the product has no trial axis.
+            meus = _product(phis, (), cards) * _utility(psis, (), cards) * np.ones(n)
+            if not np.isfinite(meus).all():
+                raise EvaluationError("evaluation failure: non-finite MEU")
+        # The rules in elimination order, each a view with its past in
+        # schema order.
+        rules = []
+        for i, rule in zip(range(m - 1, -1, -1), path):
+            if rule is None:
                 continue
-            # Every remaining factor lies in order[:i + 1].  Descendants of
-            # the decision all come after it, so the weight of the past does
-            # not depend on it, and the summed utility factors are the
-            # expected utility wherever the past has positive weight.
-            scope = order[: i + 1]
-            _check_cells(scope, cards)
-            possible = _product(phis + phi_v, scope, cards).any(axis=-1)
-            rho = np.zeros([n] + [cards[u] for u in scope])
-            np.copyto(rho, _utility(psis + psi_v, scope, cards), where=possible[..., None])
-            best = rho.max(axis=-1)
-            tol = DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
-            rules[v] = (tuple(order[:i]), rho >= (best - tol)[..., None], best)
-            if phi_v:
-                scope = scope_of(phi_v)
-                phis.append((scope[:-1], _product(phi_v, scope, cards).mean(axis=-1)))
-            if psi_v:
-                scope = scope_of(psi_v)
-                psis.append((scope[:-1], _utility(psi_v, scope, cards).max(axis=-1)))
-        # Without chance and value nodes the product has no trial axis.
-        meus = _product(phis, (), cards) * _utility(psis, (), cards) * np.ones(n)
-    if not np.isfinite(meus).all():
-        raise EvaluationError("evaluation failure: non-finite MEU")
-    return [
-        (
-            Strategy(
-                schema=schema,
-                rules={
-                    dec: DecisionRule(dec, pred_vars, d.states(dec), ties[k], values[k])
-                    for dec, (pred_vars, ties, values) in rules.items()
-                },
-            ),
-            meu,
-        )
-        for k, meu in enumerate(meus.tolist())
-    ]
+            past, ties, values = rule
+            if past != ranks[:i]:
+                axis = {u: j + 1 for j, u in enumerate(past)}
+                perm = [0] + [axis[u] for u in ranks[:i]]
+                ties, values = ties.transpose(perm + [i + 1]), values.transpose(perm)
+            rules.append((order[i], order[:i], ties, values))
+        yield [
+            (
+                Strategy(
+                    schema=schema,
+                    rules={
+                        dec: DecisionRule(dec, pred_vars, d.states(dec), ties[k], values[k])
+                        for dec, pred_vars, ties, values in rules
+                    },
+                ),
+                meu,
+            )
+            for k, meu in enumerate(meus.tolist())
+        ], tuple(fresh)
+
+
+def _shared_suffix(a: Sequence[str], b: Sequence[str]) -> int:
+    """The length of the longest common suffix of ``a`` and ``b``."""
+    n = 0
+    while n < len(a) and n < len(b) and a[-1 - n] == b[-1 - n]:
+        n += 1
+    return n
 
 
 class Comparison(Enum):

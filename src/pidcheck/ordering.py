@@ -23,7 +23,11 @@ class InconsistentOrder(ValueError):
 
 @dataclass(frozen=True)
 class PartialOrder:
-    """Transitively closed precedence relation over chance+decision nodes."""
+    """Transitively closed precedence relation over chance+decision nodes.
+
+    Equality and hashing compare the carrier only, not the relation: two
+    orders of one diagram are always equal.  Compare ``succ`` to tell them
+    apart."""
 
     carrier: tuple[str, ...]
     kinds: dict[str, Kind] = field(compare=False)
@@ -181,17 +185,6 @@ class OrderSchema:
         return self.decision_sequence[self.position(dec):]
 
 
-def is_admissible(po: PartialOrder, order: Sequence[str]) -> bool:
-    """True iff ``order`` (a permutation of the carrier) violates no
-    precedence pair."""
-    if sorted(order) != sorted(po.carrier):
-        raise ValueError("order is not a permutation of the carrier set")
-    pos = {v: i for i, v in enumerate(order)}
-    return all(
-        pos[x] < pos[y] for x in po.carrier for y in po.succ[x]
-    )
-
-
 def _decision_extensions(po: PartialOrder, decisions: Sequence[str]) -> Iterator[tuple[str, ...]]:
     """Linear extensions of the precedence relation restricted to decisions,
     in lexicographic (declaration) order."""
@@ -250,21 +243,6 @@ def enumerate_schemas(d: Diagram, po: PartialOrder | None = None) -> Iterator[Or
     for seq, _, ranges in decision_sequences(d, po):
         for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
             yield OrderSchema(seq, tuple(zip(chance, combo)))
-
-
-def schema_of(d: Diagram, order: Sequence[str]) -> OrderSchema:
-    """The schema induced by a total order: its decision subsequence plus,
-    for each chance node, the number of decisions appearing before it."""
-    seq = tuple(v for v in order if d.kind(v) is Kind.DECISION)
-    count = 0
-    slot_map: dict[str, int] = {}
-    for v in order:
-        if d.kind(v) is Kind.DECISION:
-            count += 1
-        else:
-            slot_map[v] = count
-    slots = tuple((c, slot_map[c]) for c in d.chance_ids)
-    return OrderSchema(seq, slots)
 
 
 def canonical_schema(d: Diagram, po: PartialOrder | None = None) -> OrderSchema:

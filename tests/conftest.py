@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
+from typing import Mapping, Sequence
 
 import hypothesis
 import numpy as np
@@ -172,6 +174,32 @@ def all_admissible_orders(po: PartialOrder):
             acc.pop()
 
     yield from rec(carrier, [])
+
+
+def is_admissible(po: PartialOrder, order: Sequence[str]) -> bool:
+    """True iff ``order`` (a permutation of the carrier) violates no
+    precedence pair."""
+    if sorted(order) != sorted(po.carrier):
+        raise ValueError("order is not a permutation of the carrier set")
+    pos = {v: i for i, v in enumerate(order)}
+    return all(
+        pos[x] < pos[y] for x in po.carrier for y in po.succ[x]
+    )
+
+
+def schema_of(d: Diagram, order: Sequence[str]) -> OrderSchema:
+    """The schema induced by a total order: its decision subsequence plus,
+    for each chance node, the number of decisions appearing before it."""
+    seq = tuple(v for v in order if d.kind(v) is Kind.DECISION)
+    count = 0
+    slot_map: dict[str, int] = {}
+    for v in order:
+        if d.kind(v) is Kind.DECISION:
+            count += 1
+        else:
+            slot_map[v] = count
+    slots = tuple((c, slot_map[c]) for c in d.chance_ids)
+    return OrderSchema(seq, slots)
 
 
 def swap_graph_connected(po: PartialOrder) -> bool:
@@ -819,15 +847,167 @@ def _minimize_counterexample(d: Diagram, r: Realization, check) -> Realization:
 
 
 # ---------------------------------------------------------------------------
-# reference fuzz: one lone solve per (trial, schema), as `pidcheck fuzz` did
-# before it solved a batch of trials per schema
+# reference per-schema elimination: `oracle.solve_many` as it was before
+# `oracle.solve_schemas` shared eliminations across schemas, one full
+# elimination per call with factor axes in schema order
+
+
+# A factor's variables are sorted by schema position; its table's first axis
+# is the trial, and the others follow the variables.
+_RefFactor = tuple[tuple[str, ...], "np.ndarray"]
+
+
+def _ref_check_cells(scope: Sequence[str], cards: Mapping[str, int]) -> None:
+    cells = 1
+    for v in scope:
+        cells *= cards[v]
+    if cells > oracle.MAX_TABLE_CELLS:
+        raise EvaluationError(
+            f"evaluation failure: a table over {len(scope)} variables needs {cells} cells, "
+            f"over the oracle limit of {oracle.MAX_TABLE_CELLS} cells"
+        )
+
+
+def _ref_aligned(factors: Sequence[_RefFactor], scope: Sequence[str], cards: Mapping[str, int]) -> list[np.ndarray]:
+    """Each factor's table reshaped to broadcast over the trial axis and the
+    axes of ``scope``, a sorted superset of its variables."""
+    return [
+        table.reshape([table.shape[0]] + [cards[v] if v in vars_of else 1 for v in scope])
+        for vars_of, table in factors
+    ]
+
+
+def _ref_product(phis: Sequence[_RefFactor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+    import numpy as np
+
+    tables = _ref_aligned(phis, scope, cards)
+    if not tables:
+        return np.ones((1,) * (len(scope) + 1))
+    return reduce(np.multiply, tables[1:], tables[0])
+
+
+def _ref_utility(psis: Sequence[_RefFactor], scope: Sequence[str], cards: Mapping[str, int]) -> np.ndarray:
+    import numpy as np
+
+    tables = _ref_aligned(psis, scope, cards)
+    if not tables:
+        return np.zeros((1,) * (len(scope) + 1))
+    total = reduce(np.add, tables[1:], tables[0])
+    if not np.isfinite(total).all():
+        raise EvaluationError("evaluation failure: non-finite table entries")
+    return total
+
+
+def _ref_split(factors: list[_RefFactor], v: str) -> tuple[list[_RefFactor], list[_RefFactor]]:
+    """(factors over ``v``, the others)."""
+    return [f for f in factors if v in f[0]], [f for f in factors if v not in f[0]]
+
+
+def reference_solve_many(
+    d: Diagram, realizations: Sequence[Realization], schema: OrderSchema
+) -> list[tuple[Strategy, float]]:
+    """Eliminate variables in reverse schema order (sum over chance,
+    max over decisions), recording for every decision its full
+    decision-function table over the past, and return, per realization,
+    the strategy and the total maximum expected utility.  Raises
+    EvaluationError on non-finite tables and on any table over
+    MAX_TABLE_CELLS per realization."""
+    import numpy as np
+
+    for r in realizations:
+        r.validated(d)
+    if not realizations:
+        return []
+    order = schema.induced_order()
+    if sorted(order) != sorted(d.carrier_ids):
+        raise ValueError("schema does not cover this diagram's chance and decision nodes")
+    position = {v: i for i, v in enumerate(order)}
+    cards = {v: len(d.states(v)) for v in order}
+    n = len(realizations)
+
+    def scope_of(factors: Sequence[_RefFactor]) -> tuple[str, ...]:
+        # Every factor lies in the prefix ending at the variable being
+        # eliminated, so that variable comes last.
+        return tuple(sorted({v for vars_of, _ in factors for v in vars_of}, key=position.__getitem__))
+
+    def factor(vars_of: tuple[str, ...], tables: list[np.ndarray]) -> _RefFactor:
+        perm = sorted(range(len(vars_of)), key=lambda j: position[vars_of[j]])
+        if n == 1:  # no copy: the trial axis is added to a view
+            return tuple(vars_of[j] for j in perm), tables[0].transpose(perm)[None]
+        return tuple(vars_of[j] for j in perm), np.stack(tables).transpose([0] + [j + 1 for j in perm])
+
+    phis = [factor(d.parents(c) + (c,), [r.cpts[c] for r in realizations]) for c in d.chance_ids]
+    psis = [factor(d.parents(v), [r.utilities[v] for r in realizations]) for v in d.value_ids]
+    # Per decision: its past, and the tie and value tables with the trial axis first.
+    rules: dict[str, tuple[tuple[str, ...], np.ndarray, np.ndarray]] = {}
+    # Overflow shows up as non-finite entries.  Every utility factor ends up
+    # in some _utility sum, which reports them.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(len(order) - 1, -1, -1):
+            v = order[i]
+            phi_v, phis = _ref_split(phis, v)
+            psi_v, psis = _ref_split(psis, v)
+            if d.kind(v) is Kind.CHANCE:
+                # phi' = sum_v prod(phi_v); psi' = sum_v prod(phi_v) sum(psi_v) / phi'.
+                scope = scope_of(phi_v + psi_v)
+                _ref_check_cells(scope, cards)
+                joint = _ref_product(phi_v, scope, cards)
+                marginal = joint.sum(axis=-1)
+                phi_scope = scope_of(phi_v)[:-1]
+                phis.append((phi_scope, marginal.reshape([n] + [cards[u] for u in phi_scope])))
+                if psi_v:
+                    expected = (joint * _ref_utility(psi_v, scope, cards)).sum(axis=-1)
+                    psis.append((scope[:-1], np.where(marginal > 0.0, expected / marginal, 0.0)))
+                continue
+            # Every remaining factor lies in order[:i + 1].  Descendants of
+            # the decision all come after it, so the weight of the past does
+            # not depend on it, and the summed utility factors are the
+            # expected utility wherever the past has positive weight.
+            scope = order[: i + 1]
+            _ref_check_cells(scope, cards)
+            possible = _ref_product(phis + phi_v, scope, cards).any(axis=-1)
+            rho = np.zeros([n] + [cards[u] for u in scope])
+            np.copyto(rho, _ref_utility(psis + psi_v, scope, cards), where=possible[..., None])
+            best = rho.max(axis=-1)
+            tol = oracle.DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
+            rules[v] = (tuple(order[:i]), rho >= (best - tol)[..., None], best)
+            if phi_v:
+                scope = scope_of(phi_v)
+                phis.append((scope[:-1], _ref_product(phi_v, scope, cards).mean(axis=-1)))
+            if psi_v:
+                scope = scope_of(psi_v)
+                psis.append((scope[:-1], _ref_utility(psi_v, scope, cards).max(axis=-1)))
+        # Without chance and value nodes the product has no trial axis.
+        meus = _ref_product(phis, (), cards) * _ref_utility(psis, (), cards) * np.ones(n)
+    if not np.isfinite(meus).all():
+        raise EvaluationError("evaluation failure: non-finite MEU")
+    return [
+        (
+            Strategy(
+                schema=schema,
+                rules={
+                    dec: DecisionRule(dec, pred_vars, d.states(dec), ties[k], values[k])
+                    for dec, (pred_vars, ties, values) in rules.items()
+                },
+            ),
+            meu,
+        )
+        for k, meu in enumerate(meus.tolist())
+    ]
+
+
+# ---------------------------------------------------------------------------
+# reference fuzz: one lone per-schema elimination per (trial, schema), as
+# `pidcheck fuzz` did before it solved a batch of trials per schema
 
 
 def reference_fuzz(d: Diagram, trials: int, seed: int) -> tuple[int, str, dict]:
     """Exit code, text output and JSON payload (without the version and
     command keys) of `pidcheck fuzz`.  `Analysis.required_variables` and
-    `oracle.strategies_equal` are looked up on each call, so a test can
-    patch them for this and the command alike."""
+    `oracle.strategies_equal` are looked up on each call, and
+    `enumerate_schemas` and `random_realization` in this module, so a test
+    can patch them for this and the command alike.  An EvaluationError
+    propagates."""
     analysis = Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
     report = analysis.check()
@@ -835,7 +1015,7 @@ def reference_fuzz(d: Diagram, trials: int, seed: int) -> tuple[int, str, dict]:
     checked = 0
     for t in range(trials):
         r = random_realization(d, seed + t)
-        strategies = [solve(d, r, s)[0] for s in schemas]
+        strategies = [reference_solve_many(d, [r], s)[0][0] for s in schemas]
         for schema, strategy in zip(schemas, strategies):
             for dec in d.decision_ids:
                 oracle_set = required_from_strategy(strategy, dec)

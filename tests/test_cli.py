@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import conftest
 from conftest import fingerprint, reference_fuzz, w_family
 from pidcheck import analysis, cli, figures, oracle, ordering
 from pidcheck.cli import export_dot, main, parse_document, serialize_document
@@ -364,11 +365,11 @@ class TestSubcommandOutputs:
     def test_fuzz_validates_each_realization_once(self, capsys, monkeypatch):
         checks, solves = [], []
         monkeypatch.setattr(oracle, "check_tables", _recorder(oracle.check_tables, checks))
-        monkeypatch.setattr(cli, "solve_many", _recorder(cli.solve_many, solves))
+        monkeypatch.setattr(cli, "solve_schemas", _recorder(cli.solve_schemas, solves))
         assert run(capsys, "fuzz", FIXTURES / "fig1.pid", "--trials", "50")[0] == 0
         assert run(capsys, "fuzz", FIXTURES / "fig8.pid", "--trials", "2")[0] == 0
-        assert len(solves) == 308  # one per schema: 8 for fig1, 300 for fig8
-        assert sum(len(realizations) for _, realizations, _ in solves) == 1_000
+        # one call per batch, over every schema: 8 for fig1, 300 for fig8
+        assert [(len(realizations), len(schemas)) for _, realizations, schemas in solves] == [(50, 8), (2, 300)]
         assert len(checks) == 52  # one per trial
 
     def test_long_chain(self, tmp_path, capsys):
@@ -419,19 +420,35 @@ class TestFuzzAgainstReference:
         assert {k: payload[k] for k in want_payload} == want_payload
         return want_payload["failures"]
 
+    def assert_error_matches_reference(self, capsys, path, trials, seed):
+        d, _ = cli.load_file(str(path))
+        with pytest.raises(oracle.EvaluationError) as exc:
+            reference_fuzz(d, trials, seed)
+        argv = ("fuzz", path, "--trials", trials, "--seed", seed)
+        want = (1, "", f"error: {exc.value}\n")
+        assert run(capsys, *argv) == want
+        assert run(capsys, *argv, "--json") == want
+        return str(exc.value)
+
     @pytest.fixture
     def no_required(self, monkeypatch):
         monkeypatch.setattr(analysis.Analysis, "required_variables", lambda self, schema, dec: frozenset())
+        monkeypatch.setattr(
+            analysis.Analysis, "required_sets", lambda self, schema: dict.fromkeys(schema.decision_sequence, frozenset())
+        )
 
     @pytest.fixture
     def some_differ(self, monkeypatch):
         """`strategies_equal` that calls some pairs DIFFERENT, by the other
-        strategy's rule values, so the verdict varies with trial and schema."""
+        strategy's rule values, so the verdict varies with trial and schema.
+        Like the real one, it calls two strategies DIFFERENT iff it calls
+        some decision's rules DIFFERENT."""
         real = oracle.strategies_equal
 
         def compare(s1, s2, tol=oracle.DEFAULT_TIE_TOL):
-            total = sum(float(rule.values.sum()) for rule in s2.rules.values())
-            return oracle.Comparison.DIFFERENT if int(total) % 3 == 0 else real(s1, s2, tol)
+            if any(int(rule.values.sum()) % 3 == 0 for rule in s2.rules.values()):
+                return oracle.Comparison.DIFFERENT
+            return real(s1, s2, tol)
 
         monkeypatch.setattr(oracle, "strategies_equal", compare)
         monkeypatch.setattr(cli, "strategies_equal", compare)
@@ -452,12 +469,54 @@ class TestFuzzAgainstReference:
         cells = math.prod(len(d.states(v)) for v in d.carrier_ids) if limit == "MAX_TABLE_CELLS" else 1
         monkeypatch.setattr(oracle, limit, per_batch * cells)
         solves = []
-        monkeypatch.setattr(cli, "solve_many", _recorder(cli.solve_many, solves))
+        monkeypatch.setattr(cli, "solve_schemas", _recorder(cli.solve_schemas, solves))
         failures = self.assert_matches_reference(capsys, FIXTURES / "fig1.pid", 7, 1)
         assert any("differ" in f for f in failures) and any("oracle_required" in f for f in failures)
         sizes = [len(realizations) for _, realizations, _ in solves]
         batches = [min(per_batch, 7 - start) for start in range(0, 7, per_batch)]
-        assert sizes == [n for _ in range(2) for n in batches for _ in range(8)]
+        assert sizes == batches * 2
+
+
+    def test_many_schemas_in_small_batches(self, capsys, monkeypatch, tmp_path, no_required, some_differ):
+        d = random_pid(np.random.default_rng(124), max_carrier=8, max_decisions=4)  # welldefined, 41 schemas
+        path = tmp_path / "draw.pid"
+        path.write_text(serialize_document(d))
+        monkeypatch.setattr(oracle, "MAX_BATCH", 3)
+        failures = self.assert_matches_reference(capsys, path, 7, 4)
+        assert any("differ" in f for f in failures) and any("oracle_required" in f for f in failures)
+
+    def test_table_limit_mid_list(self, capsys, monkeypatch):
+        """Every admissible schema has the same largest table, so a schema
+        that puts every chance node first is inserted mid-list: only it
+        needs more than 128 cells."""
+        enumerate_schemas = ordering.enumerate_schemas
+
+        def with_wide(d, po=None):
+            schemas = list(enumerate_schemas(d, po))
+            first = schemas[0]
+            wide = ordering.OrderSchema(first.decision_sequence, tuple((c, 0) for c, _ in first.slots))
+            return iter(schemas[:150] + [wide] + schemas[150:])
+
+        monkeypatch.setattr(cli, "enumerate_schemas", with_wide)
+        monkeypatch.setattr(conftest, "enumerate_schemas", with_wide)
+        monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 128)
+        assert "needs 256 cells" in self.assert_error_matches_reference(capsys, FIXTURES / "fig8.pid", 3, 0)
+
+    def test_non_finite_trial(self, capsys, monkeypatch):
+        random_realization = oracle.random_realization
+
+        def realization(d, seed):
+            r = random_realization(d, seed)
+            if seed != 5:
+                return r
+            utilities = {v: t.copy() for v, t in r.utilities.items()}
+            next(iter(utilities.values())).reshape(-1)[-1] = np.inf
+            return oracle.Realization(r.cpts, utilities).validated(d)
+
+        monkeypatch.setattr(cli, "random_realization", realization)
+        monkeypatch.setattr(conftest, "random_realization", realization)
+        monkeypatch.setattr(oracle, "MAX_BATCH", 3)  # trial 3 opens the second batch
+        assert "non-finite" in self.assert_error_matches_reference(capsys, FIXTURES / "fig8.pid", 7, 2)
 
 
 class TestParser:

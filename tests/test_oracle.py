@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import bf_best_meu, dense_solve, fingerprint, significance_search
+from conftest import bf_best_meu, dense_solve, fingerprint, reference_solve_many, significance_search
 from pidcheck import figures, oracle
 from pidcheck.cli import load_file
 from pidcheck.analysis import Analysis, check_welldefined
@@ -22,9 +22,10 @@ from pidcheck.oracle import (
     Strategy,
     solve,
     solve_many,
+    solve_schemas,
     strategies_equal,
 )
-from pidcheck.ordering import canonical_schema, enumerate_schemas
+from pidcheck.ordering import OrderSchema, canonical_schema, enumerate_schemas
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -300,6 +301,18 @@ def assert_batch_matches_lone(d, realizations, schema):
             assert np.array_equal(mine.values, rule.values)
 
 
+def _draw(seed: int, multi_state: bool):
+    rng = np.random.default_rng(seed)
+    d = random_pid(rng, max_carrier=int(rng.integers(3, 9)), n_values=int(rng.integers(1, 3)))
+    if multi_state:
+        # Sums over more than two states, whose order shows in the last bit.
+        d = validate_nodes([
+            n if n.kind is Kind.VALUE else Node(n.id, n.kind, tuple(f"s{i}" for i in range(int(rng.choice([2, 3, 5, 9])))), n.parents)
+            for n in d.nodes
+        ])
+    return d
+
+
 class TestSolveMany:
     @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
     def test_fixtures(self, path):
@@ -311,14 +324,7 @@ class TestSolveMany:
 
     def test_random_diagrams(self):
         for seed in range(200):
-            rng = np.random.default_rng(70_000 + seed)
-            d = random_pid(rng, max_carrier=int(rng.integers(3, 9)), n_values=int(rng.integers(1, 3)))
-            if seed % 2:
-                # Sums over more than two states, whose order shows in the last bit.
-                d = validate_nodes([
-                    n if n.kind is Kind.VALUE else Node(n.id, n.kind, tuple(f"s{i}" for i in range(int(rng.choice([2, 3, 5, 9])))), n.parents)
-                    for n in d.nodes
-                ])
+            d = _draw(70_000 + seed, seed % 2 == 1)
             realizations = [random_realization(d, 3 * seed + k) for k in range(3)]
             realizations += [_rounded(r) for r in realizations]
             for schema in itertools.islice(enumerate_schemas(d), 4):
@@ -334,6 +340,113 @@ class TestSolveMany:
         huge = Realization(r.cpts, {v: np.full_like(t, np.inf) for v, t in r.utilities.items()})
         with pytest.raises(EvaluationError, match="non-finite table entries"):
             solve_many(d, [r, huge, r], canonical_schema(d))
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.dtype.str, np.ascontiguousarray(a).tobytes()
+
+
+def assert_same_solutions(got, want):
+    """Bit for bit: per realization the MEU, and per decision, in the same
+    order, the past, the ties and the values."""
+    assert len(got) == len(want)
+    for (strategy, meu), (reference, reference_meu) in zip(got, want):
+        assert repr(meu) == repr(reference_meu)
+        assert strategy.schema is reference.schema and list(strategy.rules) == list(reference.rules)
+        for dec, rule in reference.rules.items():
+            mine = strategy.rules[dec]
+            assert (mine.decision, mine.pred_vars, mine.states) == (rule.decision, rule.pred_vars, rule.states)
+            assert _bits(mine.ties) == _bits(rule.ties)
+            assert _bits(mine.values) == _bits(rule.values)
+
+
+def assert_schemas_match_reference(d, realizations, schemas):
+    """`solve_schemas` gives, schema by schema, what `reference_solve_many`
+    gives, and names as fresh exactly the decisions that do not lie in the
+    order suffix the schema shares with the previous one, last first."""
+    previous = None
+    for schema, (solved, fresh) in zip(schemas, solve_schemas(d, realizations, schemas), strict=True):
+        assert_same_solutions(solved, reference_solve_many(d, realizations, schema))
+        order = schema.induced_order()
+        assert fresh == tuple(
+            v for i, v in reversed(list(enumerate(order)))
+            if d.kind(v) is Kind.DECISION and (previous is None or order[i:] != previous[i:])
+        )
+        previous = order
+
+
+class TestSolveSchemas:
+    """One elimination shared along order suffixes gives, bit for bit, the
+    per-schema elimination of `reference_solve_many`."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        d, _ = load_file(str(path))
+        schemas = list(enumerate_schemas(d))
+        realizations = [random_realization(d, seed) for seed in range(3)]
+        assert_schemas_match_reference(d, realizations[:1], schemas)
+        assert_schemas_match_reference(d, realizations + [_rounded(r) for r in realizations], schemas)
+
+    @pytest.mark.parametrize("multi_state", [False, True], ids=["binary", "multi-state"])
+    def test_random_diagrams(self, multi_state):
+        # The multi-state draws are those of TestSolveMany.
+        for seed in range(1, 200, 2) if multi_state else range(200):
+            d = _draw((70_000 if multi_state else 80_000) + seed, multi_state)
+            schemas = list(enumerate_schemas(d))
+            realizations = [random_realization(d, 3 * seed + k) for k in range(3)]
+            assert_schemas_match_reference(d, realizations[:1], schemas)
+            assert_schemas_match_reference(d, [realizations[1], _rounded(realizations[2])], schemas)
+
+    def test_handed_out_tables_never_change(self):
+        d, _ = load_file(str(FIXTURES / "fig8.pid"))
+        schemas = list(enumerate_schemas(d))
+        realizations = [random_realization(d, seed) for seed in range(2)]
+        inputs = [fingerprint(r) for r in realizations]
+        handed = []
+        for solved, _ in solve_schemas(d, realizations, schemas):
+            for strategy, _ in solved:
+                for rule in strategy.rules.values():
+                    handed.append((rule, _bits(rule.ties), _bits(rule.values)))
+        assert len(handed) == len(schemas) * 2 * len(d.decision_ids)
+        for rule, ties, values in handed:
+            assert (_bits(rule.ties), _bits(rule.values)) == (ties, values)
+        assert [fingerprint(r) for r in realizations] == inputs
+
+    def test_overflow_fires_at_the_same_schema(self, monkeypatch):
+        """Every admissible schema has the same largest table, over all
+        decisions and every chance node that precedes one, so a schema that
+        puts every chance node first is inserted mid-list: only it needs
+        more than 128 cells."""
+        d, _ = load_file(str(FIXTURES / "fig8.pid"))
+        schemas = list(enumerate_schemas(d))
+        first = schemas[0]
+        wide = OrderSchema(first.decision_sequence, tuple((c, 0) for c, _ in first.slots))
+        schemas[150:150] = [wide]
+        monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 128)
+        realizations = [random_realization(d, 0)]
+        for schema in schemas[:150]:
+            reference_solve_many(d, realizations, schema)
+        with pytest.raises(EvaluationError) as want:
+            reference_solve_many(d, realizations, wide)
+        solved = solve_schemas(d, realizations, schemas)
+        assert len(list(itertools.islice(solved, 150))) == 150
+        with pytest.raises(EvaluationError, match="needs 256 cells") as got:
+            next(solved)
+        assert str(got.value) == str(want.value)
+
+    def test_no_realizations(self):
+        d = figures.fig7()
+        schemas = list(enumerate_schemas(d))
+        assert list(solve_schemas(d, [], schemas)) == [([], ())] * len(schemas)
+
+    def test_schema_of_another_diagram(self):
+        d = figures.fig7()
+        schemas = list(enumerate_schemas(d))[:2] + [canonical_schema(figures.fig8())]
+        solved = solve_schemas(d, [random_realization(d, 0)], schemas)
+        assert len(list(itertools.islice(solved, 2))) == 2
+        with pytest.raises(ValueError, match="does not cover"):
+            next(solved)
 
 
 class TestStrategiesEqual:

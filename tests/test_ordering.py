@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import all_admissible_orders, naive_partial_order, swap_graph_connected
+from conftest import all_admissible_orders, is_admissible, naive_partial_order, schema_of, swap_graph_connected
 from pidcheck import figures
 from pidcheck.generate import random_pid
 from pidcheck.model import Kind, Node, validate_nodes
@@ -13,8 +13,6 @@ from pidcheck.ordering import (
     InconsistentOrder,
     enumerate_schemas,
     induce_partial_order,
-    is_admissible,
-    schema_of,
 )
 
 
