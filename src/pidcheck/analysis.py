@@ -45,9 +45,10 @@ on the diagram with the extra pair (A, D).
     before D only for a pair that is incompatible under the constraints it
     extends.
 So an analysis derived under repair constraints
-(:meth:`Analysis.constrained`) keeps its parent's diagram, memo and bare
-components, builds no diagram, and only the partial order, the schema
-space and the significance pass are its own.  Otherwise instances are
+(:meth:`Analysis.constrained`) keeps its parent's diagram, memo, bare
+components and closure of induction clauses (a) and (b), builds no
+diagram, and only the partial order, the schema space and the
+significance pass are its own.  Otherwise instances are
 independent; a family of derived analyses is meant for one thread.
 
 The rules never leave a connected component of the bare graph.  A directed
@@ -69,6 +70,18 @@ states merge.  D's past within C is then the set P of unplaced nodes of C,
 so every schema that completes the state gives D the same outcome class.
 (A, D) is significant iff some step placing D puts A in required(D) while A
 precedes no node of P.
+
+In code a state is a pair of ints.  The placed nodes are a bit mask over
+carrier positions, as in the order's masks (see ``ordering``), so a slot,
+a past and every precedence test are int operations.  The outcomes are an
+index into a table that interns each set of outcomes once.  A step is
+memoized per (decision position, past mask, outcome index) and yields the
+mask of the decision's required variables and the index of the outcome set
+with the decision's own outcome added.  So a transition hashes a tuple of
+three ints, and only a memo miss builds the past as a set of ids and asks
+the rules.  Positions are fixed by the diagram, not by the order, so the
+memo and the table hold under every constrained order and are shared with
+the derived analyses.
 
 Why that test.  Every base pair of the induced order has a decision at one
 end (clauses (a)-(d), and the repair constraints, each of which pairs a
@@ -113,6 +126,8 @@ from .ordering import (
     OrderSchema,
     PartialOrder,
     SequenceSlots,
+    base_closure,
+    bits,
     canonical_schema,
     decision_sequences,
     induce_partial_order,
@@ -189,18 +204,26 @@ class Analysis:
     the later decisions), and the clause behind a witness per (decision,
     candidate, past, later outcomes in sequence order).  Entries are
     reproducible from scratch; the memo is a pure speedup.  Analyses
-    derived by :meth:`constrained` share it, the diagram and the bare
-    components with their parent, and drop the parent's schemas and
-    significance pass.
+    derived by :meth:`constrained` share it, the diagram, the base closure
+    of the order and the bare components with their parent, and drop the
+    parent's schemas and significance pass.  The base closure lives here,
+    so it goes when the last analysis of the diagram does.
     """
 
     def __init__(self, d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()):
         self.diagram = d
         self._extra = tuple(extra_constraints)
-        self.po: PartialOrder = induce_partial_order(d, self._extra)
-        self._components = _carrier_components(d)
+        self._base = base_closure(d)
+        self.po: PartialOrder = induce_partial_order(d, self._extra, self._base)
+        self._components = _carrier_components(d, self._base.index)
         self._outcomes: dict[tuple, tuple[frozenset[str], frozenset[str]]] = {}
         self._clauses: dict[tuple, tuple | None] = {}
+        # The pass's memo: (decision, past, later) -> (required, next later),
+        # the decision and past as carrier positions and masks, the later
+        # outcomes as an index into _laters, which _later_ids inverts.
+        self._steps: dict[tuple[int, int, int], tuple[int, int]] = {}
+        self._laters: list[frozenset[Outcome]] = [frozenset()]
+        self._later_ids: dict[frozenset[Outcome], int] = {frozenset(): 0}
 
     def constrained(self, constraints: Iterable[tuple[str, str, str]]) -> Analysis:
         """The analysis of this diagram under extra repair constraints
@@ -217,9 +240,10 @@ class Analysis:
             if kind not in ("observe", "precede"):
                 raise ValueError(f"unknown constraint kind {kind!r}")
             pairs.append((x, y))
-        derived = copy.copy(self)  # a shallow copy shares the diagram, its components and the memo
+        # a shallow copy shares the diagram, its base closure, its components and the memo
+        derived = copy.copy(self)
         derived._extra = self._extra + tuple(pairs)
-        derived.po = induce_partial_order(self.diagram, derived._extra)
+        derived.po = induce_partial_order(self.diagram, derived._extra, self._base)
         for cached in ("_sequences", "_significant"):  # both follow the order
             vars(derived).pop(cached, None)
         return derived
@@ -261,6 +285,25 @@ class Analysis:
             reached = active_reach(self.diagram.bare, rel | chain, pred | {dec})
             req = frozenset(x for x in pred if x in shared or x in reached)
             hit = self._outcomes[key] = (rel, req)
+        return hit
+
+    def _step(self, dec: int, past: int, later: int) -> tuple[int, int]:
+        """The pass's view of :meth:`_outcome`: for the decision at carrier
+        position ``dec``, the past ``past`` as a mask and the later outcomes
+        ``_laters[later]``, the mask of its required variables and the index
+        of the later outcomes with its own outcome added."""
+        key = (dec, past, later)
+        hit = self._steps.get(key)
+        if hit is None:
+            ids, index = self.po.carrier, self.po.index
+            outcomes = self._laters[later]
+            rel, req = self._outcome(ids[dec], frozenset(ids[i] for i in bits(past)), outcomes)
+            grown = outcomes | {(ids[dec], rel, req)}
+            nxt = self._later_ids.get(grown)
+            if nxt is None:
+                nxt = self._later_ids[grown] = len(self._laters)
+                self._laters.append(grown)
+            hit = self._steps[key] = (sum(1 << index[x] for x in req), nxt)
         return hit
 
     def _clause(
@@ -363,12 +406,10 @@ class Analysis:
             significant |= found
         return frozenset(significant)
 
-    def _component_pass(
-        self, carrier: frozenset[str], visited: int
-    ) -> tuple[set[tuple[str, str]], int]:
-        """The significant pairs of the bare component with carrier
-        ``carrier``, by the backward pass over its decision positions, and
-        ``visited`` plus the states the pass visited."""
+    def _component_pass(self, carrier: int, visited: int) -> tuple[set[tuple[str, str]], int]:
+        """The significant pairs of the bare component whose carrier is the
+        mask ``carrier``, by the backward pass over its decision positions,
+        and ``visited`` plus the states the pass visited."""
 
         def admit(states: int) -> None:
             if states > MAX_SCAN_STATES:
@@ -376,46 +417,58 @@ class Analysis:
                     f"the significance pass needs more than the limit of {MAX_SCAN_STATES} states"
                 )
 
-        d, po = self.diagram, self.po
-        decisions = [v for v in d.decision_ids if v in carrier]
-        chance = [c for c in d.chance_ids if c in carrier]
-        pairs = {(a, dec) for dec in decisions for a in chance if po.incompatible(a, dec)}
-        if not pairs:
+        po, masks = self.po, self.po.masks
+        dmask = carrier & self._base.decisions
+        decisions = list(bits(dmask))
+        chance = list(bits(carrier & self._base.chance))
+        # per decision, the mask of the chance nodes incompatible with it
+        # whose pair is not known significant yet
+        pending = {
+            dec: sum(1 << a for a in chance if not (masks[a] >> dec & 1 or masks[dec] >> a & 1))
+            for dec in decisions
+        }
+        pairs = dict(pending)
+        if not any(pending.values()):
             return set(), visited
-        pending = set(pairs)
-        decisions_after = {v: po.succ[v].intersection(decisions) for v in carrier}
+        decisions_after = {v: masks[v] & dmask for v in bits(carrier)}
         # a slot's chance nodes with their successors first
-        chance.sort(key=lambda c: len(po.succ[c]))
-        states: set[tuple[frozenset[str], frozenset[Outcome]]] = {(frozenset(), frozenset())}
+        chance.sort(key=lambda c: masks[c].bit_count())
+        steps = self._steps
+        states: set[tuple[int, int]] = {(0, 0)}
         visited += len(states)
-        while states and pending:
-            step: set[tuple[frozenset[str], frozenset[Outcome]]] = set()
+        while states and any(pending.values()):
+            step: set[tuple[int, int]] = set()
             for placed, later in states:
-                free = carrier - placed
+                free = carrier & ~placed
                 for dec in decisions:
-                    if dec not in free or not decisions_after[dec] <= placed:
+                    if not free >> dec & 1 or decisions_after[dec] & ~placed:
                         continue
                     # The slot after dec: every free successor of dec, plus
                     # an upward-closed set of free chance nodes that precede
                     # no free decision, dec included.  Each slot makes a
                     # distinct state of the next level.
-                    slots = [po.succ[dec] & free]
+                    first = masks[dec] & free
+                    slots = [first]
                     for c in chance:
-                        if c in free and c not in slots[0] and decisions_after[c] <= placed:
-                            need = po.succ[c] & free
-                            slots += [s | {c} for s in slots if need <= s]
+                        if free >> c & 1 and not first >> c & 1 and not decisions_after[c] & ~placed:
+                            need, bit = masks[c] & free, 1 << c
+                            slots += [s | bit for s in slots if not need & ~s]
                             admit(visited + len(slots))
+                    rest = free & ~(1 << dec)
                     for slot in slots:
-                        past = free - slot - {dec}
-                        rel, req = self._outcome(dec, past, later)
-                        for a in req:
-                            if po.succ[a].isdisjoint(past):
-                                pending.discard((a, dec))
-                        step.add((carrier - past, later | {(dec, rel, req)}))
+                        past = rest & ~slot
+                        req, nxt = steps.get((dec, past, later)) or self._step(dec, past, later)
+                        hits = req & pending[dec]
+                        if hits:
+                            for a in bits(hits):
+                                if not masks[a] & past:
+                                    pending[dec] &= ~(1 << a)
+                        step.add((carrier & ~past, nxt))
                     admit(visited + len(step))
             visited += len(step)
             states = step
-        return pairs - pending, visited
+        ids = po.carrier
+        return {(ids[a], ids[dec]) for dec in decisions for a in bits(pairs[dec] & ~pending[dec])}, visited
 
     def _pair_schemas(self, a: str, dec: str) -> Iterator[OrderSchema]:
         """The admissible schemas placing ``a`` in the slot immediately
@@ -484,9 +537,10 @@ class Analysis:
         )
 
 
-def _carrier_components(d: Diagram) -> tuple[frozenset[str], ...]:
+def _carrier_components(d: Diagram, index: dict[str, int]) -> tuple[int, ...]:
     """The chance and decision nodes of each connected component of the
-    bare graph that holds any, in declaration order of its first node."""
+    bare graph that holds any, in declaration order of its first node, as
+    masks over the carrier positions ``index``."""
     seen: set[str] = set()
     out = []
     for start in d.carrier_ids:
@@ -501,7 +555,7 @@ def _carrier_components(d: Diagram) -> tuple[frozenset[str], ...]:
                     part.add(w)
                     stack.append(w)
         seen |= part
-        out.append(frozenset(v for v in part if d.kind(v) is not Kind.VALUE))
+        out.append(sum(1 << index[v] for v in part if v in index))
     return tuple(out)
 
 
@@ -510,7 +564,9 @@ def check_welldefined(d: Diagram) -> Report:
     return Analysis(d).check()
 
 
-def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
+def suggest_resolutions(
+    d: Diagram, report: Report, *, analysis: Analysis | None = None
+) -> tuple[Proposal, ...]:
     """For each witness pair (A, D), propose observing A before D (an
     informational arc) and forcing D before A (a pure ordering constraint),
     re-checking the diagram under each.  Proposals that do not reach a
@@ -518,26 +574,24 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
     at a time.  Sorted by constraint count, so single-constraint fixes come
     first.
 
-    Every recheck runs on an analysis derived from one analysis of ``d``,
-    so they all share its memo.  The first witness follows from the diagram
-    and the induced order alone, so it is found once per order, and each
-    constraint set is analysed once.  Raises :class:`RepairBudgetExceeded`
+    ``report`` is the check of ``d``, and ``analysis`` the unconstrained
+    analysis of ``d`` that made it, if the caller has one.  Every recheck
+    runs on an analysis derived from it (or from a new one), so they all
+    share its memo.  The first witness follows from the diagram and the
+    induced order alone, so it is found once per order, and each constraint
+    set is analysed once.  Raises :class:`RepairBudgetExceeded`
     before a recheck beyond MAX_RECHECKS, counting a set as often as it is
     reached."""
     if report.welldefined:
         return ()
-    base = Analysis(d)
+    base = analysis if analysis is not None else Analysis(d)
     proposals: list[Proposal] = []
     rechecks = 0
     # constraint set, and induced order -> (chance, decision) of the first
     # witness, None or "inconsistent"; never the exception, whose traceback
-    # holds analyses.  An order is keyed by its precedence pairs, one bit
-    # each: W(4)-shared keeps hundreds, which as sets of pairs take
-    # megabytes.
+    # holds analyses.  An order is keyed by its masks.
     verdicts: dict[frozenset[tuple[str, str, str]], tuple[str, str] | str | None] = {}
-    by_order: dict[int, tuple[str, str] | None] = {}
-    bit = {v: 1 << i for i, v in enumerate(d.carrier_ids)}
-    width = len(bit)
+    by_order: dict[tuple[int, ...], tuple[str, str] | None] = {}
 
     def recheck(constraints: tuple[tuple[str, str, str], ...]) -> tuple[str, str] | str | None:
         nonlocal rechecks
@@ -553,9 +607,7 @@ def suggest_resolutions(d: Diagram, report: Report) -> tuple[Proposal, ...]:
             except InconsistentOrder:
                 verdicts[key] = "inconsistent"
                 return verdicts[key]
-            order = 0
-            for i, x in enumerate(d.carrier_ids):
-                order |= sum(bit[y] for y in derived.po.succ[x]) << (i * width)
+            order = derived.po.masks
             if order not in by_order:
                 w = derived.first_witness()
                 by_order[order] = None if w is None else (w.chance, w.decision)

@@ -65,19 +65,23 @@ class FlatTable(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ParsedRealization:
-    """A document's realization after every check of `check_tables`, its
-    tables kept as flat lists: numpy arrays are built only to solve."""
+    """A document's realization after every check of `check_tables` against
+    ``diagram``, its tables kept as flat lists: numpy arrays are built only
+    to solve."""
 
+    diagram: Diagram
     cpts: dict[str, FlatTable]
     utilities: dict[str, FlatTable]
 
     def realization(self) -> Realization:
+        """The tables as arrays, already validated for ``diagram``: they
+        hold the same shapes and values that passed the check."""
         import numpy as np
 
         def arrays(tables: dict[str, FlatTable]) -> dict:
             return {k: np.array(t.values, dtype=float).reshape(t.shape) for k, t in tables.items()}
 
-        return Realization(arrays(self.cpts), arrays(self.utilities))
+        return Realization(arrays(self.cpts), arrays(self.utilities), _valid_for=self.diagram)
 
 
 def _table(what: str, node_id: str, flat: Any, shape: tuple[int, ...]) -> FlatTable:
@@ -121,7 +125,7 @@ def realization_from_raw(d: Diagram, raw: Any) -> ParsedRealization:
             raise InvalidRealization(f"utility given for non-value node {node_id!r}")
         utilities[node_id] = _table("utility", node_id, flat, table_shape(d, node_id))
     check_tables(d, cpts, utilities, lambda t: t.values)
-    return ParsedRealization(cpts, utilities)
+    return ParsedRealization(d, cpts, utilities)
 
 
 def parse_document(text: str, source: str = "<string>") -> tuple[Diagram, ParsedRealization | None]:
@@ -415,8 +419,9 @@ def cmd_solve(args) -> int:
 
 def cmd_suggest(args) -> int:
     d, _ = load_file(args.file)
-    report = _analysis.check_welldefined(d)
-    proposals = _analysis.suggest_resolutions(d, report)
+    analysis = _analysis.Analysis(d)
+    report = analysis.check()
+    proposals = _analysis.suggest_resolutions(d, report, analysis=analysis)
     payload = [
         {
             "constraints": [list(c) for c in p.constraints],

@@ -148,8 +148,9 @@ class Realization:
 
     cpts: dict[str, np.ndarray]
     utilities: dict[str, np.ndarray]
-    # The diagram the tables last passed `validated` against.
-    _valid_for: Diagram | None = field(default=None, init=False, repr=False)
+    # The diagram the tables last passed `validated` against, or, given at
+    # construction, a diagram they are known to pass `check_tables` for.
+    _valid_for: Diagram | None = field(default=None, kw_only=True, repr=False)
 
     def validated(self, d: Diagram) -> "Realization":
         """Self, after `check_tables` against ``d``; the check runs once

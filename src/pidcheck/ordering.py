@@ -6,13 +6,31 @@ through canonical order schemas (a decision permutation plus a slot
 assignment for every chance node).  Same-slot chance permutations are
 collapsed because summations commute; decision permutations are kept
 because the downstream analysis is sequence-sensitive.
+
+An order is held as one int bit mask per carrier node (the chance and
+decision nodes, in declaration order): bit j of node i's mask is set iff
+node i precedes node j.  Node i is bit ``1 << i`` of any mask, so a
+precedence query is a bit test and a set of nodes is an int.
+
+Induction is incremental.  The closure of clauses (a) and (b), which reads
+only the diagram, is computed once per diagram (:func:`base_closure`); a
+caller that induces several orders of one diagram passes it in.  Every
+other pair is added to a closed relation R one head at a time: the closure
+of R plus the pairs (x, y) for every x in a set T is R plus every pair
+(u, v) with u equal to or before some x in T and v equal to or after y,
+since a path through the new pairs can always be cut to use one of them
+once (each ends at y).  So each addition is one OR of y's successors and y
+into the mask of each node at or before T, and the relation stays closed
+after every addition, cycles included.  The closure of a union does not
+depend on the order in which its pairs are added, so the relation is the
+one a full closure pass after each clause would give.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import Diagram, Kind
 
@@ -21,26 +39,46 @@ class InconsistentOrder(ValueError):
     """The induced precedence relation orders some pair both ways."""
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class PartialOrder:
     """Transitively closed precedence relation over chance+decision nodes.
 
+    ``masks[i]`` is the set of successors of ``carrier[i]`` as a bit mask
+    over carrier positions (module docstring), and ``index`` maps a node to
+    its position.  ``succ`` is a read-only view of the same relation as
+    sets of node ids.
+
     Equality and hashing compare the carrier only, not the relation: two
-    orders of one diagram are always equal.  Compare ``succ`` to tell them
+    orders of one diagram are always equal.  Compare ``masks`` to tell them
     apart."""
 
     carrier: tuple[str, ...]
     kinds: dict[str, Kind] = field(compare=False)
-    succ: dict[str, frozenset[str]] = field(compare=False)
+    index: dict[str, int] = field(compare=False)
+    masks: tuple[int, ...] = field(compare=False)
+
+    @cached_property
+    def succ(self) -> dict[str, frozenset[str]]:
+        ids = self.carrier
+        return {x: frozenset(ids[j] for j in bits(m)) for x, m in zip(ids, self.masks)}
 
     def precedes(self, x: str, y: str) -> bool:
-        return y in self.succ[x]
+        return bool(self.masks[self.index[x]] >> self.index[y] & 1)
 
     def incompatible(self, x: str, y: str) -> bool:
         """True iff neither node precedes the other (x != y)."""
         if x == y:
             raise ValueError("incompatibility is defined for distinct nodes")
-        return not self.precedes(x, y) and not self.precedes(y, x)
+        i, j = self.index[x], self.index[y]
+        return not (self.masks[i] >> j & 1 or self.masks[j] >> i & 1)
 
     def incompatible_pairs(self, *, with_decision_only: bool = True) -> tuple[tuple[str, str], ...]:
         """All incompatible pairs in declaration order.
@@ -49,20 +87,66 @@ class PartialOrder:
         never change a strategy (summations commute), so only pairs touching
         a decision bear on welldefinedness.
         """
+        ids, masks = self.carrier, self.masks
         out = []
-        for i, x in enumerate(self.carrier):
-            for y in self.carrier[i + 1:]:
+        for i, x in enumerate(ids):
+            for j in range(i + 1, len(ids)):
                 if with_decision_only and (
-                    self.kinds[x] is Kind.CHANCE and self.kinds[y] is Kind.CHANCE
+                    self.kinds[x] is Kind.CHANCE and self.kinds[ids[j]] is Kind.CHANCE
                 ):
                     continue
-                if self.incompatible(x, y):
-                    out.append((x, y))
+                if not (masks[i] >> j & 1 or masks[j] >> i & 1):
+                    out.append((x, ids[j]))
         return tuple(out)
 
 
+@dataclass(frozen=True, eq=False)
+class BaseClosure:
+    """The closure of induction clauses (a) and (b) of one diagram, and the
+    carrier positions it is written in: every order of the diagram starts
+    from it.  It holds no reference to the diagram; whoever induces several
+    orders of a diagram keeps it next to the diagram (``Analysis`` does)."""
+
+    carrier: tuple[str, ...]
+    kinds: dict[str, Kind]
+    index: dict[str, int]
+    decisions: int  # mask of the decisions
+    chance: int  # mask of the chance nodes
+    masks: tuple[int, ...]
+
+
+def base_closure(d: Diagram) -> BaseClosure:
+    """Clauses (a) and (b) of :func:`induce_partial_order`, closed."""
+    carrier = d.carrier_ids
+    index = {v: i for i, v in enumerate(carrier)}
+    succ = [0] * len(carrier)
+    decisions = 0
+    for dec in d.decision_ids:
+        i = index[dec]
+        decisions |= 1 << i
+        for p in d.parents(dec):  # clause (a)
+            if p in index:
+                succ[index[p]] |= 1 << i
+        for y in d.graph.descendants(dec):  # clause (b)
+            if y in index:
+                succ[i] |= 1 << index[y]
+    for k in range(len(succ)):  # Warshall
+        bk, sk = 1 << k, succ[k]
+        for i, si in enumerate(succ):
+            if si & bk:
+                succ[i] = si | sk
+    return BaseClosure(
+        carrier=carrier,
+        kinds={v: d.kind(v) for v in carrier},
+        index=index,
+        decisions=decisions,
+        chance=((1 << len(carrier)) - 1) & ~decisions,
+        masks=tuple(succ),
+    )
+
+
 def induce_partial_order(
-    d: Diagram, extra: Iterable[tuple[str, str]] = ()
+    d: Diagram, extra: Iterable[tuple[str, str]] = (), base: BaseClosure | None = None
 ) -> PartialOrder:
     """Smallest transitively closed relation satisfying the four induction
     clauses:
@@ -74,75 +158,63 @@ def induce_partial_order(
     (d) D comes before chance node A whenever A does not precede D and some
         later decision is preceded by both.
 
-    Clause (d) references the relation being built, so it is re-applied in
-    rounds after each closure pass until stable.  ``extra`` injects
-    additional base pairs (used to test candidate ordering constraints).
+    Clause (d) references the relation being built, so it is applied in
+    rounds, each read off the relation closed after the previous one, until
+    stable.  ``extra`` injects additional base pairs (used to test
+    candidate ordering constraints).  ``base`` is ``base_closure(d)``, passed
+    in by callers that induce several orders of ``d``; every pair beyond it
+    is added incrementally (module docstring).
 
-    Raises :class:`InconsistentOrder` if the closure derives both X before Y
-    and Y before X.
+    Raises :class:`InconsistentOrder` if the closure orders some node
+    before itself, naming the first such node in declaration order.  A
+    closed relation that orders two nodes both ways orders each before
+    itself, so that is every inconsistency.
     """
-    carrier = d.carrier_ids
-    carrier_set = set(carrier)
-    decisions = d.decision_ids
-    chance = d.chance_ids
-    succ: dict[str, set[str]] = {v: set() for v in carrier}
+    if base is None:
+        base = base_closure(d)
+    index, decisions = base.index, base.decisions
+    succ = list(base.masks)
 
-    def close() -> None:
-        # Warshall over the (small) carrier.
-        for k in carrier:
-            sk = succ[k]
-            for i in carrier:
-                if k in succ[i]:
-                    succ[i] |= sk
+    def add(tails: int, y: int) -> None:
+        """Close under the pairs (x, y) for every x in ``tails``."""
+        after = succ[y] | 1 << y
+        for u, su in enumerate(succ):
+            if (su | 1 << u) & tails:
+                succ[u] = su | after
 
-    for dec in decisions:  # clause (a)
-        for p in d.parents(dec):
-            if p in carrier_set:
-                succ[p].add(dec)
-    for dec in decisions:  # clause (b)
-        succ[dec] |= d.graph.descendants(dec) & carrier_set
     for x, y in extra:
-        if x not in carrier_set or y not in carrier_set:
+        if x not in index or y not in index:
             raise ValueError(f"constraint ({x!r}, {y!r}) references unknown node")
-        succ[x].add(y)
-    close()
+        add(1 << index[x], index[y])
 
     # Clause (c): whether a chance node ever precedes a decision is fixed by
     # the closure so far (its outgoing relations can only start at an
     # informational arc or an extra constraint), so apply it once.
-    for a in chance:
-        if not any(dj in succ[a] for dj in decisions):
-            for dec in decisions:
-                succ[dec].add(a)
-    close()
+    chance = list(bits(base.chance))
+    for a in [a for a in chance if not succ[a] & decisions]:
+        add(decisions, a)
 
+    each_decision = [(di, 1 << di) for di in bits(decisions)]
     while True:  # clause (d), round-based so the result is order-independent
         new = []
-        for di in decisions:
-            for a in chance:
-                if a in succ[di] or di in succ[a]:
-                    continue
-                if any(dj in succ[di] and dj in succ[a] for dj in decisions):
-                    new.append((di, a))
+        for a in chance:
+            sa, ba = succ[a], 1 << a
+            tails = 0
+            for di, bdi in each_decision:
+                sdi = succ[di]
+                if not (sa & bdi or sdi & ba) and sdi & sa & decisions:
+                    tails |= bdi
+            if tails:
+                new.append((tails, a))
         if not new:
             break
-        for di, a in new:
-            succ[di].add(a)
-        close()
+        for tails, a in new:
+            add(tails, a)
 
-    for x in carrier:
-        if x in succ[x]:
-            raise InconsistentOrder(f"inconsistent order: {x!r} precedes itself")
-        for y in succ[x]:
-            if x in succ[y]:
-                raise InconsistentOrder(
-                    f"inconsistent order: both {x!r} and {y!r} precede each other"
-                )
-    return PartialOrder(
-        carrier=carrier,
-        kinds={v: d.kind(v) for v in carrier},
-        succ={v: frozenset(s) for v, s in succ.items()},
-    )
+    for i, s in enumerate(succ):
+        if s >> i & 1:
+            raise InconsistentOrder(f"inconsistent order: {base.carrier[i]!r} precedes itself")
+    return PartialOrder(carrier=base.carrier, kinds=base.kinds, index=index, masks=tuple(succ))
 
 
 @dataclass(frozen=True)
@@ -185,26 +257,6 @@ class OrderSchema:
         return self.decision_sequence[self.position(dec):]
 
 
-def _decision_extensions(po: PartialOrder, decisions: Sequence[str]) -> Iterator[tuple[str, ...]]:
-    """Linear extensions of the precedence relation restricted to decisions,
-    in lexicographic (declaration) order."""
-    remaining = list(decisions)
-
-    def rec(prefix: list[str], remaining: list[str]) -> Iterator[tuple[str, ...]]:
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for dec in remaining:
-            if any(po.precedes(other, dec) for other in remaining if other != dec):
-                continue
-            rest = [x for x in remaining if x != dec]
-            prefix.append(dec)
-            yield from rec(prefix, rest)
-            prefix.pop()
-
-    yield from rec([], remaining)
-
-
 class SequenceSlots(NamedTuple):
     """One linear extension of the decision order, with what every schema
     under it shares: the 1-based position of each decision and the
@@ -218,19 +270,51 @@ class SequenceSlots(NamedTuple):
 
 
 def decision_sequences(d: Diagram, po: PartialOrder) -> Iterator[SequenceSlots]:
-    """The decision sequences of :func:`enumerate_schemas`, in its order."""
-    chance = d.chance_ids
-    for seq in _decision_extensions(po, d.decision_ids):
-        pos = {dec: i for i, dec in enumerate(seq, start=1)}
-        # Sequence extensions guarantee lo <= hi for every chance node.
-        ranges = tuple(
-            (
-                max((pos[dec] for dec in seq if po.precedes(dec, c)), default=0),
-                min((pos[dec] - 1 for dec in seq if po.precedes(c, dec)), default=len(seq)),
-            )
-            for c in chance
-        )
-        yield SequenceSlots(seq, pos, ranges)
+    """The decision sequences of :func:`enumerate_schemas`, in its order:
+    the linear extensions of the order restricted to decisions, in
+    lexicographic (declaration) order.
+
+    The slot ranges are kept along the depth-first search.  Placing a
+    decision at position k raises to k the lower bound of every chance node
+    it precedes (positions only grow down the search), and lowers to k - 1
+    the upper bound of every chance node that precedes it, unless an
+    earlier decision has set a lower one.  Sequence extensions guarantee
+    lo <= hi for every chance node.
+    """
+    masks, index = po.masks, po.index
+    decisions = [index[v] for v in d.decision_ids]
+    chance = [index[c] for c in d.chance_ids]
+    n = len(decisions)
+    # per decision: the decisions before it, and the positions in ``chance``
+    # of the chance nodes after it and of those before it
+    before = {i: sum(1 << j for j in decisions if masks[j] >> i & 1) for i in decisions}
+    after = {i: [k for k, c in enumerate(chance) if masks[i] >> c & 1] for i in decisions}
+    until = {i: [k for k, c in enumerate(chance) if masks[c] >> i & 1] for i in decisions}
+    lo, hi = [0] * len(chance), [n] * len(chance)
+    seq: list[str] = []
+
+    def rec(remaining: int) -> Iterator[SequenceSlots]:
+        if not remaining:
+            yield SequenceSlots(tuple(seq), dict(zip(seq, range(1, n + 1))), tuple(zip(lo, hi)))
+            return
+        k = len(seq) + 1
+        for i in bits(remaining):
+            if before[i] & remaining:
+                continue
+            saved = [lo[c] for c in after[i]], [hi[c] for c in until[i]]
+            for c in after[i]:
+                lo[c] = k
+            for c in until[i]:
+                hi[c] = min(hi[c], k - 1)
+            seq.append(po.carrier[i])
+            yield from rec(remaining & ~(1 << i))
+            seq.pop()
+            for c, v in zip(after[i], saved[0]):
+                lo[c] = v
+            for c, v in zip(until[i], saved[1]):
+                hi[c] = v
+
+    yield from rec(sum(1 << i for i in decisions))
 
 
 def enumerate_schemas(d: Diagram, po: PartialOrder | None = None) -> Iterator[OrderSchema]:

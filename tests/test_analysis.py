@@ -374,6 +374,57 @@ class TestSignificancePass:
         base = Analysis(figures.two_witness_pid())
         derived = base.constrained([("precede", "D", "A"), ("observe", "A9", "D9")])
         assert derived._components is base._components
+        assert derived._base is base._base
+
+    @staticmethod
+    def _assert_derived_match_reference(d, sets) -> dict:
+        """Under each constraint set, the derived analysis's pass finds the
+        pairs of the reference pass.  Returns the derived orders' ``succ``
+        by constraint set, the inconsistent sets left out."""
+        base = Analysis(d)
+        orders = {}
+        for cs in sets:
+            try:
+                derived = base.constrained(cs)
+            except InconsistentOrder:
+                continue
+            assert derived._significant == reference_significant(Analysis(d).constrained(cs)), cs
+            orders[frozenset(cs)] = derived.po.succ
+        return orders
+
+    @pytest.mark.parametrize("name", ["w3_shared", "fig6", "fig7", "fig8", "two_witness"])
+    def test_orders_the_repair_search_reaches(self, name):
+        d = w_family(3, shared=True) if name == "w3_shared" else figures.ALL_FIGURES[name]()
+        sets = {frozenset(cs) for cs in _reached_sets(d)}
+        assert sets
+        self._assert_derived_match_reference(d, sets)
+
+    def test_random_constraint_sets(self):
+        # The sets the repair search reaches, and options of the checked
+        # pairs, alone and two or three at a time.  Clause (d) has a
+        # negative premise, so a set's order can lack a pair of the order
+        # of one of its subsets (ROADMAP item 4); count those.
+        lost = 0
+        for seed in range(600):
+            rng = np.random.default_rng(seed)
+            d = random_pid(rng, max_carrier=8, max_decisions=4)
+            pairs = Analysis(d).check().pairs_checked
+            options = [o for a, dec in pairs for o in (("observe", a, dec), ("precede", dec, a))][:6]
+            if not options:
+                continue
+            sets = [(o,) for o in options] + list({frozenset(cs) for cs in _reached_sets(d)})
+            for n in (2, 2, 2, 3):
+                if len(options) >= n:
+                    sets.append(tuple(options[i] for i in rng.choice(len(options), n, replace=False)))
+            orders = self._assert_derived_match_reference(d, sets)
+            for cs, succ in orders.items():
+                lost += any(
+                    not succ[x] >= orders[frozenset({o})][x]
+                    for o in cs
+                    if frozenset({o}) in orders
+                    for x in d.carrier_ids
+                )
+        assert lost >= 30
 
 
 class TestCheckWelldefined:
@@ -569,25 +620,26 @@ class TestSuggestResolutions:
             suggest_resolutions(d, report)
 
 
+def _reached_sets(d) -> list[tuple[tuple[str, str, str], ...]]:
+    """The constraint tuples the repair search rechecks on ``d``, in order."""
+    tried = []
+    constrained = Analysis.constrained
+
+    def record(self, constraints):
+        tried.append(tuple(constraints))
+        return constrained(self, constraints)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Analysis, "constrained", record)
+        suggest_resolutions(d, check_welldefined(d))
+    return tried
+
+
 class TestConstraintsArePairs:
     """A repair constraint is a base pair of the partial order: under every
     constraint set the repair search reaches, the derived order is the
     order induced on the diagram with the observe arcs added and the
     precede pairs as extra pairs, or both raise."""
-
-    @staticmethod
-    def _reached_sets(d):
-        tried = []
-        constrained = Analysis.constrained
-
-        def record(self, constraints):
-            tried.append(tuple(constraints))
-            return constrained(self, constraints)
-
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(Analysis, "constrained", record)
-            suggest_resolutions(d, check_welldefined(d))
-        return tried
 
     @staticmethod
     def _assert_same_order(d, sets):
@@ -606,7 +658,7 @@ class TestConstraintsArePairs:
     @pytest.mark.parametrize("name", ["w3_shared", "fig6", "fig7", "fig8", "two_witness"])
     def test_fixtures_and_w3_shared(self, name):
         d = w_family(3, shared=True) if name == "w3_shared" else figures.ALL_FIGURES[name]()
-        sets = self._reached_sets(d)
+        sets = _reached_sets(d)
         assert sets
         self._assert_same_order(d, sets)
 
@@ -614,7 +666,7 @@ class TestConstraintsArePairs:
         reached = 0
         for seed in range(600):
             d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
-            sets = self._reached_sets(d)
+            sets = _reached_sets(d)
             self._assert_same_order(d, sets)
             reached += len(sets)
         assert reached >= 180

@@ -372,6 +372,31 @@ class TestSubcommandOutputs:
         assert [(len(realizations), len(schemas)) for _, realizations, schemas in solves] == [(50, 8), (2, 300)]
         assert len(checks) == 52  # one per trial
 
+    def test_solve_checks_the_tables_once(self, capsys, monkeypatch):
+        checks = []
+        monkeypatch.setattr(oracle, "check_tables", _recorder(oracle.check_tables, checks))
+        monkeypatch.setattr(cli, "check_tables", _recorder(cli.check_tables, checks))
+        assert run(capsys, "solve", FIXTURES / "fig4.pid")[0] == 0
+        assert len(checks) == 1  # when the document is read
+        d, tables = cli.load_file(str(FIXTURES / "fig4.pid"))
+        assert len(checks) == 2
+        realization = tables.realization()
+        assert realization.validated(d) is realization
+        assert len(checks) == 2
+        # tables from elsewhere are still checked, once per diagram
+        other = oracle.Realization(realization.cpts, realization.utilities)
+        other.validated(d)
+        other.validated(d)
+        assert len(checks) == 3
+
+    def test_suggest_analyses_the_diagram_once(self, capsys, monkeypatch):
+        analyses, closures = [], []
+        monkeypatch.setattr(analysis.Analysis, "__init__", _recorder(analysis.Analysis.__init__, analyses))
+        monkeypatch.setattr(analysis, "base_closure", _recorder(analysis.base_closure, closures))
+        code, payload = run_json(capsys, "suggest", FIXTURES / "fig8.pid")
+        assert code == 0 and payload["proposals"]
+        assert len(analyses) == len(closures) == 1
+
     def test_long_chain(self, tmp_path, capsys):
         nodes = [{"id": "C0", "kind": "chance", "states": ["a", "b"], "parents": []}]
         nodes += [

@@ -1,12 +1,21 @@
+import gc
 import itertools
+import weakref
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import all_admissible_orders, is_admissible, naive_partial_order, schema_of, swap_graph_connected
-from pidcheck import figures
+from conftest import (
+    all_admissible_orders,
+    is_admissible,
+    naive_partial_order,
+    schema_of,
+    swap_graph_connected,
+    w_family,
+)
+from pidcheck import analysis, figures, ordering
 from pidcheck.generate import random_pid
 from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.ordering import (
@@ -82,10 +91,83 @@ class TestInducePartialOrder:
 
     @given(st.integers(0, 400))
     def test_agrees_with_naive_fixpoint(self, seed):
-        d = random_pid(np.random.default_rng(seed), max_carrier=7)
-        po = induce_partial_order(d)
-        naive = naive_partial_order(d)
-        assert {x: set(po.succ[x]) for x in po.carrier} == naive
+        rng = np.random.default_rng(seed)
+        d = random_pid(rng, max_carrier=7)
+        _assert_agrees_with_naive(d, ())
+        for n in (1, 2, 3):
+            _assert_agrees_with_naive(d, _random_pairs(rng, d, n))
+
+    def test_contradictory_extra_pairs(self):
+        # Random extra pairs close a cycle often enough that both outcomes
+        # are compared many times.
+        outcomes = {True: 0, False: 0}
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            d = random_pid(rng, max_carrier=8, max_decisions=4)
+            for n in (1, 2, 4):
+                outcomes[_assert_agrees_with_naive(d, _random_pairs(rng, d, n))] += 1
+        assert outcomes[True] >= 100 and outcomes[False] >= 100
+
+    def test_inconsistency_names_the_first_node_in_declaration_order(self):
+        d = validate_nodes(
+            [
+                Node("A", Kind.CHANCE, ("x", "y"), ()),
+                Node("B", Kind.CHANCE, ("x", "y"), ()),
+                Node("D", Kind.DECISION, ("d1", "d2"), ("B",)),
+                Node("V", Kind.VALUE, None, ("D", "A")),
+            ]
+        )
+        # B < D by clause (a), so (D, B) closes a cycle; D < A by clause (c)
+        with pytest.raises(InconsistentOrder) as caught:
+            induce_partial_order(d, [("D", "B")])
+        assert str(caught.value) == "inconsistent order: 'B' precedes itself"
+        assert induce_partial_order(d).precedes("D", "A")
+
+    def test_unknown_node_in_extra_pair(self):
+        with pytest.raises(ValueError, match=r"constraint \('B', 'Z'\) references unknown node"):
+            induce_partial_order(figures.fig1(), [("B", "Z")])
+
+    def test_shared_base_closure_gives_the_same_orders(self):
+        d = w_family(3, shared=True)
+        base = ordering.base_closure(d)
+        for extra in ([], [("D0", "S1")], [("S1", "D0"), ("D2", "S0")], [("D0", "S0")]):
+            try:
+                alone = induce_partial_order(d, extra)
+            except InconsistentOrder as exc:
+                with pytest.raises(InconsistentOrder, match=str(exc)):
+                    induce_partial_order(d, extra, base)
+                continue
+            assert induce_partial_order(d, extra, base).masks == alone.masks
+
+    def test_no_base_closure_outlives_its_diagram(self, monkeypatch):
+        closures = []
+        closure = ordering.base_closure
+
+        def recorded(d):
+            out = closure(d)
+            closures.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(ordering, "base_closure", recorded)
+        monkeypatch.setattr(analysis, "base_closure", recorded)
+        d = w_family(3, shared=True)
+        base = analysis.Analysis(d)
+        report = base.check()
+        assert analysis.suggest_resolutions(d, report, analysis=base)
+        induce_partial_order(d, [("D0", "S1")])
+        diagram = weakref.ref(d)
+        del d, base, report
+        gc.collect()
+        assert diagram() is None
+        assert len(closures) == 2 and all(ref() is None for ref in closures)
+
+    def test_masks_and_succ_agree(self, fig1_po):
+        po = fig1_po
+        for i, x in enumerate(po.carrier):
+            assert po.index[x] == i
+            assert set(po.succ[x]) == {y for j, y in enumerate(po.carrier) if po.masks[i] >> j & 1}
+            for y in po.carrier:
+                assert po.precedes(x, y) == (y in po.succ[x])
 
     @given(st.integers(0, 400))
     def test_transitive_and_antisymmetric(self, seed):
@@ -96,6 +178,30 @@ class TestInducePartialOrder:
                 assert po.precedes(x, z)
         for x, y in itertools.combinations(po.carrier, 2):
             assert not (po.precedes(x, y) and po.precedes(y, x))
+
+
+def _random_pairs(rng, d, n: int) -> list[tuple[str, str]]:
+    """``n`` random pairs of distinct carrier nodes."""
+    carrier = d.carrier_ids
+    if len(carrier) < 2:
+        return []
+    return [tuple(carrier[i] for i in rng.choice(len(carrier), 2, replace=False)) for _ in range(n)]
+
+
+def _assert_agrees_with_naive(d, extra) -> bool:
+    """The induced order under ``extra`` is the naive fixpoint, or, iff the
+    fixpoint orders some node before itself, induction raises and names the
+    first such node in declaration order.  Returns whether it raised."""
+    naive = naive_partial_order(d, extra)
+    cyclic = [x for x in d.carrier_ids if x in naive[x]]
+    if cyclic:
+        with pytest.raises(InconsistentOrder) as caught:
+            induce_partial_order(d, extra)
+        assert str(caught.value) == f"inconsistent order: {cyclic[0]!r} precedes itself"
+        return True
+    po = induce_partial_order(d, extra)
+    assert {x: set(po.succ[x]) for x in po.carrier} == naive
+    return False
 
 
 class TestIncompatibility:
