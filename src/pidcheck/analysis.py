@@ -74,14 +74,13 @@ precedes no node of P.
 In code a state is a pair of ints.  The placed nodes are a bit mask over
 carrier positions, as in the order's masks (see ``ordering``), so a slot,
 a past and every precedence test are int operations.  The outcomes are an
-index into a table that interns each set of outcomes once.  A step is
-memoized per (decision position, past mask, outcome index) and yields the
-mask of the decision's required variables and the index of the outcome set
-with the decision's own outcome added.  So a transition hashes a tuple of
-three ints, and only a memo miss builds the past as a set of ids and asks
-the rules.  Positions are fixed by the diagram, not by the order, so the
-memo and the table hold under every constrained order and are shared with
-the derived analyses.
+index into a table that interns each set of outcomes once.  The rules have
+one memo, keyed by (decision position, past mask, outcome index), which
+the pass and every walk down a schema's decision sequence step through:
+a step hashes a tuple of three ints, and only a miss builds the past as a
+set of ids and asks the rules.  Positions are fixed by the diagram, not by
+the order, so the memo and the table hold under every constrained order
+and are shared with the derived analyses.
 
 Why that test.  Every base pair of the induced order has a decision at one
 end (clauses (a)-(d), and the repair constraints, each of which pairs a
@@ -114,10 +113,9 @@ is enough: the partial order is built from a set of base pairs.
 from __future__ import annotations
 
 import copy
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Collection, Iterable
 
 from .model import Diagram, Kind
 from .dsep import active_reach
@@ -125,11 +123,10 @@ from .ordering import (
     InconsistentOrder,
     OrderSchema,
     PartialOrder,
-    SequenceSlots,
     base_closure,
     bits,
     canonical_schema,
-    decision_sequences,
+    enumerate_schemas,
     induce_partial_order,
 )
 
@@ -200,14 +197,15 @@ class Analysis:
     """Shared machinery for one diagram: the components of its bare view,
     the partial order, the memoized rules and the significance pass.
 
-    The rules are memoized per outcome class (decision, past, outcomes of
-    the later decisions), and the clause behind a witness per (decision,
+    The rules have one memo, keyed by (decision position, past mask,
+    later-outcome index), which the significance pass and every schema walk
+    share; the clause behind a witness is memoized per (decision,
     candidate, past, later outcomes in sequence order).  Entries are
-    reproducible from scratch; the memo is a pure speedup.  Analyses
-    derived by :meth:`constrained` share it, the diagram, the base closure
-    of the order and the bare components with their parent, and drop the
-    parent's schemas and significance pass.  The base closure lives here,
-    so it goes when the last analysis of the diagram does.
+    reproducible from scratch; the memos are a pure speedup.  Analyses
+    derived by :meth:`constrained` share them, the diagram, the base
+    closure of the order and the bare components with their parent, and
+    drop the parent's significance pass.  The base closure lives here, so
+    it goes when the last analysis of the diagram does.
     """
 
     def __init__(self, d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()):
@@ -216,12 +214,11 @@ class Analysis:
         self._base = base_closure(d)
         self.po: PartialOrder = induce_partial_order(d, self._extra, self._base)
         self._components = _carrier_components(d, self._base.index)
-        self._outcomes: dict[tuple, tuple[frozenset[str], frozenset[str]]] = {}
         self._clauses: dict[tuple, tuple | None] = {}
-        # The pass's memo: (decision, past, later) -> (required, next later),
-        # the decision and past as carrier positions and masks, the later
-        # outcomes as an index into _laters, which _later_ids inverts.
-        self._steps: dict[tuple[int, int, int], tuple[int, int]] = {}
+        # The rules' memo: (decision, past, later) -> (outcome, required,
+        # next later), all but the outcome as ints (see _step); later
+        # indexes _laters, which _later_ids inverts.
+        self._steps: dict[tuple[int, int, int], tuple[Outcome, int, int]] = {}
         self._laters: list[frozenset[Outcome]] = [frozenset()]
         self._later_ids: dict[frozenset[Outcome], int] = {frozenset(): 0}
 
@@ -231,7 +228,7 @@ class Analysis:
         ("observe", A, D) is the pair (A, D) and ("precede", D, A) the pair
         (D, A).  The pair orders as the arc A -> D would (module
         docstring), so the derived analysis keeps this diagram, its bare
-        components and memo, and has its own partial order, schemas
+        components and memos, and has its own partial order, schemas
         and significance pass.  Raises :class:`InconsistentOrder` if the
         constraints contradict the order, which is also what an observe
         arc closing a cycle does, and ``ValueError`` on an unknown kind."""
@@ -240,70 +237,63 @@ class Analysis:
             if kind not in ("observe", "precede"):
                 raise ValueError(f"unknown constraint kind {kind!r}")
             pairs.append((x, y))
-        # a shallow copy shares the diagram, its base closure, its components and the memo
+        # a shallow copy shares the diagram, its base closure, its components and the memos
         derived = copy.copy(self)
         derived._extra = self._extra + tuple(pairs)
         derived.po = induce_partial_order(self.diagram, derived._extra, self._base)
-        for cached in ("_sequences", "_significant"):  # both follow the order
-            vars(derived).pop(cached, None)
+        vars(derived).pop("_significant", None)  # it follows the order
         return derived
 
     # -- the rules ---------------------------------------------------------
 
     def _outcome(
-        self, dec: str, pred: frozenset[str], later: Iterable[Outcome]
+        self, dec: str, pred: frozenset[str], later: Collection[Outcome]
     ) -> tuple[frozenset[str], frozenset[str]]:
         """(relevant, required) of ``dec`` with past ``pred``, given the
         outcomes of the decisions after it in any order."""
-        later = frozenset(later)
-        key = (dec, pred, later)
-        hit = self._outcomes.get(key)
-        if hit is None:
-            desc = self.diagram.bare.descendants(dec)
-            rel = {v for v in self.diagram.value_ids if v in desc}  # direct influence on the payoff
-            for _, later_rel, later_req in later:
-                # dec feeds the later decision: it is required there, or has
-                # a bare directed path to a node required there (no decision
-                # has bare parents, so that node is a chance node)
-                if dec in later_req or not desc.isdisjoint(later_req):
-                    rel |= later_rel
-            rel = frozenset(rel)
-            # x is required iff some later decision sharing a utility with
-            # dec requires it (later-required), or the clauses' d-connection
-            # queries hold: x d-connected, given the rest of the past and
-            # dec, to a relevant utility (direct) or to a chance node that
-            # such a decision requires (later-chain).  x is d-connected to a
-            # target given Z - {x} iff a ball passed from the target given Z
-            # arrives at x, so one ball from every target answers all x.  The
-            # ball also arrives at each chance target itself, which is
-            # required anyway, and passes nowhere from an observed target,
-            # which d-connects to nothing.
-            shared = set().union(
-                *(later_req for _, later_rel, later_req in later if not rel.isdisjoint(later_rel))
-            )
-            chain = {y for y in shared if self.diagram.kind(y) is Kind.CHANCE}
-            reached = active_reach(self.diagram.bare, rel | chain, pred | {dec})
-            req = frozenset(x for x in pred if x in shared or x in reached)
-            hit = self._outcomes[key] = (rel, req)
-        return hit
+        desc = self.diagram.bare.descendants(dec)
+        rel = {v for v in self.diagram.value_ids if v in desc}  # direct influence on the payoff
+        for _, later_rel, later_req in later:
+            # dec feeds the later decision: it is required there, or has a
+            # bare directed path to a node required there (no decision has
+            # bare parents, so that node is a chance node)
+            if dec in later_req or not desc.isdisjoint(later_req):
+                rel |= later_rel
+        rel = frozenset(rel)
+        # x is required iff some later decision sharing a utility with dec
+        # requires it (later-required), or the clauses' d-connection queries
+        # hold: x d-connected, given the rest of the past and dec, to a
+        # relevant utility (direct) or to a chance node that such a decision
+        # requires (later-chain).  x is d-connected to a target given
+        # Z - {x} iff a ball passed from the target given Z arrives at x, so
+        # one ball from every target answers all x.  The ball also arrives
+        # at each chance target itself, which is required anyway, and passes
+        # nowhere from an observed target, which d-connects to nothing.
+        shared = set().union(
+            *(later_req for _, later_rel, later_req in later if not rel.isdisjoint(later_rel))
+        )
+        chain = {y for y in shared if self.diagram.kind(y) is Kind.CHANCE}
+        reached = active_reach(self.diagram.bare, rel | chain, pred | {dec})
+        return rel, frozenset(x for x in pred if x in shared or x in reached)
 
-    def _step(self, dec: int, past: int, later: int) -> tuple[int, int]:
-        """The pass's view of :meth:`_outcome`: for the decision at carrier
-        position ``dec``, the past ``past`` as a mask and the later outcomes
-        ``_laters[later]``, the mask of its required variables and the index
-        of the later outcomes with its own outcome added."""
+    def _step(self, dec: int, past: int, later: int) -> tuple[Outcome, int, int]:
+        """:meth:`_outcome`, memoized: for the decision at carrier position
+        ``dec``, the past ``past`` as a mask and the later outcomes
+        ``_laters[later]``, the decision's outcome, the mask of its required
+        variables and the index of the later outcomes with its own added."""
         key = (dec, past, later)
         hit = self._steps.get(key)
         if hit is None:
             ids, index = self.po.carrier, self.po.index
             outcomes = self._laters[later]
-            rel, req = self._outcome(ids[dec], frozenset(ids[i] for i in bits(past)), outcomes)
-            grown = outcomes | {(ids[dec], rel, req)}
+            pred = frozenset(ids[i] for i in bits(past))
+            outcome = (ids[dec], *self._outcome(ids[dec], pred, outcomes))
+            grown = outcomes | {outcome}
             nxt = self._later_ids.get(grown)
             if nxt is None:
                 nxt = self._later_ids[grown] = len(self._laters)
                 self._laters.append(grown)
-            hit = self._steps[key] = (sum(1 << index[x] for x in req), nxt)
+            hit = self._steps[key] = (outcome, sum(1 << index[x] for x in outcome[2]), nxt)
         return hit
 
     def _clause(
@@ -349,10 +339,17 @@ class Analysis:
     def _walk(self, schema: OrderSchema, start: int) -> tuple[Outcome, ...]:
         """The outcomes of the decisions of ``schema`` from 0-based position
         ``start`` on, in sequence order, worked out from the last one back."""
-        later: tuple[Outcome, ...] = ()
-        for dec in reversed(schema.decision_sequence[start:]):
-            later = ((dec, *self._outcome(dec, schema.pred(dec), later)),) + later
-        return later
+        index, seq = self.po.index, schema.decision_sequence
+        slots = [0] * (len(seq) + 1)
+        for c, k in schema.slots:
+            slots[k] |= 1 << index[c]
+        past, later, outcomes = (1 << len(index)) - 1, 0, []
+        for k in range(len(seq) - 1, start - 1, -1):
+            # seq[k]'s past: seq[k + 1]'s without seq[k] and the slot after it
+            past &= ~(1 << index[seq[k]] | slots[k + 1])
+            outcome, _, later = self._step(index[seq[k]], past, later)
+            outcomes.append(outcome)
+        return tuple(outcomes[::-1])
 
     def relevant_utilities(self, schema: OrderSchema, dec: str) -> frozenset[str]:
         return self._walk(schema, schema.position(dec) - 1)[0][1]
@@ -385,13 +382,6 @@ class Analysis:
         return Witness(a, dec, schema, psi, clause, later_dec, chain)
 
     # -- significance ---------------------------------------------------------
-
-    @cached_property
-    def _sequences(self) -> Iterator[SequenceSlots]:
-        """The decision sequences, generated as far as some copy of this
-        iterator has read them and kept: copies read independently, and
-        witness recovery usually stops within the first few."""
-        return itertools.tee(decision_sequences(self.diagram, self.po), 1)[0]
 
     @cached_property
     def _significant(self) -> frozenset[tuple[str, str]]:
@@ -457,7 +447,7 @@ class Analysis:
                     rest = free & ~(1 << dec)
                     for slot in slots:
                         past = rest & ~slot
-                        req, nxt = steps.get((dec, past, later)) or self._step(dec, past, later)
+                        _, req, nxt = steps.get((dec, past, later)) or self._step(dec, past, later)
                         hits = req & pending[dec]
                         if hits:
                             for a in bits(hits):
@@ -470,34 +460,19 @@ class Analysis:
         ids = po.carrier
         return {(ids[a], ids[dec]) for dec in decisions for a in bits(pairs[dec] & ~pending[dec])}, visited
 
-    def _pair_schemas(self, a: str, dec: str) -> Iterator[OrderSchema]:
-        """The admissible schemas placing ``a`` in the slot immediately
-        before ``dec``, in :func:`enumerate_schemas` order, generated
-        directly: ``a`` is pinned and the other chance nodes range freely."""
-        chance = self.diagram.chance_ids
-        ai = chance.index(a)
-        for seq, pos, ranges in copy.copy(self._sequences):
-            k = pos[dec]
-            lo, hi = ranges[ai]
-            if not lo <= k - 1 <= hi:
-                continue
-            choices = [range(lo, hi + 1) for lo, hi in ranges]
-            choices[ai] = (k - 1,)
-            for combo in itertools.product(*choices):
-                yield OrderSchema(seq, tuple(zip(chance, combo)))
-
     def is_significant(self, a: str, dec: str) -> Witness | None:
         """Existential significance over admissible schemas placing ``a``
         immediately before ``dec``.  The significance pass decides it; for
         a significant pair, the first such schema in :func:`enumerate_schemas`
-        order on which a clause fires gives the witness."""
+        order on which a clause fires gives the witness, read from the
+        schemas pinned to the pair."""
         if self.diagram.kind(a) is not Kind.CHANCE or self.diagram.kind(dec) is not Kind.DECISION:
             raise ValueError("significance is defined for (chance, decision) pairs")
         if not self.po.incompatible(a, dec):
             raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
         if (a, dec) not in self._significant:
             return None
-        for schema in self._pair_schemas(a, dec):
+        for schema in enumerate_schemas(self.diagram, self.po, pin=(a, dec)):
             w = self.significant_rel(schema, a, dec)
             if w is not None:
                 return w

@@ -8,8 +8,8 @@ rule is recorded over the full past.  Only the rule tables span a whole
 prefix; every other table spans the variables one elimination step touches,
 and no table may exceed MAX_TABLE_CELLS.  No junction tree.
 
-`solve_schemas` is the one elimination; `solve` and `solve_many` call it
-on one schema.  It solves several realizations at once: each table has a
+`solve_schemas` is the one elimination; `solve` calls it on one schema and
+one realization.  It solves several realizations at once: each table has a
 leading trial axis, and products, last-axis sums, means and maxima and the
 tie test all work trial by trial, so each trial's rules and MEU are bit for
 bit those of a lone `solve`.  MAX_TABLE_CELLS bounds the tables of one
@@ -277,8 +277,8 @@ def _split(factors: list[Factor], v: int) -> tuple[list[Factor], list[Factor]]:
 
 
 def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, float]:
-    """`solve_many` on the one realization ``r``."""
-    return solve_many(d, (r,), schema)[0]
+    """`solve_schemas` on the one realization ``r`` and schema ``schema``."""
+    return next(solve_schemas(d, (r,), (schema,)))[0][0]
 
 
 def batch_trials(d: Diagram) -> int:
@@ -288,13 +288,6 @@ def batch_trials(d: Diagram) -> int:
     state space does."""
     cells = math.prod(len(d.states(v)) for v in d.carrier_ids)
     return max(1, min(MAX_BATCH, MAX_TABLE_CELLS // cells))
-
-
-def solve_many(
-    d: Diagram, realizations: Sequence[Realization], schema: OrderSchema
-) -> list[tuple[Strategy, float]]:
-    """`solve_schemas` on the one schema ``schema``."""
-    return next(solve_schemas(d, realizations, (schema,)))[0]
 
 
 def solve_schemas(

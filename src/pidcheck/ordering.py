@@ -24,6 +24,19 @@ into the mask of each node at or before T, and the relation stays closed
 after every addition, cycles included.  The closure of a union does not
 depend on the order in which its pairs are added, so the relation is the
 one a full closure pass after each clause would give.
+
+A schema places chance node A in the slot immediately before decision D
+exactly when every decision that precedes A comes before D, and D comes
+before every decision that A precedes.  Pinning (A, D) adds those pairs to
+the order on the decisions and fixes A's slot.  For an incompatible pair
+the added pairs close no cycle.  Each has D at one end, so a cycle passes D
+once and returns to it along the order: E < D < F <= E, E < D < x <= E or
+y < D < F <= y, with E < A < F, which gives A < A, D < A or A < D.
+The linear extensions of the stronger order are exactly those of the order
+that can host the pair, and a depth-first search that tries decisions in
+declaration order lists either set in lexicographic order.  So the pinned
+sequences, and the pinned schemas, are the unpinned ones that can host the
+pair, in the same order.
 """
 from __future__ import annotations
 
@@ -269,10 +282,14 @@ class SequenceSlots(NamedTuple):
     ranges: tuple[tuple[int, int], ...]
 
 
-def decision_sequences(d: Diagram, po: PartialOrder) -> Iterator[SequenceSlots]:
+def decision_sequences(
+    d: Diagram, po: PartialOrder, *, pin: tuple[str, str] | None = None
+) -> Iterator[SequenceSlots]:
     """The decision sequences of :func:`enumerate_schemas`, in its order:
     the linear extensions of the order restricted to decisions, in
-    lexicographic (declaration) order.
+    lexicographic (declaration) order.  With ``pin=(a, dec)``, an
+    incompatible (chance, decision) pair, only those that can place ``a``
+    in the slot immediately before ``dec`` (module docstring).
 
     The slot ranges are kept along the depth-first search.  Placing a
     decision at position k raises to k the lower bound of every chance node
@@ -290,6 +307,12 @@ def decision_sequences(d: Diagram, po: PartialOrder) -> Iterator[SequenceSlots]:
     before = {i: sum(1 << j for j in decisions if masks[j] >> i & 1) for i in decisions}
     after = {i: [k for k, c in enumerate(chance) if masks[i] >> c & 1] for i in decisions}
     until = {i: [k for k, c in enumerate(chance) if masks[c] >> i & 1] for i in decisions}
+    if pin is not None:
+        a, dec = index[pin[0]], index[pin[1]]
+        for e in decisions:
+            if masks[a] >> e & 1:  # a < e, so dec < e
+                before[e] |= 1 << dec
+        before[dec] |= sum(1 << e for e in decisions if masks[e] >> a & 1)  # e < a, so e < dec
     lo, hi = [0] * len(chance), [n] * len(chance)
     seq: list[str] = []
 
@@ -317,15 +340,22 @@ def decision_sequences(d: Diagram, po: PartialOrder) -> Iterator[SequenceSlots]:
     yield from rec(sum(1 << i for i in decisions))
 
 
-def enumerate_schemas(d: Diagram, po: PartialOrder | None = None) -> Iterator[OrderSchema]:
+def enumerate_schemas(
+    d: Diagram, po: PartialOrder | None = None, *, pin: tuple[str, str] | None = None
+) -> Iterator[OrderSchema]:
     """Yield every admissible order schema exactly once, lexicographically
     by decision sequence then by slot vector (chance in declaration order).
+    With ``pin=(a, dec)``, only those that place ``a`` in the slot
+    immediately before ``dec``, in the same order.
     """
     if po is None:
         po = induce_partial_order(d)
     chance = d.chance_ids
-    for seq, _, ranges in decision_sequences(d, po):
-        for combo in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges)):
+    for seq, position, ranges in decision_sequences(d, po, pin=pin):
+        choices = [range(lo, hi + 1) for lo, hi in ranges]
+        if pin is not None:
+            choices[chance.index(pin[0])] = (position[pin[1]] - 1,)
+        for combo in itertools.product(*choices):
             yield OrderSchema(seq, tuple(zip(chance, combo)))
 
 

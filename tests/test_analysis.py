@@ -1,4 +1,5 @@
 import pathlib
+import sys
 import time
 
 import hypothesis.strategies as st
@@ -16,7 +17,7 @@ from conftest import (
     w_family,
     w_family_expected,
 )
-from pidcheck import figures
+from pidcheck import figures, ordering
 from pidcheck.analysis import (
     Analysis,
     ScanBudgetExceeded,
@@ -27,7 +28,13 @@ from pidcheck.cli import load_file
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
 from pidcheck.generate import random_classic_id, random_pid
 from pidcheck.model import Kind, Node, validate_nodes
-from pidcheck.ordering import InconsistentOrder, canonical_schema, enumerate_schemas, induce_partial_order
+from pidcheck.ordering import (
+    InconsistentOrder,
+    canonical_schema,
+    decision_sequences,
+    enumerate_schemas,
+    induce_partial_order,
+)
 
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -241,39 +248,88 @@ class TestSignificance:
             assert strategies_equal(s1, s2) is not Comparison.DIFFERENT
 
 
-def _assert_pair_schemas_match_reference(d) -> int:
-    """The pair generator yields exactly the schemas, in the same order,
-    that filtering the full schema stream yields.  Returns the number of
-    pairs compared."""
-    analysis = Analysis(d)
-    pairs = [
-        (a, dec)
-        for dec in d.decision_ids
-        for a in d.chance_ids
-        if analysis.po.incompatible(a, dec)
-    ]
+def _assert_pins_match_reference(analysis) -> int:
+    """For every checked pair (A, D), the pinned schemas are exactly those
+    that filtering the full schema stream yields, and the pinned decision
+    sequences are the unpinned ones whose slot range for A holds
+    pos[D] - 1; both in the same order.  Returns the number of pairs
+    compared."""
+    d, po = analysis.diagram, analysis.po
+    pairs = [(a, dec) for dec in d.decision_ids for a in d.chance_ids if po.incompatible(a, dec)]
+    unpinned = list(decision_sequences(d, po))
     for a, dec in pairs:
-        full = list(full_stream_pair_schemas(analysis, a, dec))
-        assert list(analysis._pair_schemas(a, dec)) == full, (d, a, dec)
+        pinned = list(enumerate_schemas(d, po, pin=(a, dec)))
+        assert pinned == list(full_stream_pair_schemas(analysis, a, dec)), (a, dec)
+        ai = d.chance_ids.index(a)
+        hosts = [s for s in unpinned if s.ranges[ai][0] <= s.position[dec] - 1 <= s.ranges[ai][1]]
+        assert list(decision_sequences(d, po, pin=(a, dec))) == hosts, (a, dec)
     return len(pairs)
 
 
 class TestPairSchemas:
     @pytest.mark.parametrize("name", sorted(figures.ALL_FIGURES))
     def test_fixtures(self, name):
-        _assert_pair_schemas_match_reference(figures.ALL_FIGURES[name]())
+        _assert_pins_match_reference(Analysis(figures.ALL_FIGURES[name]()))
 
-    @pytest.mark.parametrize("k", [3, 4, 5])
-    @pytest.mark.parametrize("shared", [False, True])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    @pytest.mark.parametrize("shared", [False, True, "mixed", "coupled"])
     def test_w_family(self, k, shared):
-        assert _assert_pair_schemas_match_reference(w_family(k, shared)) == k * (k - 1)
+        assert _assert_pins_match_reference(Analysis(w_family(k, shared))) == k * (k - 1)
+
+    @pytest.mark.parametrize("name", ["w3_shared", "fig6", "fig7", "fig8", "two_witness"])
+    def test_orders_the_repair_search_reaches(self, name):
+        # A constrained order can lack a base pair (ROADMAP item 4), and
+        # the pin reads the order's masks.
+        d = w_family(3, shared=True) if name == "w3_shared" else figures.ALL_FIGURES[name]()
+        base = Analysis(d)
+        derived = 0
+        for cs in {frozenset(cs) for cs in _reached_sets(d)}:
+            try:
+                analysis = base.constrained(cs)
+            except InconsistentOrder:
+                continue
+            _assert_pins_match_reference(analysis)
+            derived += 1
+        assert derived > 0
 
     def test_random_draws(self):
         compared = 0
         for seed in range(1000):
             d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
-            compared += _assert_pair_schemas_match_reference(d)
+            compared += _assert_pins_match_reference(Analysis(d))
         assert compared > 500
+
+
+def _count_sequences(monkeypatch) -> list[int]:
+    """Count the decision sequences read from `ordering.decision_sequences`,
+    under every name a pidcheck module binds it to."""
+    original = ordering.decision_sequences
+    count = [0]
+
+    def counted(*args, **kwargs):
+        for seq in original(*args, **kwargs):
+            count[0] += 1
+            yield seq
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pidcheck") and getattr(module, "decision_sequences", None) is original:
+            monkeypatch.setattr(module, "decision_sequences", counted)
+    return count
+
+
+class TestWitnessRecoveryReads:
+    """`check` reads at most one decision sequence per witness, plus the
+    canonical schema's: on these families each witness fires on the first
+    sequence that can host its pair.  Walking every sequence and skipping
+    those that cannot host the pair reads 40,322 on mixed W(9)."""
+
+    @pytest.mark.parametrize("k, shared", [(k, "mixed") for k in (6, 7, 8, 9)] + [(k, True) for k in (3, 4, 5, 6)])
+    def test_check(self, monkeypatch, k, shared):
+        d = w_family(k, shared)
+        count = _count_sequences(monkeypatch)
+        report = Analysis(d).check()
+        assert report.witnesses
+        assert count[0] <= len(report.witnesses) + 1
 
 
 # The only random_pid(max_carrier=8, max_decisions=4) seeds in 0-2999 on
@@ -721,28 +777,6 @@ class TestFirstWitness:
             backward = base.constrained(p.constraints[::-1])
             assert forward.po.succ == backward.po.succ
             assert _first(forward) == _first(backward)
-
-    def test_interleaved_pair_schemas(self):
-        # The decision sequences are generated lazily into one shared list;
-        # iterators that run interleaved, at different paces, still see
-        # every sequence once and in order.
-        d = w_family(3, shared=True)
-        pairs = [("S0", "D1"), ("S1", "D0"), ("S0", "D1")]
-        expected = [list(Analysis(d)._pair_schemas(a, dec)) for a, dec in pairs]
-        analysis = Analysis(d)
-        iters = [analysis._pair_schemas(a, dec) for a, dec in pairs]
-        got: list[list] = [[], [], []]
-        live = [0, 1, 2]
-        while live:
-            for i in list(live):
-                for _ in range(i + 1):
-                    item = next(iters[i], None)
-                    if item is None:
-                        live.remove(i)
-                        break
-                    got[i].append(item)
-        assert got == expected
-        assert len({s.decision_sequence for s in expected[0]}) > 1
 
 
 class TestDerivedAnalysis:

@@ -112,3 +112,16 @@ print("numpy" in sys.modules)
 def test_importing_cli_does_not_build_the_parser():
     code = "import pidcheck.cli\nprint(pidcheck.cli.build_parser.cache_info().currsize)\n"
     assert _run_python(code).strip() == "0"
+
+
+def test_benchmark_tracer_finds_every_traced_name():
+    # perfbench/spans.py wraps functions and methods of the package by name;
+    # a rename or a deletion must fail here, not only in a traced benchmark run.
+    code = f"""
+import sys
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import spans
+spans.install(spans.Tracer())
+print("installed")
+"""
+    assert _run_python(code).strip() == "installed"

@@ -21,7 +21,6 @@ from pidcheck.oracle import (
     required_from_strategy,
     Strategy,
     solve,
-    solve_many,
     solve_schemas,
     strategies_equal,
 )
@@ -286,9 +285,9 @@ class TestMatchesDenseReference:
 
 
 def assert_batch_matches_lone(d, realizations, schema):
-    """Each trial of one `solve_many` call has, bit for bit, the tables and
-    MEU of a lone `solve` on its realization."""
-    batched = solve_many(d, realizations, schema)
+    """Each trial of one `solve_schemas` call on one schema has, bit for
+    bit, the tables and MEU of a lone `solve` on its realization."""
+    batched = next(solve_schemas(d, realizations, (schema,)))[0]
     assert len(batched) == len(realizations)
     for r, (strategy, meu) in zip(realizations, batched):
         lone, lone_meu = solve(d, r, schema)
@@ -332,14 +331,14 @@ class TestSolveMany:
 
     def test_no_realizations(self):
         d = figures.fig4()
-        assert solve_many(d, [], canonical_schema(d)) == []
+        assert next(solve_schemas(d, [], (canonical_schema(d),)))[0] == []
 
     def test_one_bad_trial_fails_the_batch(self):
         d = figures.fig4()
         r = figures.fig4_realization()
         huge = Realization(r.cpts, {v: np.full_like(t, np.inf) for v, t in r.utilities.items()})
         with pytest.raises(EvaluationError, match="non-finite table entries"):
-            solve_many(d, [r, huge, r], canonical_schema(d))
+            next(solve_schemas(d, [r, huge, r], (canonical_schema(d),)))
 
 
 def _bits(a) -> tuple:
