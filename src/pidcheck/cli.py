@@ -446,7 +446,7 @@ def cmd_fuzz(args) -> int:
     d, _ = load_file(args.file)
     analysis = _analysis.Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
-    report = analysis.check()
+    welldefined = analysis.first_witness() is None
     required = [analysis.required_sets(s) for s in schemas]
     failures: list[str] = []
     size = batch_trials(d)
@@ -462,7 +462,7 @@ def cmd_fuzz(args) -> int:
         agree: list[set[str]] = [set() for _ in trials]
         base = None
         for struct, (solved, fresh) in zip(required, solve_schemas(d, realizations, schemas)):
-            compare = base is not None and report.welldefined
+            compare = base is not None and welldefined
             if base is None:
                 base = solved
             for t, (strategy, _), (first, _), sets, agreed in zip(trials, solved, base, oracle_sets, agree):
@@ -532,8 +532,8 @@ def cmd_baselines(args) -> int:
 
 
 def _count(text: str) -> int:
-    """The argparse type of --limit, --trials and --seed: an int that is not
-    negative.  Text that is no int gets the message of ``type=int``."""
+    """The argparse type of --limit, --schema, --trials and --seed: an int
+    that is not negative.  Text that is no int gets the message of ``type=int``."""
     try:
         value = int(text)
     except ValueError:
@@ -569,15 +569,15 @@ def build_parser() -> argparse.ArgumentParser:
     add("check", cmd_check, help="welldefinedness verdict (exit 0 yes, 2 no)")
     p = add("relevant", cmd_outcome, help="relevant utility nodes for a decision")
     p.add_argument("-d", "--decision", required=True)
-    p.add_argument("--schema", type=int, default=None, help="schema index from `schemas`")
+    p.add_argument("--schema", type=_count, default=None, help="schema index from `schemas`")
     p = add("required", cmd_outcome, help="required past variables for a decision")
     p.add_argument("-d", "--decision", required=True)
-    p.add_argument("--schema", type=int, default=None)
+    p.add_argument("--schema", type=_count, default=None)
     p = add("significant", cmd_significant, help="is a chance node significant for a decision?")
     p.add_argument("-a", "--chance", required=True)
     p.add_argument("-d", "--decision", required=True)
     p = add("solve", cmd_solve, help="exact strategies and MEU (needs a realization)")
-    p.add_argument("--schema", type=int, default=None)
+    p.add_argument("--schema", type=_count, default=None)
     p = add("fuzz", cmd_fuzz, help="random-realization differential suite")
     p.add_argument("--trials", type=_count, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=_count, default=0)

@@ -175,9 +175,6 @@ class GraphView:
     def children_of(self, node_id: str) -> tuple[str, ...]:
         return self._adjacency[1][node_id]
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self._adjacency[1][a]
-
     def descendants(self, node_id: str) -> frozenset[str]:
         """Every node reachable from ``node_id`` by one or more arcs."""
         hit = self._descendants.get(node_id)

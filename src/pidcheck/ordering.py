@@ -41,11 +41,12 @@ pair, in the same order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
-from .model import Diagram, Kind
+from .model import Diagram
 
 
 class InconsistentOrder(ValueError):
@@ -65,18 +66,23 @@ class PartialOrder:
     """Transitively closed precedence relation over chance+decision nodes.
 
     ``masks[i]`` is the set of successors of ``carrier[i]`` as a bit mask
-    over carrier positions (module docstring), and ``index`` maps a node to
-    its position.  ``succ`` is a read-only view of the same relation as
-    sets of node ids.
+    over carrier positions (module docstring), ``index`` maps a node to
+    its position, and ``decisions`` is the mask of the decisions.  ``succ``
+    is a read-only view of the same relation as sets of node ids.
 
     Equality and hashing compare the carrier only, not the relation: two
     orders of one diagram are always equal.  Compare ``masks`` to tell them
     apart."""
 
     carrier: tuple[str, ...]
-    kinds: dict[str, Kind] = field(compare=False)
     index: dict[str, int] = field(compare=False)
+    decisions: int = field(compare=False)
     masks: tuple[int, ...] = field(compare=False)
+
+    @property
+    def chance(self) -> int:
+        """The mask of the chance nodes."""
+        return ((1 << len(self.carrier)) - 1) & ~self.decisions
 
     @cached_property
     def succ(self) -> dict[str, frozenset[str]]:
@@ -101,35 +107,21 @@ class PartialOrder:
         a decision bear on welldefinedness.
         """
         ids, masks = self.carrier, self.masks
-        out = []
-        for i, x in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                if with_decision_only and (
-                    self.kinds[x] is Kind.CHANCE and self.kinds[ids[j]] is Kind.CHANCE
-                ):
-                    continue
-                if not (masks[i] >> j & 1 or masks[j] >> i & 1):
-                    out.append((x, ids[j]))
-        return tuple(out)
+        skip = self.chance if with_decision_only else 0
+        return tuple(
+            (x, ids[j])
+            for i, x in enumerate(ids)
+            for j in range(i + 1, len(ids))
+            if not (skip >> i & skip >> j & 1 or masks[i] >> j & 1 or masks[j] >> i & 1)
+        )
 
 
-@dataclass(frozen=True, eq=False)
-class BaseClosure:
-    """The closure of induction clauses (a) and (b) of one diagram, and the
-    carrier positions it is written in: every order of the diagram starts
-    from it.  It holds no reference to the diagram; whoever induces several
-    orders of a diagram keeps it next to the diagram (``Analysis`` does)."""
-
-    carrier: tuple[str, ...]
-    kinds: dict[str, Kind]
-    index: dict[str, int]
-    decisions: int  # mask of the decisions
-    chance: int  # mask of the chance nodes
-    masks: tuple[int, ...]
-
-
-def base_closure(d: Diagram) -> BaseClosure:
-    """Clauses (a) and (b) of :func:`induce_partial_order`, closed."""
+def base_closure(d: Diagram) -> PartialOrder:
+    """Clauses (a) and (b) of :func:`induce_partial_order`, closed: the
+    order every order of ``d`` starts from.  Each of its pairs follows a
+    directed path of the diagram, so it orders no node before itself.  It
+    holds no reference to the diagram; whoever induces several orders of a
+    diagram keeps it next to the diagram (``Analysis`` does)."""
     carrier = d.carrier_ids
     index = {v: i for i, v in enumerate(carrier)}
     succ = [0] * len(carrier)
@@ -148,18 +140,11 @@ def base_closure(d: Diagram) -> BaseClosure:
         for i, si in enumerate(succ):
             if si & bk:
                 succ[i] = si | sk
-    return BaseClosure(
-        carrier=carrier,
-        kinds={v: d.kind(v) for v in carrier},
-        index=index,
-        decisions=decisions,
-        chance=((1 << len(carrier)) - 1) & ~decisions,
-        masks=tuple(succ),
-    )
+    return PartialOrder(carrier=carrier, index=index, decisions=decisions, masks=tuple(succ))
 
 
 def induce_partial_order(
-    d: Diagram, extra: Iterable[tuple[str, str]] = (), base: BaseClosure | None = None
+    d: Diagram, extra: Iterable[tuple[str, str]] = (), base: PartialOrder | None = None
 ) -> PartialOrder:
     """Smallest transitively closed relation satisfying the four induction
     clauses:
@@ -227,7 +212,7 @@ def induce_partial_order(
     for i, s in enumerate(succ):
         if s >> i & 1:
             raise InconsistentOrder(f"inconsistent order: {base.carrier[i]!r} precedes itself")
-    return PartialOrder(carrier=base.carrier, kinds=base.kinds, index=index, masks=tuple(succ))
+    return replace(base, masks=tuple(succ))
 
 
 @dataclass(frozen=True)
@@ -266,78 +251,34 @@ class OrderSchema:
         earlier_chance = {c for c, s in self.slots if s < k}
         return frozenset(earlier_chance | set(self.decision_sequence[: k - 1]))
 
-    def decisions_after(self, dec: str) -> tuple[str, ...]:
-        return self.decision_sequence[self.position(dec):]
-
-
-class SequenceSlots(NamedTuple):
-    """One linear extension of the decision order, with what every schema
-    under it shares: the 1-based position of each decision and the
-    admissible slot interval of each chance node (declaration order), which
-    lies after every decision that precedes the node and before every
-    decision it precedes."""
-
-    decisions: tuple[str, ...]
-    position: dict[str, int]
-    ranges: tuple[tuple[int, int], ...]
-
 
 def decision_sequences(
     d: Diagram, po: PartialOrder, *, pin: tuple[str, str] | None = None
-) -> Iterator[SequenceSlots]:
+) -> Iterator[tuple[str, ...]]:
     """The decision sequences of :func:`enumerate_schemas`, in its order:
-    the linear extensions of the order restricted to decisions, in
-    lexicographic (declaration) order.  With ``pin=(a, dec)``, an
-    incompatible (chance, decision) pair, only those that can place ``a``
-    in the slot immediately before ``dec`` (module docstring).
-
-    The slot ranges are kept along the depth-first search.  Placing a
-    decision at position k raises to k the lower bound of every chance node
-    it precedes (positions only grow down the search), and lowers to k - 1
-    the upper bound of every chance node that precedes it, unless an
-    earlier decision has set a lower one.  Sequence extensions guarantee
-    lo <= hi for every chance node.
-    """
+    the linear extensions of ``po`` (an order of ``d``) restricted to
+    decisions, in lexicographic (declaration) order.  With
+    ``pin=(a, dec)``, an incompatible (chance, decision) pair, only those
+    that can place ``a`` in the slot immediately before ``dec`` (module
+    docstring)."""
     masks, index = po.masks, po.index
     decisions = [index[v] for v in d.decision_ids]
-    chance = [index[c] for c in d.chance_ids]
-    n = len(decisions)
-    # per decision: the decisions before it, and the positions in ``chance``
-    # of the chance nodes after it and of those before it
+    # per decision: the decisions before it
     before = {i: sum(1 << j for j in decisions if masks[j] >> i & 1) for i in decisions}
-    after = {i: [k for k, c in enumerate(chance) if masks[i] >> c & 1] for i in decisions}
-    until = {i: [k for k, c in enumerate(chance) if masks[c] >> i & 1] for i in decisions}
     if pin is not None:
         a, dec = index[pin[0]], index[pin[1]]
-        for e in decisions:
-            if masks[a] >> e & 1:  # a < e, so dec < e
-                before[e] |= 1 << dec
+        for e in bits(masks[a] & po.decisions):  # a < e, so dec < e
+            before[e] |= 1 << dec
         before[dec] |= sum(1 << e for e in decisions if masks[e] >> a & 1)  # e < a, so e < dec
-    lo, hi = [0] * len(chance), [n] * len(chance)
-    seq: list[str] = []
 
-    def rec(remaining: int) -> Iterator[SequenceSlots]:
+    def rec(remaining: int, seq: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
         if not remaining:
-            yield SequenceSlots(tuple(seq), dict(zip(seq, range(1, n + 1))), tuple(zip(lo, hi)))
-            return
-        k = len(seq) + 1
+            yield seq
         for i in bits(remaining):
-            if before[i] & remaining:
-                continue
-            saved = [lo[c] for c in after[i]], [hi[c] for c in until[i]]
-            for c in after[i]:
-                lo[c] = k
-            for c in until[i]:
-                hi[c] = min(hi[c], k - 1)
-            seq.append(po.carrier[i])
-            yield from rec(remaining & ~(1 << i))
-            seq.pop()
-            for c, v in zip(after[i], saved[0]):
-                lo[c] = v
-            for c, v in zip(until[i], saved[1]):
-                hi[c] = v
+            if not before[i] & remaining:
+                yield from rec(remaining & ~(1 << i), seq + (po.carrier[i],))
 
-    yield from rec(sum(1 << i for i in decisions))
+    yield from rec(po.decisions, ())
 
 
 def enumerate_schemas(
@@ -347,14 +288,29 @@ def enumerate_schemas(
     by decision sequence then by slot vector (chance in declaration order).
     With ``pin=(a, dec)``, only those that place ``a`` in the slot
     immediately before ``dec``, in the same order.
+
+    Under a sequence, a chance node's admissible slots are the k whose
+    first k decisions hold every decision before the node and none after
+    it: from the largest position of a decision before it to the smallest
+    position of a decision after it, minus 1.  A linear extension makes
+    that range non-empty.
     """
     if po is None:
         po = induce_partial_order(d)
-    chance = d.chance_ids
-    for seq, position, ranges in decision_sequences(d, po, pin=pin):
-        choices = [range(lo, hi + 1) for lo, hi in ranges]
+    masks, index, chance = po.masks, po.index, d.chance_ids
+    # per chance node: the mask of the decisions before it and of those after it
+    spans = [
+        (sum(1 << e for e in bits(po.decisions) if masks[e] >> index[c] & 1), masks[index[c]] & po.decisions)
+        for c in chance
+    ]
+    for seq in decision_sequences(d, po, pin=pin):
+        # prefixes[k]: the mask of the first k decisions of seq
+        prefixes = list(itertools.accumulate((1 << index[v] for v in seq), operator.or_, initial=0))
+        choices = [
+            [k for k, p in enumerate(prefixes) if not before & ~p and not after & p] for before, after in spans
+        ]
         if pin is not None:
-            choices[chance.index(pin[0])] = (position[pin[1]] - 1,)
+            choices[chance.index(pin[0])] = [seq.index(pin[1])]
         for combo in itertools.product(*choices):
             yield OrderSchema(seq, tuple(zip(chance, combo)))
 

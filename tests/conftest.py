@@ -340,7 +340,7 @@ class ReferenceRules:
         for v in self.diagram.value_ids:  # direct influence on the payoff
             if v in desc:
                 rel.add(v)
-        for later in schema.decisions_after(dec):
+        for later in schema.decision_sequence[schema.position(dec):]:
             later_rel = self.relevant_utilities(schema, later)
             missing = [v for v in later_rel if v not in rel]
             if not missing:
@@ -381,7 +381,7 @@ class ReferenceRules:
             psi = next(v for v in self.diagram.value_ids
                        if v in rel and moral_d_connected(self.bare, x, {v}, conditioning))
             return ("direct", psi, None, None)
-        for later in schema.decisions_after(dec):
+        for later in schema.decision_sequence[schema.position(dec):]:
             common = rel & self.relevant_utilities(schema, later)
             if not common:
                 continue

@@ -251,17 +251,20 @@ class TestSignificance:
 def _assert_pins_match_reference(analysis) -> int:
     """For every checked pair (A, D), the pinned schemas are exactly those
     that filtering the full schema stream yields, and the pinned decision
-    sequences are the unpinned ones whose slot range for A holds
-    pos[D] - 1; both in the same order.  Returns the number of pairs
-    compared."""
+    sequences are the unpinned ones that put every decision before A ahead
+    of D and D ahead of every decision after A; both in the same order.
+    Returns the number of pairs compared."""
     d, po = analysis.diagram, analysis.po
     pairs = [(a, dec) for dec in d.decision_ids for a in d.chance_ids if po.incompatible(a, dec)]
     unpinned = list(decision_sequences(d, po))
     for a, dec in pairs:
         pinned = list(enumerate_schemas(d, po, pin=(a, dec)))
         assert pinned == list(full_stream_pair_schemas(analysis, a, dec)), (a, dec)
-        ai = d.chance_ids.index(a)
-        hosts = [s for s in unpinned if s.ranges[ai][0] <= s.position[dec] - 1 <= s.ranges[ai][1]]
+        hosts = [
+            seq for seq in unpinned
+            if all(seq.index(e) < seq.index(dec) for e in d.decision_ids if po.precedes(e, a))
+            and all(seq.index(dec) < seq.index(f) for f in d.decision_ids if po.precedes(a, f))
+        ]
         assert list(decision_sequences(d, po, pin=(a, dec))) == hosts, (a, dec)
     return len(pairs)
 

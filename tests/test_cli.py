@@ -585,6 +585,17 @@ class TestParser:
         assert (code, out) == (1, "")
         assert err.endswith(f"error: argument {option}: invalid non-negative int value: '{value}'\n")
 
+    @pytest.mark.parametrize("argv", [("relevant", "-d", "D"), ("required", "-d", "D"), ("solve",)], ids=lambda a: a[0])
+    def test_negative_schema_index_is_a_usage_error(self, capsys, monkeypatch, argv):
+        # It is refused while parsing, before any schema is enumerated.
+        def refuse(*args, **kwargs):
+            raise AssertionError("schemas enumerated")
+
+        monkeypatch.setattr(cli, "enumerate_schemas", refuse)
+        code, out, err = run(capsys, argv[0], FIXTURES / "fig6.pid", *argv[1:], "--schema", "-1")
+        assert (code, out) == (1, "")
+        assert err.endswith("error: argument --schema: invalid non-negative int value: '-1'\n")
+
     def test_count_that_is_no_int_reads_as_before(self, capsys):
         code, _, err = run(capsys, "schemas", FIXTURES / "fig1.pid", "--limit", "x")
         assert code == 1
