@@ -133,6 +133,8 @@ def parse_document(text: str, source: str = "<string>") -> tuple[Diagram, Parsed
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(f"{source}:{exc.lineno}:{exc.colno}: parse error: {exc.msg}")
+    except RecursionError:
+        raise CliError(f"{source}: parse error: nested too deeply")
     if not isinstance(raw, dict):
         raise CliError(f"{source}: document must be a JSON object")
     try:
@@ -147,28 +149,6 @@ def parse_document(text: str, source: str = "<string>") -> tuple[Diagram, Parsed
         except InvalidRealization as exc:
             raise CliError(f"{source}: {exc}")
     return diagram, realization
-
-
-def serialize_document(d: Diagram, realization: Realization | None = None) -> str:
-    doc: dict[str, Any] = {
-        "nodes": [
-            {
-                "id": n.id,
-                "kind": n.kind.value,
-                **({"states": list(n.states)} if n.states is not None else {}),
-                "parents": list(n.parents),
-            }
-            for n in d.nodes
-        ]
-    }
-    if realization is not None:
-        doc["realization"] = {
-            "cpts": {k: [float(x) for x in v.reshape(-1)] for k, v in realization.cpts.items()},
-            "utilities": {
-                k: [float(x) for x in v.reshape(-1)] for k, v in realization.utilities.items()
-            },
-        }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def load_file(path: str) -> tuple[Diagram, ParsedRealization | None]:

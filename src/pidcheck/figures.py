@@ -1,34 +1,31 @@
 """Fixture corpus: small diagrams exercising every analysis path.
 
-Each builder returns a validated diagram; the ``*_realization`` helpers
-attach the hand-built probability and utility tables used by the exact
-solver tests.  The revealing-signal pattern appears in several fixtures: a
-signal node copies a hidden variable when two other coordinates disagree
-and is uniform noise otherwise, so observing it sometimes pins the hidden
-state and otherwise says nothing.
+Each function reads its document ``fixtures/<name>.pid`` of a source
+checkout and returns a new, validated diagram on every call; the
+``*_realization`` functions return the tables of the same documents used
+by the exact solver tests.  The documents are the corpus and are edited by
+hand.  The revealing-signal pattern appears in several fixtures: a signal
+node copies a hidden variable when two other coordinates disagree and is
+uniform noise otherwise, so observing it sometimes pins the hidden state
+and otherwise says nothing.
 """
 from __future__ import annotations
 
-import numpy as np
+import pathlib
 
-from .model import Diagram, Kind, Node, validate_nodes
+from .cli import load_file
+from .model import Diagram
 from .oracle import Realization
 
-
-def _chance(node_id, states, parents=()):
-    return Node(node_id, Kind.CHANCE, tuple(states), tuple(parents))
+FIXTURES = pathlib.Path(__file__).resolve().parents[2] / "fixtures"
 
 
-def _decision(node_id, states, parents=()):
-    return Node(node_id, Kind.DECISION, tuple(states), tuple(parents))
+def _diagram(name: str) -> Diagram:
+    return load_file(str(FIXTURES / f"{name}.pid"))[0]
 
 
-def _value(node_id, parents):
-    return Node(node_id, Kind.VALUE, None, tuple(parents))
-
-
-BIN = ("s1", "s2")
-ACT = ("d1", "d2")
+def _realization(name: str) -> Realization:
+    return load_file(str(FIXTURES / f"{name}.pid"))[1].realization()
 
 
 def fig1() -> Diagram:
@@ -39,18 +36,7 @@ def fig1() -> Diagram:
     D2 and D3 only, leaving F incompatible with D4.  D2, D3 and D4 are
     pairwise incompatible; H is observed last or never.
     """
-    return validate_nodes([
-        _chance("B", BIN),
-        _decision("D1", ACT, ["B"]),
-        _chance("E", BIN, ["D1"]),
-        _chance("F", BIN, ["D1"]),
-        _chance("G", BIN, ["D1"]),
-        _decision("D2", ACT, ["E", "F", "G"]),
-        _decision("D3", ACT, ["E", "F", "G"]),
-        _decision("D4", ACT, ["E", "G"]),
-        _chance("H", BIN, ["D2", "D4"]),
-        _value("V", ["H", "D3"]),
-    ])
+    return _diagram("fig1")
 
 
 def fig2() -> Diagram:
@@ -59,226 +45,92 @@ def fig2() -> Diagram:
     A supersedes whatever B says by the time anything payoff-relevant
     happens, but B stays moral-graph-connected to D1 through A and stays
     ball-reachable from D2's payoff."""
-    return validate_nodes([
-        _chance("A", BIN),
-        _chance("B", BIN, ["A"]),
-        _chance("C", BIN),
-        _chance("W", BIN, ["A", "C"]),
-        _decision("D1", ACT, ["B"]),
-        _decision("D2", ACT, ["D1", "A"]),
-        _value("U1", ["C", "D1"]),
-        _value("U2", ["W", "D2"]),
-    ])
+    return _diagram("fig2")
 
 
 def fig3() -> Diagram:
     """One decision feeding one utility through a chance copy."""
-    return validate_nodes([
-        _decision("D1", ACT),
-        _chance("A", BIN, ["D1"]),
-        _value("U", ["A"]),
-    ])
+    return _diagram("fig3")
 
 
 def fig3_realization() -> Realization:
-    return Realization(
-        cpts={"A": np.array([[1.0, 0.0], [0.0, 1.0]])},
-        utilities={"U": np.array([1.0, 0.0])},
-    )
+    return _realization("fig3")
 
 
 def fig4() -> Diagram:
     """Three chained decisions where the first decision's payoffs are both
     inherited: its action seeds A, which gates whether the signal B reveals
     the hidden C that the last decision is paid on."""
-    return validate_nodes([
-        _decision("D1", ACT),
-        _chance("A", BIN, ["D1"]),
-        _decision("D2", ACT, ["D1"]),
-        _chance("C", BIN),
-        _chance("B", BIN, ["D2", "A", "C"]),
-        _decision("D4", ACT, ["B"]),
-        _value("U", ["D2"]),
-        _value("Up", ["C", "D4"]),
-    ])
+    return _diagram("fig4")
 
 
 def fig4_derived() -> Diagram:
     """fig4 with the D1 -> D2 informational arc dropped: D1 and D2 become
     incompatible while no chance node is incompatible with any decision."""
-    return fig4().without_arc("D1", "D2")
-
-
-def _reveal_cpt(reveal_when_differ: bool = True) -> np.ndarray:
-    """P(signal | switch, hidden): signal copies the hidden coordinate when
-    switch and hidden's guard coordinate differ, else pure noise."""
-    t = np.empty((2, 2, 2))
-    for switch in range(2):
-        for hidden in range(2):
-            differ = switch != hidden
-            if differ == reveal_when_differ:
-                t[switch, hidden] = [1.0 - hidden, float(hidden)]
-            else:
-                t[switch, hidden] = [0.5, 0.5]
-    return t
+    return _diagram("fig4_derived")
 
 
 def fig4_realization(first_utility: tuple[float, float] = (0.0, 3.0)) -> Realization:
-    # B copies C exactly when D2 and A disagree; otherwise B is noise.
-    b = np.empty((2, 2, 2, 2))  # axes: D2, A, C, B
-    for d2 in range(2):
-        for a in range(2):
-            for c in range(2):
-                if d2 != a:
-                    b[d2, a, c] = [1.0 - c, float(c)]
-                else:
-                    b[d2, a, c] = [0.5, 0.5]
-    return Realization(
-        cpts={
-            "A": np.array([[1.0, 0.0], [0.0, 1.0]]),
-            "C": np.array([0.5, 0.5]),
-            "B": b,
-        },
-        utilities={
-            "U": np.array(first_utility, dtype=float),
-            "Up": np.array([[10.0, 0.0], [0.0, 9.0]]),  # axes: C, D4
-        },
-    )
+    """fig4's tables, in which B copies C exactly when D2 and A disagree and
+    is noise otherwise, with the utility U of D2's two actions replaced by
+    ``first_utility``; `solve` checks the new tables again."""
+    tables = _realization("fig4")
+    u = tables.utilities["U"].copy()
+    u[:] = first_utility
+    return Realization(tables.cpts, {**tables.utilities, "U": u})
 
 
 def fig5() -> Diagram:
     """Like fig4 but with one more hop: the first decision influences A,
     observed before the middle decision, and A's downstream copy gates the
     revelation of the hidden E paid to the last decision."""
-    return validate_nodes([
-        _decision("D1", ACT),
-        _chance("A", BIN, ["D1"]),
-        _decision("D2", ACT, ["A"]),
-        _chance("B", BIN, ["A"]),
-        _chance("E", BIN),
-        _chance("C", BIN, ["D2", "B", "E"]),
-        _decision("D4", ACT, ["C"]),
-        _value("U", ["D2"]),
-        _value("Up", ["E", "D4"]),
-    ])
+    return _diagram("fig5")
 
 
 def fig6() -> Diagram:
     """Minimal non-welldefined diagram: chance A is observed before D2 only,
     leaving it incompatible with D, yet D's utility depends on A directly."""
-    return validate_nodes([
-        _chance("A", BIN),
-        _decision("D", ACT),
-        _decision("D2", ACT, ["A"]),
-        _value("U1", ["A", "D"]),
-        _value("U2", ["D2"]),
-    ])
+    return _diagram("fig6")
 
 
 def fig6_realization() -> Realization:
-    return Realization(
-        cpts={"A": np.array([0.5, 0.5])},
-        utilities={
-            "U1": np.array([[10.0, 0.0], [0.0, 9.0]]),  # axes: A, D
-            "U2": np.array([0.0, 0.0]),
-        },
-    )
+    return _realization("fig6")
 
 
 def fig7() -> Diagram:
     """A is observed before the middle decision only, so A is incompatible
     with D; D shares its utility with the last decision D3, for which A is
     required through the revealing signal B."""
-    return validate_nodes([
-        _chance("A", BIN),
-        _decision("D", ACT),
-        _decision("D2", ACT, ["A"]),
-        _chance("C", BIN),
-        _chance("B", BIN, ["A", "C"]),
-        _decision("D3", ACT, ["B"]),
-        _value("U", ["D", "C", "D3"]),
-        _value("U2", ["D2"]),
-    ])
-
-
-# The shared three-way utility: axes (analyzed decision, hidden C, final
-# decision); rewards the final decision for matching C, with the stake
-# depending on the analyzed decision.
-_TABLE_DCD = np.array([
-    [[10.0, 0.0], [1.0, 2.0]],
-    [[2.0, 1.0], [0.0, 10.0]],
-])
+    return _diagram("fig7")
 
 
 def fig7_realization() -> Realization:
-    return Realization(
-        cpts={
-            "A": np.array([0.5, 0.5]),
-            "C": np.array([0.5, 0.5]),
-            "B": _reveal_cpt(),  # axes: A, C, B
-        },
-        utilities={"U": _TABLE_DCD.copy(), "U2": np.array([0.0, 0.0])},
-    )
+    # U rewards D3 for matching the hidden C, with a stake depending on D.
+    return _realization("fig7")
 
 
 def fig8() -> Diagram:
     """fig7 with one more hop: A determines X, X gates the revealing signal
     B, and only X (not A) is observed midway, so A's influence on the last
     decision travels strictly through X."""
-    return validate_nodes([
-        _chance("A", BIN),
-        _decision("D", ACT),
-        _decision("D2", ACT, ["A"]),
-        _chance("X", BIN, ["A"]),
-        _decision("D3", ACT, ["X"]),
-        _chance("C", BIN),
-        _chance("B", BIN, ["X", "C"]),
-        _decision("D4", ACT, ["B"]),
-        _value("U", ["D", "C", "D4"]),
-        _value("U2", ["D2"]),
-        _value("U3", ["D3"]),
-    ])
+    return _diagram("fig8")
 
 
 def fig8_realization() -> Realization:
-    return Realization(
-        cpts={
-            "A": np.array([0.5, 0.5]),
-            "X": np.array([[1.0, 0.0], [0.0, 1.0]]),
-            "C": np.array([0.5, 0.5]),
-            "B": _reveal_cpt(),  # axes: X, C, B
-        },
-        utilities={
-            "U": _TABLE_DCD.copy(),
-            "U2": np.array([0.0, 0.0]),
-            "U3": np.array([0.0, 0.0]),
-        },
-    )
+    return _realization("fig8")
 
 
 def fig8_modified() -> Diagram:
     """fig8 with the arc (A, D) added and the arc (D4, U) removed: A is
     observed before D but no longer required for it, yet A stays in D's
     elimination neighborhood."""
-    d = fig8().with_arc("A", "D")
-    return d.without_arc("D4", "U")
+    return _diagram("fig8_modified")
 
 
 def two_witness_pid() -> Diagram:
     """Two independent copies of the fig6 pattern; no single ordering
     constraint can make it welldefined."""
-    return validate_nodes([
-        _chance("A", BIN),
-        _decision("D", ACT),
-        _decision("D2", ACT, ["A"]),
-        _value("U1", ["A", "D"]),
-        _value("U2", ["D2"]),
-        _chance("A9", BIN),
-        _decision("D9", ACT),
-        _decision("D92", ACT, ["A9"]),
-        _value("U91", ["A9", "D9"]),
-        _value("U92", ["D92"]),
-    ])
+    return _diagram("two_witness")
 
 
 ALL_FIGURES = {

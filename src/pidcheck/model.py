@@ -104,36 +104,6 @@ class Diagram:
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ids, key=self._index.__getitem__))
 
-    # -- functional edits (used by pidcheck.figures) ---------------------
-
-    def with_arc(self, tail: str, head: str) -> "Diagram":
-        return self.with_arcs([(tail, head)])
-
-    def with_arcs(self, arcs: Iterable[tuple[str, str]]) -> "Diagram":
-        """The diagram with every (tail, head) arc added that is not there
-        yet, checked by :func:`validate_nodes`."""
-        added: dict[str, tuple[str, ...]] = {}
-        for tail, head in arcs:
-            if head not in self:  # validate_nodes has no node to carry the arc
-                raise InvalidDiagram([f"dangling parent: arc ({tail!r}, {head!r})"])
-            parents = added.get(head, self.parents(head))
-            if tail not in parents:
-                added[head] = parents + (tail,)
-        return validate_nodes(
-            [Node(n.id, n.kind, n.states, added.get(n.id, n.parents)) for n in self.nodes]
-        )
-
-    def without_arc(self, tail: str, head: str) -> "Diagram":
-        nodes = []
-        for n in self.nodes:
-            if n.id == head:
-                nodes.append(
-                    Node(n.id, n.kind, n.states, tuple(p for p in n.parents if p != tail))
-                )
-            else:
-                nodes.append(n)
-        return validate_nodes(nodes)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Diagram) and self.nodes == other.nodes
 

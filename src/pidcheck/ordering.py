@@ -271,14 +271,26 @@ def decision_sequences(
             before[e] |= 1 << dec
         before[dec] |= sum(1 << e for e in decisions if masks[e] >> a & 1)  # e < a, so e < dec
 
-    def rec(remaining: int, seq: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-        if not remaining:
-            yield seq
-        for i in bits(remaining):
+    # Depth-first with an explicit stack of candidate iterators, one per
+    # placed decision, so chains of any length stay within the
+    # interpreter's recursion limit.
+    remaining, seq = po.decisions, []
+    stack = [bits(remaining)]
+    if not remaining:
+        yield ()
+    while stack:
+        for i in stack[-1]:
             if not before[i] & remaining:
-                yield from rec(remaining & ~(1 << i), seq + (po.carrier[i],))
-
-    yield from rec(po.decisions, ())
+                remaining ^= 1 << i
+                seq.append(po.carrier[i])
+                if not remaining:
+                    yield tuple(seq)
+                stack.append(bits(remaining))
+                break
+        else:
+            stack.pop()
+            if seq:
+                remaining |= 1 << index[seq.pop()]
 
 
 def enumerate_schemas(

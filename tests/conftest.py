@@ -7,9 +7,10 @@ rather than tautology.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import hypothesis
 import numpy as np
@@ -43,6 +44,44 @@ hypothesis.settings.register_profile(
     "suite", deadline=None, max_examples=40, derandomize=True
 )
 hypothesis.settings.load_profile("suite")
+
+
+# ---------------------------------------------------------------------------
+# documents and arc edits
+
+
+def serialize_document(d: Diagram, realization: Realization | None = None) -> str:
+    """The document text of ``d`` and its tables, in the layout of the
+    committed fixtures."""
+    doc: dict[str, Any] = {
+        "nodes": [
+            {
+                "id": n.id,
+                "kind": n.kind.value,
+                **({"states": list(n.states)} if n.states is not None else {}),
+                "parents": list(n.parents),
+            }
+            for n in d.nodes
+        ]
+    }
+    if realization is not None:
+        doc["realization"] = {
+            "cpts": {k: [float(x) for x in v.reshape(-1)] for k, v in realization.cpts.items()},
+            "utilities": {
+                k: [float(x) for x in v.reshape(-1)] for k, v in realization.utilities.items()
+            },
+        }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def with_arcs(d: Diagram, arcs) -> Diagram:
+    """``d`` with each (tail, head) arc appended to its head's parents,
+    unless there already, checked by `validate_nodes`."""
+    parents = {n.id: n.parents for n in d.nodes}
+    for tail, head in arcs:
+        if tail not in parents[head]:
+            parents[head] += (tail,)
+    return validate_nodes([Node(n.id, n.kind, n.states, parents[n.id]) for n in d.nodes])
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ from conftest import (
     reference_significant,
     reference_suggest,
     replay_witness,
+    significance_search,
     w_family,
     w_family_expected,
+    with_arcs,
 )
 from pidcheck import figures, ordering
 from pidcheck.analysis import (
@@ -173,6 +175,41 @@ class TestSignificance:
         assert w is not None and w.clause == "later-chain"
         assert w.chain_node == "X" and w.later_decision == "D4"
         assert replay_witness(d, w)
+
+    @pytest.mark.parametrize(
+        "clause, arcs, schemas, chain",
+        [
+            # E, which shares U with D, requires X through the collider C of
+            # X and Y; C comes after D, so no trail reaches U given D's past.
+            ("later-required", {"X": (), "Y": (), "D": (), "C": ("X", "Y", "D"), "E": ("C",),
+                                "F": ("X",), "U": ("D", "E", "Y")}, 3, None),
+            # E, which shares U with D, requires X's child Y through the
+            # collider K of Y and W, and Y screens X off from E.
+            ("later-chain", {"X": (), "W": (), "D": (), "Y": ("X",), "K": ("Y", "W", "D"),
+                             "E": ("Y", "K"), "F": ("X",), "U": ("D", "E", "W")}, 5, "Y"),
+        ],
+        ids=["later-required", "later-chain"],
+    )
+    def test_later_clause_is_the_only_reason(self, clause, arcs, schemas, chain):
+        # X is observed before F only, so it is incompatible with D, and on
+        # every schema placing X just before D only the later clause fires.
+        kinds = {"D": Kind.DECISION, "E": Kind.DECISION, "F": Kind.DECISION, "U": Kind.VALUE}
+        d = validate_nodes([
+            Node(v, kinds.get(v, Kind.CHANCE), None if v == "U" else ("s1", "s2"), parents)
+            for v, parents in arcs.items()
+        ])
+        analysis, reference = Analysis(d), ReferenceRules(d)
+        report = analysis.check()
+        assert report.witnesses == reference.witnesses()
+        w = next(w for w in report.witnesses if (w.chance, w.decision) == ("X", "D"))
+        assert (w.utility, w.clause, w.later_decision, w.chain_node) == ("U", clause, "E", chain)
+        assert replay_witness(d, w)
+        pinned = list(enumerate_schemas(d, analysis.po, pin=("X", "D")))
+        assert len(pinned) == schemas
+        for schema in pinned:
+            assert reference.clause(schema, "D", "X") == (clause, "U", "E", chain)
+            assert analysis.significant_rel(schema, "X", "D").clause == clause
+        assert significance_search(d, "X", "D", trials=30, seed=2) is not None
 
     def test_unconnected_chance_is_not_significant(self):
         d = validate_nodes(
@@ -593,7 +630,7 @@ class TestSuggestResolutions:
         kinds = {p.constraints[0][0] for p in fixing}
         assert kinds == {"observe", "precede"}
         # re-check each proposal by hand
-        observed = d.with_arc("A", "D")
+        observed = with_arcs(d, [("A", "D")])
         assert check_welldefined(observed).welldefined
         assert Analysis(d, [("D", "A")]).check().welldefined
 
@@ -707,7 +744,7 @@ class TestConstraintsArePairs:
             arcs = [(x, y) for kind, x, y in cs if kind == "observe"]
             extra = [(x, y) for kind, x, y in cs if kind == "precede"]
             try:
-                expected = induce_partial_order(d.with_arcs(arcs), extra).succ
+                expected = induce_partial_order(with_arcs(d, arcs), extra).succ
             except InconsistentOrder:
                 with pytest.raises(InconsistentOrder):
                     base.constrained(cs)
@@ -815,7 +852,7 @@ class TestDerivedAnalysis:
                     base.required_variables(schema, dec)
             for w in report.witnesses:
                 options = (
-                    (("observe", w.chance, w.decision), lambda: Analysis(d.with_arc(w.chance, w.decision))),
+                    (("observe", w.chance, w.decision), lambda: Analysis(with_arcs(d, [(w.chance, w.decision)]))),
                     (("precede", w.decision, w.chance), lambda: Analysis(d, [(w.decision, w.chance)])),
                 )
                 for option, fresh in options:
@@ -834,6 +871,6 @@ class TestDerivedAnalysis:
         base = Analysis(d)
         first = base.constrained([("precede", "D", "A")])
         both = first.constrained([("observe", "A9", "D9")])
-        self._assert_matches_fresh(both, Analysis(d.with_arc("A9", "D9"), [("D", "A")]))
+        self._assert_matches_fresh(both, Analysis(with_arcs(d, [("A9", "D9")]), [("D", "A")]))
         assert both.check().welldefined
         assert not base.check().welldefined

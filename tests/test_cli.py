@@ -15,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 
 import conftest
-from conftest import fingerprint, reference_fuzz, w_family
+from conftest import fingerprint, reference_fuzz, serialize_document, w_family, with_arcs
 from pidcheck import analysis, cli, figures, oracle, ordering
-from pidcheck.cli import export_dot, main, parse_document, serialize_document
+from pidcheck.cli import export_dot, main, parse_document
 from pidcheck.generate import random_pid
+from pidcheck.model import Kind, Node, validate_nodes
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -68,7 +69,8 @@ class TestDocumentFormat:
 
     @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
     def test_fixture_matches_its_builder(self, path):
-        # scripts/write_fixtures.py writes the corpus from these builders.
+        # Each file is in the layout `serialize_document` writes of what
+        # `figures` loads from it, and fig4_psi2 is fig4 with U replaced.
         if path.stem == "fig4_psi2":
             d, r = figures.fig4(), figures.fig4_realization((3.0, 0.0))
         else:
@@ -76,6 +78,16 @@ class TestDocumentFormat:
             maker = figures.FIGURE_REALIZATIONS.get(path.stem)
             r = maker() if maker is not None else None
         assert path.read_text() == serialize_document(d, r)
+
+    def test_derived_fixtures_edit_the_arcs_of_their_base(self):
+        def without_arc(d, tail, head):
+            return validate_nodes([
+                Node(n.id, n.kind, n.states, tuple(p for p in n.parents if (p, n.id) != (tail, head)))
+                for n in d.nodes
+            ])
+
+        assert figures.fig4_derived() == without_arc(figures.fig4(), "D1", "D2")
+        assert figures.fig8_modified() == without_arc(with_arcs(figures.fig8(), [("A", "D")]), "D4", "U")
 
     def test_realization_length_mismatch_reported(self, tmp_path, capsys):
         doc = json.loads(serialize_document(figures.fig3(), figures.fig3_realization()))
@@ -153,6 +165,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", empty)
         assert code == 1
         assert "parse error" in err and "empty.pid:1" in err
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        deep = tmp_path / "deep.pid"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        for command in ("validate", "check"):
+            code, out, err = run(capsys, command, deep)
+            assert code == 1 and out == ""
+            assert err == f"error: {deep}: parse error: nested too deeply\n"
 
     def test_validation_failure_names_file_and_node(self, tmp_path, capsys):
         bad = tmp_path / "bad.pid"
@@ -410,6 +430,20 @@ class TestSubcommandOutputs:
         assert run(capsys, "validate", path)[0] == 0
         assert run(capsys, "check", path)[0] == 0
 
+    def test_long_chain_of_decisions(self, tmp_path, capsys):
+        # Each decision observes the one before it.
+        nodes = [
+            {"id": f"D{i}", "kind": "decision", "states": ["a", "b"], "parents": [f"D{i - 1}"] if i else []}
+            for i in range(1200)
+        ]
+        nodes.append({"id": "U", "kind": "value", "parents": ["D1199"]})
+        path = tmp_path / "decisions.pid"
+        path.write_text(json.dumps({"nodes": nodes}))
+        for argv in (["check"], ["schemas"], ["relevant", "-d", "D0"], ["required", "-d", "D1199"], ["suggest"]):
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert code == 0 and err == "", argv
+        assert out.endswith("already welldefined; nothing to suggest\n")
+
     def test_baselines_fig2(self, capsys):
         code, payload = run_json(capsys, "baselines", FIXTURES / "fig2.pid", "-d", "D1")
         assert code == 0
@@ -611,13 +645,9 @@ class TestExportDot:
         assert out.count("shape=circle") == 5
 
     def test_empty_diagram(self):
-        from pidcheck.model import validate_nodes
-
         assert export_dot(validate_nodes([])) == "digraph pid {\n}\n"
 
     def test_ids_are_escaped(self):
-        from pidcheck.model import Kind, Node, validate_nodes
-
         d = validate_nodes(
             [
                 Node('A\\x', Kind.CHANCE, ("s1", "s2"), ()),

@@ -21,13 +21,13 @@ import sys
 
 import numpy as np
 
-from pidcheck.cli import main, parse_document, serialize_document
+from pidcheck.cli import main, parse_document
 from pidcheck.generate import random_pid
 from pidcheck.oracle import random_realization
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))  # conftest, when run as a script
-from conftest import w_family  # noqa: E402
+from conftest import serialize_document, w_family  # noqa: E402
 
 GOLDEN = HERE / "golden_cli.json"
 FIXTURES = HERE.parent / "fixtures"

@@ -13,7 +13,7 @@ SRC = ROOT / "src"
 FIXTURES = ROOT / "fixtures"
 
 # Modules whose realizations are numpy arrays by design.
-NUMPY_MODULES = {"figures", "generate"}
+NUMPY_MODULES = {"generate"}
 
 
 def _run_python(code: str) -> str:

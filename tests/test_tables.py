@@ -9,8 +9,8 @@ import random
 
 import numpy as np
 
-from conftest import reference_document_error, reference_validated_error
-from pidcheck.cli import parse_document, realization_from_raw, serialize_document
+from conftest import reference_document_error, reference_validated_error, serialize_document
+from pidcheck.cli import parse_document, realization_from_raw
 from pidcheck.generate import random_pid
 from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.oracle import CPT_ROW_TOL, InvalidRealization, Realization, random_realization
