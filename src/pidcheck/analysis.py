@@ -106,9 +106,9 @@ the passes answer as a scan of every schema would, on every input.
 
 MAX_SCAN_STATES caps the states summed over all passes of one analysis.
 
-A repair recheck reads only the verdict and the first witness
-(:meth:`Analysis.first_witness`), and is memoized per constraint set.  A set
-is enough: the partial order is built from a set of base pairs.
+A repair recheck reads only :meth:`Analysis.significant_pairs`, never a
+witness (only ``check`` and ``is_significant`` recover one), and is memoized
+per constraint set.  A set is enough: the order is built from a set of pairs.
 """
 from __future__ import annotations
 
@@ -199,12 +199,10 @@ class Analysis:
 
     The rules have one memo, keyed by (decision position, past mask,
     later-outcome index), which the significance pass and every schema walk
-    share; the clause behind a witness is memoized per (decision,
-    candidate, past, later outcomes in sequence order).  Entries are
-    reproducible from scratch; the memos are a pure speedup.  Analyses
-    derived by :meth:`constrained` share them, the diagram, the base
-    closure of the order and the bare components with their parent, and
-    drop the parent's significance pass.  The base closure lives here, so
+    share.  Entries are reproducible from scratch; the memo is a pure
+    speedup.  Analyses derived by :meth:`constrained` share it, the
+    diagram, the base closure of the order and the bare components with
+    their parent, and drop the parent's significance pass.  The base closure lives here, so
     it goes when the last analysis of the diagram does.
     """
 
@@ -214,7 +212,6 @@ class Analysis:
         self._base = base_closure(d)
         self.po: PartialOrder = induce_partial_order(d, self._extra, self._base)
         self._components = _carrier_components(d, self._base.index)
-        self._clauses: dict[tuple, tuple | None] = {}
         # The rules' memo: (decision, past, later) -> (outcome, required,
         # next later), all but the outcome as ints (see _step); later
         # indexes _laters, which _later_ids inverts.
@@ -228,7 +225,7 @@ class Analysis:
         ("observe", A, D) is the pair (A, D) and ("precede", D, A) the pair
         (D, A).  The pair orders as the arc A -> D would (module
         docstring), so the derived analysis keeps this diagram, its bare
-        components and memos, and has its own partial order, schemas
+        components and memo, and has its own partial order, schemas
         and significance pass.  Raises :class:`InconsistentOrder` if the
         constraints contradict the order, which is also what an observe
         arc closing a cycle does, and ``ValueError`` on an unknown kind."""
@@ -237,7 +234,7 @@ class Analysis:
             if kind not in ("observe", "precede"):
                 raise ValueError(f"unknown constraint kind {kind!r}")
             pairs.append((x, y))
-        # a shallow copy shares the diagram, its base closure, its components and the memos
+        # a shallow copy shares the diagram, its base closure, its components and the memo
         derived = copy.copy(self)
         derived._extra = self._extra + tuple(pairs)
         derived.po = induce_partial_order(self.diagram, derived._extra, self._base)
@@ -298,34 +295,34 @@ class Analysis:
 
     def _clause(
         self,
-        dec: str,
+        schema: OrderSchema,
         x: str,
-        pred: frozenset[str],
+        dec: str,
         rel: frozenset[str],
         later: list[Outcome],
-    ) -> tuple | None:
-        """(clause, utility, later decision, chain node) of the first clause
-        that makes x required for ``dec``, trying the later decisions in
-        ``later``'s order; None if none fires.
+    ) -> Witness | None:
+        """The witness of the first clause that makes x required for ``dec``
+        under ``schema``, given its relevant utilities ``rel`` and the later
+        outcomes ``later``, tried in order; None if none fires.
 
         The d-connection conditioning set is the decision plus its past with
         x removed (a source cannot condition itself; the decision is being
         taken, hence known).
         """
-        conditioning = (pred | {dec}) - {x}
+        conditioning = (schema.pred(dec) | {dec}) - {x}
         # x is d-connected to a target outside the conditioning set iff one
         # ball from x arrives there, so one ball answers every query below
         reach = active_reach(self.diagram.bare, frozenset({x}), conditioning)
         psi = next((v for v in self.diagram.value_ids if v in rel and v in reach), None)
         if psi is not None:
-            return ("direct", psi, None, None)
+            return Witness(x, dec, schema, psi, "direct")
         for later_dec, later_rel, later_req in later:
             common = rel & later_rel
             if not common:
                 continue
             psi = self.diagram.sort_ids(common)[0]
             if x in later_req:
-                return ("later-required", psi, later_dec, None)
+                return Witness(x, dec, schema, psi, "later-required", later_dec)
             for y in self.diagram.sort_ids(later_req):
                 if (
                     self.diagram.kind(y) is Kind.CHANCE
@@ -333,7 +330,7 @@ class Analysis:
                     and y not in conditioning
                     and y in reach
                 ):
-                    return ("later-chain", psi, later_dec, y)
+                    return Witness(x, dec, schema, psi, "later-chain", later_dec, y)
         return None
 
     def _walk(self, schema: OrderSchema, start: int) -> tuple[Outcome, ...]:
@@ -370,16 +367,8 @@ class Analysis:
             raise ValueError(
                 f"schema does not place {a!r} immediately before {dec!r}"
             )
-        pred = schema.pred(dec)
         (_, rel, _), *later = self._walk(schema, schema.position(dec) - 1)
-        key = (dec, a, pred, tuple(later))
-        if key not in self._clauses:
-            self._clauses[key] = self._clause(dec, a, pred, rel, later)
-        hit = self._clauses[key]
-        if hit is None:
-            return None
-        clause, psi, later_dec, chain = hit
-        return Witness(a, dec, schema, psi, clause, later_dec, chain)
+        return self._clause(schema, a, dec, rel, later)
 
     # -- significance ---------------------------------------------------------
 
@@ -465,7 +454,8 @@ class Analysis:
         immediately before ``dec``.  The significance pass decides it; for
         a significant pair, the first such schema in :func:`enumerate_schemas`
         order on which a clause fires gives the witness, read from the
-        schemas pinned to the pair."""
+        schemas pinned to the pair.  A clause fires exactly where ``a`` is
+        required for ``dec``, so each schema costs one memoized walk."""
         if self.diagram.kind(a) is not Kind.CHANCE or self.diagram.kind(dec) is not Kind.DECISION:
             raise ValueError("significance is defined for (chance, decision) pairs")
         if not self.po.incompatible(a, dec):
@@ -473,19 +463,21 @@ class Analysis:
         if (a, dec) not in self._significant:
             return None
         for schema in enumerate_schemas(self.diagram, self.po, pin=(a, dec)):
-            w = self.significant_rel(schema, a, dec)
-            if w is not None:
+            if a in self.required_variables(schema, dec):
+                w = self.significant_rel(schema, a, dec)
+                if w is None:
+                    raise AssertionError(f"no clause fires where {a!r} is required for {dec!r}")
                 return w
         raise AssertionError(f"no schema fires for the significant pair ({a!r}, {dec!r})")
 
     # -- the verdict ----------------------------------------------------------
 
-    def first_witness(self) -> Witness | None:
-        """The first witness of :meth:`check`, or None if the diagram is
-        welldefined, without the rest of the report."""
+    def significant_pairs(self) -> tuple[tuple[str, str], ...]:
+        """The significant pairs of :meth:`check` in its report order, read
+        from the significance pass without recovering a witness: empty iff
+        the diagram is welldefined."""
         d = self.diagram
-        pairs = [(a, dec) for dec in d.decision_ids for a in d.chance_ids if (a, dec) in self._significant]
-        return self.is_significant(*pairs[0]) if pairs else None
+        return tuple((a, dec) for dec in d.decision_ids for a in d.chance_ids if (a, dec) in self._significant)
 
     def check(self) -> Report:
         """Welldefinedness verdict: the diagram is a welldefined scenario iff
@@ -552,19 +544,19 @@ def suggest_resolutions(
     ``report`` is the check of ``d``, and ``analysis`` the unconstrained
     analysis of ``d`` that made it, if the caller has one.  Every recheck
     runs on an analysis derived from it (or from a new one), so they all
-    share its memo.  The first witness follows from the diagram and the
-    induced order alone, so it is found once per order, and each constraint
-    set is analysed once.  Raises :class:`RepairBudgetExceeded`
-    before a recheck beyond MAX_RECHECKS, counting a set as often as it is
-    reached."""
+    share its memo.  A recheck reads only the first significant pair, which
+    follows from the diagram and the induced order alone, so it is found
+    once per order, and each constraint set is analysed once.  Raises
+    :class:`RepairBudgetExceeded` before a recheck beyond MAX_RECHECKS,
+    counting a set as often as it is reached."""
     if report.welldefined:
         return ()
     base = analysis if analysis is not None else Analysis(d)
     proposals: list[Proposal] = []
     rechecks = 0
-    # constraint set, and induced order -> (chance, decision) of the first
-    # witness, None or "inconsistent"; never the exception, whose traceback
-    # holds analyses.  An order is keyed by its masks.
+    # constraint set, and induced order -> the first significant pair, None
+    # or "inconsistent"; never the exception, whose traceback holds
+    # analyses.  An order is keyed by its masks.
     verdicts: dict[frozenset[tuple[str, str, str]], tuple[str, str] | str | None] = {}
     by_order: dict[tuple[int, ...], tuple[str, str] | None] = {}
 
@@ -584,14 +576,14 @@ def suggest_resolutions(
                 return verdicts[key]
             order = derived.po.masks
             if order not in by_order:
-                w = derived.first_witness()
-                by_order[order] = None if w is None else (w.chance, w.decision)
+                pairs = derived.significant_pairs()
+                by_order[order] = pairs[0] if pairs else None
             verdicts[key] = by_order[order]
         return verdicts[key]
 
     # Each constraint tuple is grown at most once: the roots come from
-    # distinct witnesses, and a tuple extends only the first witness of its
-    # own recheck.
+    # distinct witnesses, and a tuple extends only the first significant
+    # pair of its own recheck.
     def branch(
         constraints: tuple[tuple[str, str, str], ...], pairs: Iterable[tuple[str, str]], depth: int
     ) -> None:

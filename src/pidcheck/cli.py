@@ -153,10 +153,12 @@ def parse_document(text: str, source: str = "<string>") -> tuple[Diagram, Parsed
 
 def load_file(path: str) -> tuple[Diagram, ParsedRealization | None]:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: parse error: not UTF-8 text ({exc.reason} at byte {exc.start})")
     return parse_document(text, source=path)
 
 
@@ -426,7 +428,7 @@ def cmd_fuzz(args) -> int:
     d, _ = load_file(args.file)
     analysis = _analysis.Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
-    welldefined = analysis.first_witness() is None
+    welldefined = not analysis.significant_pairs()
     required = [analysis.required_sets(s) for s in schemas]
     failures: list[str] = []
     size = batch_trials(d)
@@ -578,11 +580,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1  # a usage error: argparse's 2 means "not welldefined" here
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (
-        InvalidDiagram, InconsistentOrder, InvalidRealization, NotTotalOrder, EvaluationError,
+        CliError, InvalidDiagram, InconsistentOrder, InvalidRealization, NotTotalOrder, EvaluationError,
         _analysis.RepairBudgetExceeded, _analysis.ScanBudgetExceeded,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

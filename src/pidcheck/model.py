@@ -9,6 +9,7 @@ idempotent and diagrams and views stay safe to share between threads.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -249,6 +250,15 @@ def validate_nodes(nodes: Sequence[Node]) -> Diagram:
     return Diagram(nodes)
 
 
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def _text(value: object) -> bool:
+    """True iff ``value`` is a str that encodes as UTF-8: it holds no
+    surrogate, which JSON can spell and no output stream writes."""
+    return isinstance(value, str) and not _SURROGATE.search(value)
+
+
 def validate(description: Mapping) -> Diagram:
     """Build a Diagram from a raw description (the parsed ``nodes`` list).
 
@@ -266,7 +276,7 @@ def validate(description: Mapping) -> Diagram:
             violations.append(f"node #{i} is not a mapping")
             continue
         node_id = raw.get("id")
-        if not isinstance(node_id, str) or not node_id:
+        if not _text(node_id) or not node_id:
             violations.append(f"node #{i} has no usable id")
             continue
         kind_raw = raw.get("kind")
@@ -279,13 +289,13 @@ def validate(description: Mapping) -> Diagram:
         states: tuple[str, ...] | None
         if states_raw is None:
             states = None
-        elif isinstance(states_raw, list) and all(isinstance(s, str) for s in states_raw):
+        elif isinstance(states_raw, list) and all(_text(s) for s in states_raw):
             states = tuple(states_raw)
         else:
             violations.append(f"malformed state list on node {node_id!r}")
             continue
         parents_raw = raw.get("parents", [])
-        if not (isinstance(parents_raw, list) and all(isinstance(p, str) for p in parents_raw)):
+        if not (isinstance(parents_raw, list) and all(_text(p) for p in parents_raw)):
             violations.append(f"malformed parent list on node {node_id!r}")
             continue
         nodes.append(Node(node_id, kind, states, tuple(parents_raw)))

@@ -14,7 +14,13 @@ precedence query is a bit test and a set of nodes is an int.
 
 Induction is incremental.  The closure of clauses (a) and (b), which reads
 only the diagram, is computed once per diagram (:func:`base_closure`); a
-caller that induces several orders of one diagram passes it in.  Every
+caller that induces several orders of one diagram passes it in.  Its pairs
+are exactly the (x, y) joined by a directed path that starts at a decision
+or whose first arc enters one: each base pair is such a path, each path of
+the second kind is an arc into some D then a path out of D, and two such
+paths that meet join into one that starts like the first.  So it needs no
+closure pass: a decision precedes its descendants, and a parent of a
+decision D precedes D and D's descendants.  Every
 other pair is added to a closed relation R one head at a time: the closure
 of R plus the pairs (x, y) for every x in a set T is R plus every pair
 (u, v) with u equal to or before some x in T and v equal to or after y,
@@ -126,20 +132,12 @@ def base_closure(d: Diagram) -> PartialOrder:
     index = {v: i for i, v in enumerate(carrier)}
     succ = [0] * len(carrier)
     decisions = 0
-    for dec in d.decision_ids:
-        i = index[dec]
-        decisions |= 1 << i
-        for p in d.parents(dec):  # clause (a)
-            if p in index:
-                succ[index[p]] |= 1 << i
-        for y in d.graph.descendants(dec):  # clause (b)
-            if y in index:
-                succ[i] |= 1 << index[y]
-    for k in range(len(succ)):  # Warshall
-        bk, sk = 1 << k, succ[k]
-        for i, si in enumerate(succ):
-            if si & bk:
-                succ[i] = si | sk
+    for dec in d.decision_ids:  # clause (b), closed already
+        decisions |= 1 << index[dec]
+        succ[index[dec]] = sum(1 << index[y] for y in d.graph.descendants(dec) if y in index)
+    for dec in d.decision_ids:  # clause (a), closed through the decision
+        for p in d.parents(dec):  # a chance node or a decision
+            succ[index[p]] |= 1 << index[dec] | succ[index[dec]]
     return PartialOrder(carrier=carrier, index=index, decisions=decisions, masks=tuple(succ))
 
 

@@ -142,12 +142,27 @@ def moral_d_connected(arcs, source: str, targets, conditioning) -> bool:
 # naive partial-order fixpoint (independent of ordering.induce_partial_order)
 
 
-def naive_partial_order(d: Diagram, extra=()) -> dict[str, set[str]]:
+def _closed(ps: set) -> set:
+    """The transitive closure of the pairs ``ps``, by naive fixpoint."""
+    ps = set(ps)
+    while True:
+        extra_pairs = {
+            (x, z)
+            for (x, y) in ps
+            for (y2, z) in ps
+            if y == y2 and (x, z) not in ps
+        }
+        if not extra_pairs:
+            return ps
+        ps |= extra_pairs
+
+
+def naive_base_pairs(d: Diagram, extra=()) -> set[tuple[str, str]]:
+    """The pairs of induction clauses (a) and (b) plus ``extra``, closed by
+    naive fixpoint."""
     carrier = list(d.carrier_ids)
     decisions = [v for v in carrier if d.kind(v) is Kind.DECISION]
-    chance = [v for v in carrier if d.kind(v) is Kind.CHANCE]
     pairs: set[tuple[str, str]] = set(extra)
-
     for dec in decisions:
         for p in d.parents(dec):
             if p in carrier:
@@ -157,25 +172,18 @@ def naive_partial_order(d: Diagram, extra=()) -> dict[str, set[str]]:
         for y in bf_reachable(arcs, {dec}):
             if y in carrier:
                 pairs.add((dec, y))
+    return _closed(pairs)
 
-    def closed(ps: set) -> set:
-        ps = set(ps)
-        while True:
-            extra_pairs = {
-                (x, z)
-                for (x, y) in ps
-                for (y2, z) in ps
-                if y == y2 and (x, z) not in ps
-            }
-            if not extra_pairs:
-                return ps
-            ps |= extra_pairs
 
-    pairs = closed(pairs)
+def naive_partial_order(d: Diagram, extra=()) -> dict[str, set[str]]:
+    carrier = list(d.carrier_ids)
+    decisions = [v for v in carrier if d.kind(v) is Kind.DECISION]
+    chance = [v for v in carrier if d.kind(v) is Kind.CHANCE]
+    pairs = naive_base_pairs(d, extra)
     for a in chance:
         if not any((a, dj) in pairs for dj in decisions):
             pairs |= {(di, a) for di in decisions}
-    pairs = closed(pairs)
+    pairs = _closed(pairs)
     while True:
         new = {
             (di, a)
@@ -187,7 +195,7 @@ def naive_partial_order(d: Diagram, extra=()) -> dict[str, set[str]]:
         }
         if not new:
             break
-        pairs = closed(pairs | new)
+        pairs = _closed(pairs | new)
     out: dict[str, set[str]] = {v: set() for v in carrier}
     for x, y in pairs:
         out[x].add(y)

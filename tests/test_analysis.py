@@ -19,6 +19,7 @@ from conftest import (
     w_family_expected,
     with_arcs,
 )
+import pidcheck.analysis
 from pidcheck import figures, ordering
 from pidcheck.analysis import (
     Analysis,
@@ -26,7 +27,7 @@ from pidcheck.analysis import (
     check_welldefined,
     suggest_resolutions,
 )
-from pidcheck.cli import load_file
+from pidcheck.cli import load_file, main
 from pidcheck.dsep import bayes_ball_requisite, elimination_neighbors
 from pidcheck.generate import random_classic_id, random_pid
 from pidcheck.model import Kind, Node, validate_nodes
@@ -768,25 +769,21 @@ class TestConstraintsArePairs:
         assert reached >= 180
 
 
-def _first(analysis):
-    w = analysis.first_witness()
-    return () if w is None else (w,)
-
-
 class TestFirstWitness:
-    """`first_witness`, which each repair recheck runs, is the first witness
-    of a full check."""
+    """`significant_pairs`, which each repair recheck and `fuzz` read, is
+    the tuple of significant pairs of a full check, in its report order, so
+    its first pair is that of the first witness."""
 
     @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
     def test_fixtures(self, path):
         d, _ = load_file(str(path))
-        assert _first(Analysis(d)) == Analysis(d).check().witnesses[:1]
+        assert Analysis(d).significant_pairs() == Analysis(d).check().significant_pairs
 
     @pytest.mark.parametrize("shared", [False, True, "mixed", "coupled"])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_w_families(self, k, shared):
         d = w_family(k, shared)
-        assert _first(Analysis(d)) == Analysis(d).check().witnesses[:1]
+        assert Analysis(d).significant_pairs() == Analysis(d).check().significant_pairs
 
     def test_random_draws_and_their_single_constraint_analyses(self):
         derived = 0
@@ -794,21 +791,21 @@ class TestFirstWitness:
             d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
             base = Analysis(d)
             report = Analysis(d).check()
-            assert _first(base) == report.witnesses[:1], seed
+            assert base.significant_pairs() == report.significant_pairs, seed
             for a, dec in report.pairs_checked:
                 for option in (("observe", a, dec), ("precede", dec, a)):
                     try:
                         constrained = base.constrained([option])
                     except InconsistentOrder:
                         continue
-                    expected = base.constrained([option]).check().witnesses[:1]
-                    assert _first(constrained) == expected, (seed, option)
+                    expected = base.constrained([option]).check().significant_pairs
+                    assert constrained.significant_pairs() == expected, (seed, option)
                     derived += 1
         assert derived >= 1000
 
     def test_constraint_order_does_not_matter(self):
         # Every tuple the repair search tries on W(3)-shared, against its
-        # reverse: the same order and the same first witness.
+        # reverse: the same order and the same significant pairs.
         d = w_family(3, shared=True)
         base = Analysis(d)
         report = base.check()
@@ -816,7 +813,95 @@ class TestFirstWitness:
             forward = base.constrained(p.constraints)
             backward = base.constrained(p.constraints[::-1])
             assert forward.po.succ == backward.po.succ
-            assert _first(forward) == _first(backward)
+            assert forward.significant_pairs() == backward.significant_pairs()
+
+
+def _count_recovery(monkeypatch) -> dict[str, int]:
+    """Count the calls of `Analysis.significant_rel` and `Analysis._clause`,
+    and the schema searches pinned to a pair, which only witness recovery
+    runs."""
+    counts = {"significant_rel": 0, "_clause": 0, "pinned": 0}
+    enumerate_all = pidcheck.analysis.enumerate_schemas
+
+    def counted(name):
+        method = getattr(Analysis, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(Analysis, name, wrapper)
+
+    def pinned(*args, **kwargs):
+        counts["pinned"] += kwargs.get("pin") is not None
+        return enumerate_all(*args, **kwargs)
+
+    counted("significant_rel")
+    counted("_clause")
+    monkeypatch.setattr(pidcheck.analysis, "enumerate_schemas", pinned)
+    return counts
+
+
+class TestWitnessesOnlyForOutput:
+    """Witnesses are recovered only where one is printed: the repair search
+    and `fuzz` read the significant pairs, and `check` asks for one clause
+    per witness."""
+
+    @pytest.mark.parametrize("name", ["w3_shared", "fig8"])
+    def test_suggest_recovers_no_witness(self, monkeypatch, name):
+        d = w_family(3, shared=True) if name == "w3_shared" else figures.fig8()
+        analysis = Analysis(d)
+        report = analysis.check()
+        expected = reference_suggest(d, report)
+        counts = _count_recovery(monkeypatch)
+        assert suggest_resolutions(d, report, analysis=analysis) == expected
+        assert counts == {"significant_rel": 0, "_clause": 0, "pinned": 0}
+
+    def test_fuzz_recovers_no_witness(self, monkeypatch, capsys):
+        counts = _count_recovery(monkeypatch)
+        assert main(["fuzz", str(FIXTURES / "fig6.pid"), "--trials", "2"]) == 0
+        assert counts == {"significant_rel": 0, "_clause": 0, "pinned": 0}
+
+    def test_check_asks_one_clause_per_witness(self, monkeypatch):
+        counts = _count_recovery(monkeypatch)
+        report = Analysis(figures.fig8()).check()
+        assert len(report.witnesses) == 5
+        assert counts["_clause"] == counts["significant_rel"] == 5
+
+    @staticmethod
+    def _assert_recovers_every_pair(analysis):
+        # Rechecks recover no witness, so a disagreement between the pass
+        # and the clauses (is_significant's AssertionError) shows here.
+        pairs = analysis.significant_pairs()
+        assert analysis.check().significant_pairs == pairs
+        for a, dec in pairs:
+            w = analysis.is_significant(a, dec)
+            assert w is not None and (w.chance, w.decision) == (a, dec)
+
+    def _assert_on_reached_orders(self, d) -> int:
+        base = Analysis(d)
+        self._assert_recovers_every_pair(base)
+        derived = 0
+        for cs in {frozenset(cs) for cs in _reached_sets(d)}:
+            try:
+                analysis = base.constrained(cs)
+            except InconsistentOrder:
+                continue
+            self._assert_recovers_every_pair(analysis)
+            derived += 1
+        return derived
+
+    @pytest.mark.parametrize("name", ["w3_shared", "fig6", "fig7", "fig8", "two_witness"])
+    def test_orders_the_repair_search_reaches(self, name):
+        d = w_family(3, shared=True) if name == "w3_shared" else figures.ALL_FIGURES[name]()
+        assert self._assert_on_reached_orders(d) > 0
+
+    def test_orders_the_repair_search_reaches_on_random_draws(self):
+        derived = 0
+        for seed in range(300):
+            d = random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            derived += self._assert_on_reached_orders(d)
+        assert derived >= 90
 
 
 class TestDerivedAnalysis:

@@ -193,6 +193,34 @@ class TestExitCodes:
             assert code == 1 and out == ""
             assert err == f"error: {bad}: duplicate state label on node 'A'\n"
 
+    def test_document_that_is_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "utf16.pid"
+        bad.write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+        for command in ("validate", "check", "order"):
+            code, out, err = run(capsys, command, bad)
+            assert code == 1 and out == ""
+            assert err == f"error: {bad}: parse error: not UTF-8 text (invalid start byte at byte 0)\n"
+
+    @pytest.mark.parametrize(
+        "nodes, violation",
+        [
+            ([{"id": "A\ud800", "kind": "chance", "states": ["a1", "a2"]}], "node #0 has no usable id"),
+            ([{"id": "A", "kind": "chance", "states": ["a1", "\udc80"]}], "malformed state list on node 'A'"),
+            ([{"id": "A", "kind": "chance", "states": ["a1", "a2"]},
+              {"id": "B", "kind": "chance", "states": ["b1", "b2"], "parents": ["A\ud800"]}],
+             "malformed parent list on node 'B'"),
+        ],
+        ids=["id", "state", "parent"],
+    )
+    def test_lone_surrogate_rejected(self, tmp_path, capsys, nodes, violation):
+        # JSON can spell a lone surrogate, which no output stream can write.
+        bad = tmp_path / "surrogate.pid"
+        bad.write_text(json.dumps({"nodes": nodes}))
+        for command in ("validate", "order", "check"):
+            code, out, err = run(capsys, command, bad)
+            assert code == 1 and out == ""
+            assert err == f"error: {bad}: {violation}\n"
+
     def test_check_welldefined_exits_zero(self, capsys):
         for name in ["fig1", "fig2", "fig3", "fig4", "fig5"]:
             code, _, _ = run(capsys, "check", FIXTURES / f"{name}.pid")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from conftest import (
     all_admissible_orders,
     is_admissible,
+    naive_base_pairs,
     naive_partial_order,
     schema_of,
     swap_graph_connected,
@@ -138,6 +139,28 @@ class TestInducePartialOrder:
                     induce_partial_order(d, extra, base)
                 continue
             assert induce_partial_order(d, extra, base).masks == alone.masks
+
+    @staticmethod
+    def _assert_base_closure_is_naive(d):
+        pairs = {(x, y) for x, succ in ordering.base_closure(d).succ.items() for y in succ}
+        assert pairs == naive_base_pairs(d)
+
+    @pytest.mark.parametrize("name", sorted(figures.ALL_FIGURES))
+    def test_base_closure_on_fixtures(self, name):
+        self._assert_base_closure_is_naive(figures.ALL_FIGURES[name]())
+
+    @pytest.mark.parametrize("shared", [False, True, "mixed", "coupled"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_base_closure_on_w_families(self, k, shared):
+        self._assert_base_closure_is_naive(w_family(k, shared))
+
+    def test_base_closure_on_random_draws(self):
+        # Closing clauses (a) and (b) needs no transitive-closure pass
+        # (ordering docstring); the naive fixpoint agrees.
+        for seed in range(500):
+            self._assert_base_closure_is_naive(
+                random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            )
 
     def test_no_base_closure_outlives_its_diagram(self, monkeypatch):
         closures = []
