@@ -24,18 +24,16 @@ from . import analysis as _analysis
 from .dsep import NotTotalOrder, bayes_ball_requisite, elimination_neighbors
 from .model import Diagram, InvalidDiagram, Kind, validate
 from .oracle import (
-    Comparison,
     EvaluationError,
     InvalidRealization,
     Realization,
-    Strategy,
     batch_trials,
     check_tables,
     random_realization,
-    required_from_strategy,
+    required_per_trial,
+    rules_differ,
     solve,
     solve_schemas,
-    strategies_equal,
     table_shape,
 )
 from .ordering import (
@@ -437,39 +435,33 @@ def cmd_fuzz(args) -> int:
         realizations = [random_realization(d, args.seed + t) for t in trials]
         found: dict[int, list[str]] = {t: [] for t in trials}
         differ = dict.fromkeys(trials, 0)
-        # Per trial, the oracle's required set of each decision's latest
-        # rule, and the decisions whose latest rule agrees with schema 0's.
+        # Per decision, the oracle's required set of its latest rule in each
+        # trial, and the trials in which that rule differs from schema 0's.
         # A rule that a schema shares with the previous one keeps both.
-        oracle_sets: list[dict[str, frozenset[str]]] = [{} for _ in trials]
-        agree: list[set[str]] = [set() for _ in trials]
+        oracle_sets: dict[str, list[frozenset[str]]] = {}
+        differing: dict[str, list[int]] = {}
         base = None
-        for struct, (solved, fresh) in zip(required, solve_schemas(d, realizations, schemas)):
-            compare = base is not None and welldefined
-            if base is None:
-                base = solved
-            for t, (strategy, _), (first, _), sets, agreed in zip(trials, solved, base, oracle_sets, agree):
-                for dec in fresh:
-                    sets[dec] = required_from_strategy(strategy, dec)
-                    agreed.discard(dec)
-                for dec in d.decision_ids:
-                    if not sets[dec] <= struct[dec]:
+        for struct, (rules, _, fresh) in zip(required, solve_schemas(d, realizations, schemas)):
+            for dec in fresh:
+                oracle_sets[dec] = required_per_trial(rules[dec])
+            for dec in d.decision_ids:
+                for t, got in zip(trials, oracle_sets[dec]):
+                    if not got <= struct[dec]:
                         found[t].append(
-                            f"trial {t}: oracle_required({dec}) = {sorted(sets[dec])} "
+                            f"trial {t}: oracle_required({dec}) = {sorted(got)} "
                             f"not within required_variables = {sorted(struct[dec])}"
                         )
-                pending = [dec for dec in d.decision_ids if dec not in agreed] if compare else []
-                if not pending:
-                    continue
-                # Strategies differ iff the rules of some decision do, so
-                # the pending rules are compared together.
-                verdict = strategies_equal(
-                    Strategy(first.schema, {dec: first.rules[dec] for dec in pending}),
-                    Strategy(strategy.schema, {dec: strategy.rules[dec] for dec in pending}),
-                )
-                if verdict is Comparison.DIFFERENT:
+            if base is None:
+                base = rules
+            elif welldefined:
+                # Strategies differ iff the rules of some decision do; rules
+                # over different pasts are not compared.
+                for dec in d.decision_ids:
+                    if dec in fresh or dec not in differing:
+                        verdict = rules_differ(base[dec], rules[dec])
+                        differing[dec] = [] if verdict is None else [t for t, x in zip(trials, verdict.tolist()) if x]
+                for t in set().union(*differing.values()):
                     differ[t] += 1
-                else:
-                    agreed.update(pending)
         for t in trials:
             failures += found[t] + [f"trial {t}: strategies differ across schemas"] * differ[t]
     checked = args.trials * len(schemas) * len(d.decision_ids)

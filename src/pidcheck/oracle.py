@@ -24,15 +24,23 @@ declaration order and each step splits it stably and appends, so the list,
 the order of every elementwise product and sum, and every table depend only
 on the sequence of variables eliminated so far, the order suffix, and not
 on the order of the prefix still waiting.  A decision's table spans its
-past as a set, in declaration order, and is handed out as a view with its
-past in schema order.  Two schemas whose orders end alike therefore take
-the same steps, with the same bits, until that suffix is used up.  The
-routine resumes each schema from the state after the longest suffix it
-shares with the previous one, which in `enumerate_schemas` order is often
-most of it.  It looks one schema ahead and keeps only the states along the
-suffix that the next schema shares, so memory holds at most one path.  An
-error fires at the same schema, with the same message, as a solve per
-schema.  Solving never mutates its inputs, nor a table it has handed out.
+past as a set, in declaration order, and is handed out so, as one
+`BatchedRule` for the whole batch; `solve` alone builds a `DecisionRule`,
+a view with its past in schema order.  Two schemas whose orders end alike
+therefore take the same steps, with the same bits, until that suffix is
+used up.  The routine resumes each schema from the state after the longest
+suffix it shares with the previous one, which in `enumerate_schemas` order
+is often most of it.  It looks one schema ahead and keeps only the states
+along the suffix that the next schema shares, so memory holds at most one
+path.  An error fires at the same schema, with the same message, as a
+solve per schema.  Solving never mutates its inputs, nor a table it has
+handed out.
+
+The checks on rules run over the trial axis too: `required_per_trial`
+takes one comparison per past variable and `rules_differ` one per table
+for every trial of a batch, aligning the axes by variable.  A lone
+strategy is the one-trial case: `required_from_strategy` and
+`strategies_equal` call them on the rule with a trial axis of length one.
 """
 from __future__ import annotations
 
@@ -40,6 +48,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
+from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import Diagram, Kind
@@ -209,6 +218,24 @@ class Strategy:
     rules: dict[str, DecisionRule]
 
 
+@dataclass(frozen=True, eq=False)
+class BatchedRule:
+    """One decision's rule in every realization of a batch: the tie and
+    value tables of a `DecisionRule` with a leading trial axis.  The past
+    need not be in schema order; `solve_schemas` gives it in declaration
+    order."""
+
+    decision: str
+    pred_vars: tuple[str, ...]
+    ties: np.ndarray     # bool array, shape = (trials,) + pred cards + (len(states),)
+    values: np.ndarray   # float array, shape = (trials,) + pred cards
+
+
+def _batched(rule: DecisionRule) -> BatchedRule:
+    """``rule`` as a batch of one trial."""
+    return BatchedRule(rule.decision, rule.pred_vars, rule.ties[None], rule.values[None])
+
+
 # A factor's variables are carrier indices in ascending (declaration) order;
 # its table's first axis is the trial, and the others follow the variables.
 Factor = tuple[tuple[int, ...], "np.ndarray"]
@@ -277,8 +304,18 @@ def _split(factors: list[Factor], v: int) -> tuple[list[Factor], list[Factor]]:
 
 
 def solve(d: Diagram, r: Realization, schema: OrderSchema) -> tuple[Strategy, float]:
-    """`solve_schemas` on the one realization ``r`` and schema ``schema``."""
-    return next(solve_schemas(d, (r,), (schema,)))[0][0]
+    """`solve_schemas` on the one realization ``r`` and schema ``schema``:
+    the strategy, each rule a view with its past in schema order, and the
+    maximum expected utility."""
+    rules, meus, _ = next(solve_schemas(d, (r,), (schema,)))
+    position = {v: j for j, v in enumerate(schema.induced_order())}
+    strategy = {}
+    for dec, rule in rules.items():
+        past = tuple(sorted(rule.pred_vars, key=position.__getitem__))
+        perm = [rule.pred_vars.index(v) for v in past]
+        ties, values = rule.ties[0].transpose(perm + [len(perm)]), rule.values[0].transpose(perm)
+        strategy[dec] = DecisionRule(dec, past, d.states(dec), ties, values)
+    return Strategy(schema, strategy), meus[0]
 
 
 def batch_trials(d: Diagram) -> int:
@@ -292,21 +329,23 @@ def batch_trials(d: Diagram) -> int:
 
 def solve_schemas(
     d: Diagram, realizations: Sequence[Realization], schemas: Iterable[OrderSchema]
-) -> Iterator[tuple[list[tuple[Strategy, float]], tuple[str, ...]]]:
+) -> Iterator[tuple[dict[str, BatchedRule], list[float], tuple[str, ...]]]:
     """Per schema, eliminate variables in reverse schema order (sum over
     chance, max over decisions), recording for every decision its full
-    decision-function table over the past, and yield, per realization, the
-    strategy and the total maximum expected utility, together with the
-    decisions whose rules this schema did not share with the previous one
-    (module docstring).  Raises EvaluationError, at the first schema that
-    meets one, on non-finite tables and on any table over MAX_TABLE_CELLS
-    per realization."""
+    decision-function table over the past, and yield the rules, one
+    `BatchedRule` per decision in elimination order with its past in
+    declaration order; per realization, the total maximum expected
+    utility; and the decisions whose rules this schema did not share with
+    the previous one, in elimination order (module docstring).  A shared
+    rule is the same object as before.  Raises EvaluationError, at the
+    first schema that meets one, on non-finite tables and on any table over
+    MAX_TABLE_CELLS per realization."""
     import numpy as np
 
     for r in realizations:
         r.validated(d)
     if not realizations:
-        yield from (([], ()) for _ in schemas)
+        yield from (({}, [], ()) for _ in schemas)
         return
     carrier = d.carrier_ids
     covered = sorted(carrier)
@@ -328,16 +367,15 @@ def solve_schemas(
     # factors left after the last j variables of the order are eliminated.
     stack: list[tuple[list[Factor], list[Factor]]] = [(phis, psis)]
     # Per variable eliminated on the current path, in elimination order, the
-    # decision's rule (its past in declaration order, and its tie and value
-    # tables with the trial axis first), or None for a chance node.  Entries
-    # of both lists are never changed once pushed.
-    path: list[tuple | None] = []
+    # decision's rule, or None for a chance node.  Entries of both lists are
+    # never changed once pushed.
+    path: list[BatchedRule | None] = []
     pending = iter(schemas)
     following = next(pending, None)
     upcoming = () if following is None else following.induced_order()
     previous: tuple[str, ...] = ()
     while following is not None:
-        schema, order = following, upcoming
+        order = upcoming
         following = next(pending, None)
         upcoming = () if following is None else following.induced_order()
         if sorted(order) != covered:
@@ -385,8 +423,10 @@ def solve_schemas(
                     np.copyto(rho, _utility(psis + psi_v, scope, cards), where=possible[..., None])
                     best = rho.max(axis=-1)
                     tol = DEFAULT_TIE_TOL * np.maximum(1.0, np.abs(best))
-                    rule = (scope[:-1], rho >= (best - tol)[..., None], best)
-                    fresh.append(carrier[v])
+                    dec = carrier[v]
+                    past = tuple(carrier[u] for u in scope[:-1])
+                    rule = BatchedRule(dec, past, rho >= (best - tol)[..., None], best)
+                    fresh.append(dec)
                     if phi_v:
                         scope = _scope(phi_v, v)
                         phis.append((scope[:-1], _product(phi_v, scope, cards).mean(axis=-1)))
@@ -400,31 +440,7 @@ def solve_schemas(
             meus = _product(phis, (), cards) * _utility(psis, (), cards) * np.ones(n)
             if not np.isfinite(meus).all():
                 raise EvaluationError("evaluation failure: non-finite MEU")
-        # The rules in elimination order, each a view with its past in
-        # schema order.
-        rules = []
-        for i, rule in zip(range(m - 1, -1, -1), path):
-            if rule is None:
-                continue
-            past, ties, values = rule
-            if past != ranks[:i]:
-                axis = {u: j + 1 for j, u in enumerate(past)}
-                perm = [0] + [axis[u] for u in ranks[:i]]
-                ties, values = ties.transpose(perm + [i + 1]), values.transpose(perm)
-            rules.append((order[i], order[:i], ties, values))
-        yield [
-            (
-                Strategy(
-                    schema=schema,
-                    rules={
-                        dec: DecisionRule(dec, pred_vars, d.states(dec), ties[k], values[k])
-                        for dec, pred_vars, ties, values in rules
-                    },
-                ),
-                meu,
-            )
-            for k, meu in enumerate(meus.tolist())
-        ], tuple(fresh)
+        yield {rule.decision: rule for rule in path if rule is not None}, meus.tolist(), tuple(fresh)
 
 
 def _shared_suffix(a: Sequence[str], b: Sequence[str]) -> int:
@@ -441,8 +457,43 @@ class Comparison(Enum):
     DIFFERENT = "different"
 
 
+def rules_differ(rule: BatchedRule, other: BatchedRule, tol: float = DEFAULT_TIE_TOL) -> np.ndarray | None:
+    """Per trial, whether two rules of one decision differ: in some
+    maximizer set, or in some value by more than ``tol`` relative to
+    ``rule``'s (absolute below 1), with the axes aligned by variable.  None
+    if the pasts differ as sets: the rules are then incomparable."""
+    import numpy as np
+
+    ties, values = other.ties, other.values
+    if other.pred_vars != rule.pred_vars:
+        if set(other.pred_vars) != set(rule.pred_vars):
+            return None
+        perm = [0] + [other.pred_vars.index(v) + 1 for v in rule.pred_vars]
+        ties, values = ties.transpose(perm + [len(perm)]), values.transpose(perm)
+    axes = tuple(range(1, values.ndim))
+    moved = np.abs(rule.values - values) > tol * np.maximum(1.0, np.abs(rule.values))
+    return (rule.ties != ties).any(axis=axes + (values.ndim,)) | moved.any(axis=axes)
+
+
+def required_per_trial(rule: BatchedRule) -> list[frozenset[str]]:
+    """Per trial, the past variables whose state changes the maximizer set
+    of the decision function, everything else fixed: one comparison per
+    past variable over the whole batch.  A sound witness set: always a
+    subset of the structurally required set."""
+    ties, past = rule.ties, rule.pred_vars
+    axes = tuple(range(1, ties.ndim))
+    # Per past variable, per trial: does some slice along its axis differ
+    # from the first?
+    changes = [
+        (ties != ties[(slice(None),) * j + (slice(0, 1),)]).any(axis=axes).tolist() for j in range(1, len(past) + 1)
+    ]
+    if not changes:
+        return [frozenset()] * len(ties)
+    return [frozenset(compress(past, row)) for row in zip(*changes)]
+
+
 def strategies_equal(s1: Strategy, s2: Strategy, tol: float = DEFAULT_TIE_TOL) -> Comparison:
-    """Compare two strategies decision by decision.
+    """Compare two strategies decision by decision, by `rules_differ`.
 
     Equality is asserted only for decisions whose past variable sets
     coincide (the tables are then compared pointwise, maximizer sets
@@ -450,34 +501,17 @@ def strategies_equal(s1: Strategy, s2: Strategy, tol: float = DEFAULT_TIE_TOL) -
     skipped.  Returns DIFFERENT on any disagreement, EQUAL if every
     decision was comparable and agreed, INCOMPARABLE otherwise.
     """
-    import numpy as np
-
     skipped = False
     for dec, rule1 in s1.rules.items():
-        rule2 = s2.rules[dec]
-        if set(rule1.pred_vars) != set(rule2.pred_vars):
+        differ = rules_differ(_batched(rule1), _batched(s2.rules[dec]), tol)
+        if differ is None:
             skipped = True
-            continue
-        # Align axis order before comparing.
-        perm = [rule2.pred_vars.index(v) for v in rule1.pred_vars]
-        values2 = rule2.values.transpose(perm)
-        if not np.array_equal(rule1.ties, rule2.ties.transpose(perm + [len(perm)])):
-            return Comparison.DIFFERENT
-        scale = np.maximum(1.0, np.abs(rule1.values))
-        if np.any(np.abs(rule1.values - values2) > tol * scale):
+        elif differ[0]:
             return Comparison.DIFFERENT
     return Comparison.INCOMPARABLE if skipped else Comparison.EQUAL
 
 
 def required_from_strategy(strategy: Strategy, dec: str) -> frozenset[str]:
-    """Past variables whose state changes the maximizer set of the decision
-    function, everything else fixed, for the realization the strategy was
-    solved under.  A sound witness set: always a subset of the structurally
-    required set."""
-    rule = strategy.rules[dec]
-    out: set[str] = set()
-    for axis, var in enumerate(rule.pred_vars):
-        first = rule.ties[(slice(None),) * axis + (slice(0, 1),)]
-        if (rule.ties != first).any():
-            out.add(var)
-    return frozenset(out)
+    """`required_per_trial` for the one realization the strategy was
+    solved under."""
+    return required_per_trial(_batched(strategy.rules[dec]))[0]

@@ -21,15 +21,18 @@ the second kind is an arc into some D then a path out of D, and two such
 paths that meet join into one that starts like the first.  So it needs no
 closure pass: a decision precedes its descendants, and a parent of a
 decision D precedes D and D's descendants.  Every
-other pair is added to a closed relation R one head at a time: the closure
-of R plus the pairs (x, y) for every x in a set T is R plus every pair
-(u, v) with u equal to or before some x in T and v equal to or after y,
-since a path through the new pairs can always be cut to use one of them
-once (each ends at y).  So each addition is one OR of y's successors and y
-into the mask of each node at or before T, and the relation stays closed
-after every addition, cycles included.  The closure of a union does not
-depend on the order in which its pairs are added, so the relation is the
-one a full closure pass after each clause would give.
+other pair is added to a closed relation R one product at a time: the
+closure of R plus the pairs (x, y) for every x in a set T and y in a set H
+is R plus every pair (u, v) with u equal to or before some x in T and v
+equal to or after some y in H, since a path through the new pairs can
+always be cut to use one of them once (from its first tail to its last
+head).  So each addition is one OR of H and its successors into the mask
+of each node at or before T, and the relation stays closed after every
+addition, cycles included.  Clause (c) is one product, every decision
+before every late node; an extra pair or a clause (d) pair has one head.
+The closure of a union does not depend on the order in which its pairs are
+added, so the relation is the one a full closure pass after each clause
+would give.
 
 A schema places chance node A in the slot immediately before decision D
 exactly when every decision that precedes A comes before D, and D comes
@@ -113,13 +116,24 @@ class PartialOrder:
         a decision bear on welldefinedness.
         """
         ids, masks = self.carrier, self.masks
-        skip = self.chance if with_decision_only else 0
-        return tuple(
-            (x, ids[j])
-            for i, x in enumerate(ids)
-            for j in range(i + 1, len(ids))
-            if not (skip >> i & skip >> j & 1 or masks[i] >> j & 1 or masks[j] >> i & 1)
-        )
+        if not with_decision_only:
+            return tuple(
+                (x, ids[j])
+                for i, x in enumerate(ids)
+                for j in range(i + 1, len(ids))
+                if not (masks[i] >> j & 1 or masks[j] >> i & 1)
+            )
+        # Only the pairs with a decision at one end: per decision i, the nodes
+        # not after it, but for the decisions declared before it, which list
+        # their pair with i themselves; then sorted into declaration order.
+        everyone, decisions = (1 << len(ids)) - 1, self.decisions
+        pairs = []
+        for i in bits(decisions):
+            bit = 1 << i
+            for j in bits(everyone & ~(masks[i] | bit | decisions & (bit - 1))):
+                if not masks[j] & bit:
+                    pairs.append((i, j) if i < j else (j, i))
+        return tuple((ids[i], ids[j]) for i, j in sorted(pairs))
 
 
 def base_closure(d: Diagram) -> PartialOrder:
@@ -171,9 +185,12 @@ def induce_partial_order(
     index, decisions = base.index, base.decisions
     succ = list(base.masks)
 
-    def add(tails: int, y: int) -> None:
-        """Close under the pairs (x, y) for every x in ``tails``."""
-        after = succ[y] | 1 << y
+    def add(tails: int, heads: int) -> None:
+        """Close under the pairs (x, y) for every x in the mask ``tails``
+        and y in the mask ``heads``."""
+        after = heads
+        for y in bits(heads):
+            after |= succ[y]
         for u, su in enumerate(succ):
             if (su | 1 << u) & tails:
                 succ[u] = su | after
@@ -181,14 +198,13 @@ def induce_partial_order(
     for x, y in extra:
         if x not in index or y not in index:
             raise ValueError(f"constraint ({x!r}, {y!r}) references unknown node")
-        add(1 << index[x], index[y])
+        add(1 << index[x], 1 << index[y])
 
     # Clause (c): whether a chance node ever precedes a decision is fixed by
     # the closure so far (its outgoing relations can only start at an
     # informational arc or an extra constraint), so apply it once.
     chance = list(bits(base.chance))
-    for a in [a for a in chance if not succ[a] & decisions]:
-        add(decisions, a)
+    add(decisions, sum(1 << a for a in chance if not succ[a] & decisions))
 
     each_decision = [(di, 1 << di) for di in bits(decisions)]
     while True:  # clause (d), round-based so the result is order-independent
@@ -205,7 +221,7 @@ def induce_partial_order(
         if not new:
             break
         for tails, a in new:
-            add(tails, a)
+            add(tails, 1 << a)
 
     for i, s in enumerate(succ):
         if s >> i & 1:

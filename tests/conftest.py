@@ -1043,6 +1043,56 @@ def reference_solve_many(
     ]
 
 
+def trial_strategies(
+    d: Diagram, schema: OrderSchema, rules: Mapping[str, oracle.BatchedRule], meus: Sequence[float]
+) -> list[tuple[Strategy, float]]:
+    """Per trial, the strategy and MEU of one `solve_schemas` step, in the
+    form `reference_solve_many` gives them: each rule a view of its trial
+    with the past in schema order.  Asserts that each batched past is the
+    decision's schema past in declaration order."""
+    order = schema.induced_order()
+    out = []
+    for k, meu in enumerate(meus):
+        strategy = {}
+        for dec, rule in rules.items():
+            past = order[: order.index(dec)]
+            assert rule.pred_vars == tuple(v for v in d.carrier_ids if v in past)
+            perm = [rule.pred_vars.index(v) for v in past]
+            ties, values = rule.ties[k].transpose(perm + [len(perm)]), rule.values[k].transpose(perm)
+            strategy[dec] = DecisionRule(dec, past, d.states(dec), ties, values)
+        out.append((Strategy(schema, strategy), meu))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# reference checks on one rule, one past variable at a time, independent of
+# the batched `oracle.required_per_trial` and `oracle.rules_differ`
+
+
+def naive_required(rule: DecisionRule) -> frozenset[str]:
+    """The past variables along whose axis some slice of the maximizer
+    table differs from the first."""
+    out: set[str] = set()
+    for axis, var in enumerate(rule.pred_vars):
+        first = rule.ties[(slice(None),) * axis + (slice(0, 1),)]
+        if (rule.ties != first).any():
+            out.add(var)
+    return frozenset(out)
+
+
+def naive_rules_differ(rule1: DecisionRule, rule2: DecisionRule, tol: float) -> bool | None:
+    """None if the pasts differ as sets, else whether the maximizer tables
+    differ or some value differs by more than ``tol`` relative to
+    ``rule1``'s (absolute below 1), with the axes aligned by variable."""
+    if set(rule1.pred_vars) != set(rule2.pred_vars):
+        return None
+    perm = [rule2.pred_vars.index(v) for v in rule1.pred_vars]
+    if not np.array_equal(rule1.ties, rule2.ties.transpose(perm + [len(perm)])):
+        return True
+    scale = np.maximum(1.0, np.abs(rule1.values))
+    return bool(np.any(np.abs(rule1.values - rule2.values.transpose(perm)) > tol * scale))
+
+
 # ---------------------------------------------------------------------------
 # reference fuzz: one lone per-schema elimination per (trial, schema), as
 # `pidcheck fuzz` did before it solved a batch of trials per schema
@@ -1051,10 +1101,11 @@ def reference_solve_many(
 def reference_fuzz(d: Diagram, trials: int, seed: int) -> tuple[int, str, dict]:
     """Exit code, text output and JSON payload (without the version and
     command keys) of `pidcheck fuzz`.  `Analysis.required_variables` and
-    `oracle.strategies_equal` are looked up on each call, and
-    `enumerate_schemas` and `random_realization` in this module, so a test
-    can patch them for this and the command alike.  An EvaluationError
-    propagates."""
+    `oracle.strategies_equal` are looked up on each call, the latter
+    compares through `oracle.rules_differ`, the comparator `fuzz` calls,
+    and `enumerate_schemas` and `random_realization` are looked up in this
+    module, so a test can patch them for this and the command alike.  An
+    EvaluationError propagates."""
     analysis = Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
     report = analysis.check()

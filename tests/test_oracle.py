@@ -1,3 +1,4 @@
+import collections
 import itertools
 import pathlib
 
@@ -6,19 +7,32 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import bf_best_meu, dense_solve, fingerprint, reference_solve_many, significance_search
+from conftest import (
+    bf_best_meu,
+    dense_solve,
+    fingerprint,
+    naive_required,
+    naive_rules_differ,
+    reference_solve_many,
+    significance_search,
+    trial_strategies,
+)
 from pidcheck import figures, oracle
 from pidcheck.cli import load_file
 from pidcheck.analysis import Analysis, check_welldefined
 from pidcheck.generate import random_pid
 from pidcheck.model import Kind, Node, validate_nodes
 from pidcheck.oracle import (
+    BatchedRule,
     Comparison,
+    DecisionRule,
     EvaluationError,
     InvalidRealization,
     Realization,
     random_realization,
     required_from_strategy,
+    required_per_trial,
+    rules_differ,
     Strategy,
     solve,
     solve_schemas,
@@ -287,7 +301,8 @@ class TestMatchesDenseReference:
 def assert_batch_matches_lone(d, realizations, schema):
     """Each trial of one `solve_schemas` call on one schema has, bit for
     bit, the tables and MEU of a lone `solve` on its realization."""
-    batched = next(solve_schemas(d, realizations, (schema,)))[0]
+    rules, meus, _ = next(solve_schemas(d, realizations, (schema,)))
+    batched = trial_strategies(d, schema, rules, meus)
     assert len(batched) == len(realizations)
     for r, (strategy, meu) in zip(realizations, batched):
         lone, lone_meu = solve(d, r, schema)
@@ -331,7 +346,7 @@ class TestSolveMany:
 
     def test_no_realizations(self):
         d = figures.fig4()
-        assert next(solve_schemas(d, [], (canonical_schema(d),)))[0] == []
+        assert next(solve_schemas(d, [], (canonical_schema(d),))) == ({}, [], ())
 
     def test_one_bad_trial_fails_the_batch(self):
         d = figures.fig4()
@@ -365,8 +380,8 @@ def assert_schemas_match_reference(d, realizations, schemas):
     gives, and names as fresh exactly the decisions that do not lie in the
     order suffix the schema shares with the previous one, last first."""
     previous = None
-    for schema, (solved, fresh) in zip(schemas, solve_schemas(d, realizations, schemas), strict=True):
-        assert_same_solutions(solved, reference_solve_many(d, realizations, schema))
+    for schema, (rules, meus, fresh) in zip(schemas, solve_schemas(d, realizations, schemas), strict=True):
+        assert_same_solutions(trial_strategies(d, schema, rules, meus), reference_solve_many(d, realizations, schema))
         order = schema.induced_order()
         assert fresh == tuple(
             v for i, v in reversed(list(enumerate(order)))
@@ -403,13 +418,13 @@ class TestSolveSchemas:
         realizations = [random_realization(d, seed) for seed in range(2)]
         inputs = [fingerprint(r) for r in realizations]
         handed = []
-        for solved, _ in solve_schemas(d, realizations, schemas):
-            for strategy, _ in solved:
-                for rule in strategy.rules.values():
-                    handed.append((rule, _bits(rule.ties), _bits(rule.values)))
+        for rules, _, _ in solve_schemas(d, realizations, schemas):
+            for rule in rules.values():
+                for k in range(2):
+                    handed.append((rule.ties[k], rule.values[k], _bits(rule.ties[k]), _bits(rule.values[k])))
         assert len(handed) == len(schemas) * 2 * len(d.decision_ids)
-        for rule, ties, values in handed:
-            assert (_bits(rule.ties), _bits(rule.values)) == (ties, values)
+        for rule_ties, rule_values, ties, values in handed:
+            assert (_bits(rule_ties), _bits(rule_values)) == (ties, values)
         assert [fingerprint(r) for r in realizations] == inputs
 
     def test_overflow_fires_at_the_same_schema(self, monkeypatch):
@@ -437,7 +452,7 @@ class TestSolveSchemas:
     def test_no_realizations(self):
         d = figures.fig7()
         schemas = list(enumerate_schemas(d))
-        assert list(solve_schemas(d, [], schemas)) == [([], ())] * len(schemas)
+        assert list(solve_schemas(d, [], schemas)) == [({}, [], ())] * len(schemas)
 
     def test_schema_of_another_diagram(self):
         d = figures.fig7()
@@ -507,6 +522,99 @@ class TestOracleRequired:
         strategy, _ = solve(d, random_realization(d, seed), schema)
         for dec in d.decision_ids:
             assert required_from_strategy(strategy, dec) <= analysis.required_variables(schema, dec)
+
+
+def _trial(d, rule, k):
+    """Trial ``k`` of a batched rule, as a lone rule."""
+    return DecisionRule(rule.decision, rule.pred_vars, d.states(rule.decision), rule.ties[k], rule.values[k])
+
+
+def _at_the_boundary(rule, tol):
+    """``rule`` with its past in reverse order, the values of trial k moved
+    up by none, half, exactly, just over (the next float) or twice the
+    tolerance that `rules_differ` allows against ``rule``, by k % 5, and
+    one maximizer flipped in every trial k with k % 4 == 3."""
+    allowed = tol * np.maximum(1.0, np.abs(rule.values))
+    values = rule.values.copy()
+    for k in range(len(values)):
+        values[k] += (0.0, 0.5, 1.0, 1.0, 2.0)[k % 5] * allowed[k]
+        if k % 5 == 3:
+            values[k] = np.nextafter(values[k], np.inf)
+    ties = rule.ties.copy()
+    for k in range(3, len(ties), 4):
+        first = (k,) + (0,) * (ties.ndim - 1)
+        ties[first] = not ties[first]
+    reverse = [0] + list(range(rule.values.ndim - 1, 0, -1))
+    ties, values = ties.transpose(reverse + [ties.ndim - 1]), values.transpose(reverse)
+    return BatchedRule(rule.decision, rule.pred_vars[::-1], ties, values)
+
+
+def assert_checks_agree_per_trial(d, trials, seed, outcomes):
+    """On every rule that a `fuzz` batch of ``trials`` realizations hands
+    out, `required_per_trial` is, trial by trial, `required_from_strategy`
+    and `naive_required`; and `rules_differ` is, trial by trial,
+    `strategies_equal` and `naive_rules_differ`, on the pairs that `fuzz`
+    compares, on each rule against itself moved to the edge of
+    the tolerance, and the other way round.  Counts the outcomes."""
+    realizations = [random_realization(d, seed + t) for t in range(trials)]
+    schemas = list(enumerate_schemas(d))
+    base = None
+    for schema, (rules, _, _) in zip(schemas, solve_schemas(d, realizations, schemas)):
+        if base is None:
+            base = rules
+        for dec, rule in rules.items():
+            got = required_per_trial(rule)
+            assert len(got) == trials
+            for k in range(trials):
+                lone = _trial(d, rule, k)
+                assert got[k] == naive_required(lone) == required_from_strategy(Strategy(schema, {dec: lone}), dec)
+            tol = oracle.DEFAULT_TIE_TOL
+            moved = _at_the_boundary(rule, tol)
+            for a, b in ((base[dec], rule), (rule, moved), (moved, rule)):
+                differ = rules_differ(a, b, tol)
+                for k in range(trials):
+                    lone_a, lone_b = _trial(d, a, k), _trial(d, b, k)
+                    want = naive_rules_differ(lone_a, lone_b, tol)
+                    verdict = strategies_equal(Strategy(schema, {dec: lone_a}), Strategy(schema, {dec: lone_b}), tol)
+                    outcomes[want] += 1
+                    if want is None:
+                        assert differ is None and verdict is Comparison.INCOMPARABLE
+                    else:
+                        assert bool(differ[k]) is want
+                        assert verdict is (Comparison.DIFFERENT if want else Comparison.EQUAL)
+
+
+class TestTrialAxisChecks:
+    """The checks `fuzz` runs over the trial axis give, trial by trial, what
+    the one-trial checks give."""
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "two_witness"])
+    def test_fixtures(self, name):
+        d, _ = load_file(str(FIXTURES / f"{name}.pid"))
+        outcomes = collections.Counter()
+        assert_checks_agree_per_trial(d, 10, 3, outcomes)
+        assert outcomes[True] and outcomes[False]
+
+    def test_random_diagrams(self):
+        outcomes = collections.Counter()
+        for seed in range(200):
+            d = random_pid(np.random.default_rng(90_000 + seed), max_carrier=7, max_decisions=3)
+            assert_checks_agree_per_trial(d, 5, seed, outcomes)
+        assert outcomes[None] and outcomes[True] and outcomes[False]
+
+    def test_exact_tolerance_boundary(self):
+        # Values and tolerance are powers of two, so the differences are
+        # exact: a move of exactly the tolerance is equal, one ulp more is not.
+        tol = 2.0**-20
+        ties = np.ones((3, 3, 1), dtype=bool)
+        values = np.array([[1.0, 2.0, -4.0]] * 3)
+        rule = BatchedRule("D", ("A",), ties, values)
+        scale = np.maximum(1.0, np.abs(values))
+        moved = values + np.array([[1.0], [1.0], [-1.0]]) * tol * scale
+        moved[1] = np.nextafter(moved[1], np.inf)
+        other = BatchedRule("D", ("A",), ties, moved)
+        assert rules_differ(rule, other, tol).tolist() == [False, True, False]
+        assert rules_differ(rule, BatchedRule("D", ("B",), ties, values), tol) is None
 
 
 class TestSignificanceSearch:

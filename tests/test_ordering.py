@@ -162,6 +162,39 @@ class TestInducePartialOrder:
                 random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
             )
 
+    @staticmethod
+    def _assert_order_and_pairs_are_naive(d):
+        """The induced order is the naive fixpoint, and the incompatible
+        pairs, with and without chance-chance pairs, are those of a scan of
+        every pair of the naive relation in declaration order."""
+        naive = naive_partial_order(d)
+        po = induce_partial_order(d)
+        assert {x: set(po.succ[x]) for x in po.carrier} == naive
+        pairs = [
+            (x, y) for x, y in itertools.combinations(po.carrier, 2) if y not in naive[x] and x not in naive[y]
+        ]
+        assert po.incompatible_pairs(with_decision_only=False) == tuple(pairs)
+        assert po.incompatible_pairs() == tuple(
+            (x, y) for x, y in pairs if Kind.DECISION in (d.kind(x), d.kind(y))
+        )
+
+    @pytest.mark.parametrize("name", sorted(figures.ALL_FIGURES))
+    def test_order_and_pairs_on_fixtures(self, name):
+        self._assert_order_and_pairs_are_naive(figures.ALL_FIGURES[name]())
+
+    @pytest.mark.parametrize("shared", [False, True, "mixed", "coupled"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_order_and_pairs_on_w_families(self, k, shared):
+        self._assert_order_and_pairs_are_naive(w_family(k, shared))
+
+    def test_order_and_pairs_on_random_draws(self):
+        # Clause (c) is added as one product, and the pair listing scans
+        # only the pairs with a decision at one end.
+        for seed in range(500):
+            self._assert_order_and_pairs_are_naive(
+                random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+            )
+
     def test_no_base_closure_outlives_its_diagram(self, monkeypatch):
         closures = []
         closure = ordering.base_closure
