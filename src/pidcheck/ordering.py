@@ -115,25 +115,19 @@ class PartialOrder:
         never change a strategy (summations commute), so only pairs touching
         a decision bear on welldefinedness.
         """
+        # Per node i, in declaration order, the later nodes not after it,
+        # but for a chance node i only the later decisions by default.
         ids, masks = self.carrier, self.masks
-        if not with_decision_only:
-            return tuple(
-                (x, ids[j])
-                for i, x in enumerate(ids)
-                for j in range(i + 1, len(ids))
-                if not (masks[i] >> j & 1 or masks[j] >> i & 1)
-            )
-        # Only the pairs with a decision at one end: per decision i, the nodes
-        # not after it, but for the decisions declared before it, which list
-        # their pair with i themselves; then sorted into declaration order.
-        everyone, decisions = (1 << len(ids)) - 1, self.decisions
+        everyone = (1 << len(ids)) - 1
+        ends = self.decisions if with_decision_only else everyone
         pairs = []
-        for i in bits(decisions):
+        for i, x in enumerate(ids):
             bit = 1 << i
-            for j in bits(everyone & ~(masks[i] | bit | decisions & (bit - 1))):
+            later = everyone & ~(masks[i] | (bit << 1) - 1)
+            for j in bits(later if ends & bit else later & ends):
                 if not masks[j] & bit:
-                    pairs.append((i, j) if i < j else (j, i))
-        return tuple((ids[i], ids[j]) for i, j in sorted(pairs))
+                    pairs.append((x, ids[j]))
+        return tuple(pairs)
 
 
 def base_closure(d: Diagram) -> PartialOrder:

@@ -446,7 +446,8 @@ class TestSubcommandOutputs:
         assert len(analyses) == len(closures) == 1
 
     def test_long_chain(self, tmp_path, capsys):
-        # Clause (c) and the pair listing stay linear in the chain's length.
+        # A 3,000-node chance chain whose nodes all come after the one
+        # decision validates and checks.
         nodes = [{"id": "C0", "kind": "chance", "states": ["a", "b"], "parents": []}]
         nodes += [
             {"id": f"C{i}", "kind": "chance", "states": ["a", "b"], "parents": [f"C{i - 1}"]}
