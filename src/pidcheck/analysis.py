@@ -206,11 +206,11 @@ class Analysis:
     it goes when the last analysis of the diagram does.
     """
 
-    def __init__(self, d: Diagram, extra_constraints: Iterable[tuple[str, str]] = ()):
+    def __init__(self, d: Diagram):
         self.diagram = d
-        self._extra = tuple(extra_constraints)
+        self._extra: tuple[tuple[str, str], ...] = ()  # the base pairs of the repair constraints
         self._base = base_closure(d)
-        self.po: PartialOrder = induce_partial_order(d, self._extra, self._base)
+        self.po: PartialOrder = induce_partial_order(d, base=self._base)
         self._components = _carrier_components(d, self._base.index)
         # The rules' memo: (decision, past, later) -> (outcome, required,
         # next later), all but the outcome as ints (see _step); later

@@ -272,12 +272,10 @@ def cmd_order(args) -> int:
     d, _ = load_file(args.file)
     po = induce_partial_order(d)
     precedes = {x: list(d.sort_ids(po.succ[x])) for x in po.carrier if po.succ[x]}
-    pairs = po.incompatible_pairs()
-    chance_pairs = tuple(
-        p
-        for p in po.incompatible_pairs(with_decision_only=False)
-        if p not in pairs
-    )
+    decisions = set(d.decision_ids)
+    pairs, chance_pairs = [], []
+    for x, y in po.incompatible_pairs(with_decision_only=not args.json):  # text prints no chance-chance pair
+        (pairs if x in decisions or y in decisions else chance_pairs).append((x, y))
     text_lines = ["precedence:"]
     for x, ys in precedes.items():
         text_lines.append(f"  {x} < {{{', '.join(ys)}}}")

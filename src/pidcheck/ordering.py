@@ -10,7 +10,10 @@ because the downstream analysis is sequence-sensitive.
 An order is held as one int bit mask per carrier node (the chance and
 decision nodes, in declaration order): bit j of node i's mask is set iff
 node i precedes node j.  Node i is bit ``1 << i`` of any mask, so a
-precedence query is a bit test and a set of nodes is an int.
+precedence query is a bit test and a set of nodes is an int.  The
+transpose ``before`` holds per node the mask of its predecessors.  Built
+once per order, on first use, it answers every "what comes before"
+question here: decision sequences, slot ranges and incompatible pairs.
 
 Induction is incremental.  The closure of clauses (a) and (b), which reads
 only the diagram, is computed once per diagram (:func:`base_closure`); a
@@ -20,19 +23,18 @@ or whose first arc enters one: each base pair is such a path, each path of
 the second kind is an arc into some D then a path out of D, and two such
 paths that meet join into one that starts like the first.  So it needs no
 closure pass: a decision precedes its descendants, and a parent of a
-decision D precedes D and D's descendants.  Every
-other pair is added to a closed relation R one product at a time: the
-closure of R plus the pairs (x, y) for every x in a set T and y in a set H
-is R plus every pair (u, v) with u equal to or before some x in T and v
-equal to or after some y in H, since a path through the new pairs can
-always be cut to use one of them once (from its first tail to its last
-head).  So each addition is one OR of H and its successors into the mask
-of each node at or before T, and the relation stays closed after every
-addition, cycles included.  Clause (c) is one product, every decision
-before every late node; an extra pair or a clause (d) pair has one head.
-The closure of a union does not depend on the order in which its pairs are
-added, so the relation is the one a full closure pass after each clause
-would give.
+decision D precedes D and D's descendants.  Every other pair is added to
+a closed relation R one product at a time: the closure of R plus the
+pairs (x, y) for every x in a set T and y in a set H is R plus every pair
+(u, v) with u equal to or before some x in T and v equal to or after some
+y in H, since a path through the new pairs can always be cut to use one
+of them once (from its first tail to its last head).  So each addition is
+one OR of H and its successors into the mask of each node at or before T,
+and the relation stays closed after every addition, cycles included.
+Clause (c) is one product, every decision before every late node; an
+extra pair or a clause (d) pair has one head.  The closure of a union
+does not depend on the order in which its pairs are added, so the
+relation is the one a full closure pass after each clause would give.
 
 A schema places chance node A in the slot immediately before decision D
 exactly when every decision that precedes A comes before D, and D comes
@@ -50,7 +52,6 @@ pair, in the same order.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -76,8 +77,9 @@ class PartialOrder:
 
     ``masks[i]`` is the set of successors of ``carrier[i]`` as a bit mask
     over carrier positions (module docstring), ``index`` maps a node to
-    its position, and ``decisions`` is the mask of the decisions.  ``succ``
-    is a read-only view of the same relation as sets of node ids.
+    its position, and ``decisions`` is the mask of the decisions.
+    ``before`` is its transpose and ``succ`` a read-only view of the same
+    relation as sets of node ids; both are built on first use.
 
     Equality and hashing compare the carrier only, not the relation: two
     orders of one diagram are always equal.  Compare ``masks`` to tell them
@@ -92,6 +94,15 @@ class PartialOrder:
     def chance(self) -> int:
         """The mask of the chance nodes."""
         return ((1 << len(self.carrier)) - 1) & ~self.decisions
+
+    @cached_property
+    def before(self) -> tuple[int, ...]:
+        """``before[i]`` is the mask of the nodes that precede ``carrier[i]``."""
+        before = [0] * len(self.masks)
+        for i, m in enumerate(self.masks):
+            for j in bits(m):
+                before[j] |= 1 << i
+        return tuple(before)
 
     @cached_property
     def succ(self) -> dict[str, frozenset[str]]:
@@ -115,18 +126,16 @@ class PartialOrder:
         never change a strategy (summations commute), so only pairs touching
         a decision bear on welldefinedness.
         """
-        # Per node i, in declaration order, the later nodes not after it,
-        # but for a chance node i only the later decisions by default.
-        ids, masks = self.carrier, self.masks
+        # Per node i, in declaration order, the later nodes neither after nor
+        # before it, but for a chance node i only the later decisions by default.
+        ids, masks, before = self.carrier, self.masks, self.before
         everyone = (1 << len(ids)) - 1
         ends = self.decisions if with_decision_only else everyone
         pairs = []
         for i, x in enumerate(ids):
             bit = 1 << i
-            later = everyone & ~(masks[i] | (bit << 1) - 1)
-            for j in bits(later if ends & bit else later & ends):
-                if not masks[j] & bit:
-                    pairs.append((x, ids[j]))
+            later = everyone & ~(masks[i] | before[i] | (bit << 1) - 1)
+            pairs.extend((x, ids[j]) for j in bits(later if ends & bit else later & ends))
         return tuple(pairs)
 
 
@@ -260,24 +269,19 @@ class OrderSchema:
         return frozenset(earlier_chance | set(self.decision_sequence[: k - 1]))
 
 
-def decision_sequences(
-    d: Diagram, po: PartialOrder, *, pin: tuple[str, str] | None = None
-) -> Iterator[tuple[str, ...]]:
+def decision_sequences(po: PartialOrder, *, pin: tuple[str, str] | None = None) -> Iterator[tuple[str, ...]]:
     """The decision sequences of :func:`enumerate_schemas`, in its order:
-    the linear extensions of ``po`` (an order of ``d``) restricted to
-    decisions, in lexicographic (declaration) order.  With
-    ``pin=(a, dec)``, an incompatible (chance, decision) pair, only those
-    that can place ``a`` in the slot immediately before ``dec`` (module
-    docstring)."""
-    masks, index = po.masks, po.index
-    decisions = [index[v] for v in d.decision_ids]
-    # per decision: the decisions before it
-    before = {i: sum(1 << j for j in decisions if masks[j] >> i & 1) for i in decisions}
+    the linear extensions of ``po`` restricted to decisions, in
+    lexicographic (declaration) order.  With ``pin=(a, dec)``, an
+    incompatible (chance, decision) pair, only those that can place ``a``
+    in the slot immediately before ``dec`` (module docstring)."""
+    # per node: the nodes before it, of which only the decisions are read
+    before = list(po.before)
     if pin is not None:
-        a, dec = index[pin[0]], index[pin[1]]
-        for e in bits(masks[a] & po.decisions):  # a < e, so dec < e
+        a, dec = po.index[pin[0]], po.index[pin[1]]
+        for e in bits(po.masks[a] & po.decisions):  # a < e, so dec < e
             before[e] |= 1 << dec
-        before[dec] |= sum(1 << e for e in decisions if masks[e] >> a & 1)  # e < a, so e < dec
+        before[dec] |= before[a]  # e < a, so e < dec
 
     # Depth-first with an explicit stack of candidate iterators, one per
     # placed decision, so chains of any length stay within the
@@ -298,7 +302,7 @@ def decision_sequences(
         else:
             stack.pop()
             if seq:
-                remaining |= 1 << index[seq.pop()]
+                remaining |= 1 << po.index[seq.pop()]
 
 
 def enumerate_schemas(
@@ -317,17 +321,14 @@ def enumerate_schemas(
     """
     if po is None:
         po = induce_partial_order(d)
-    masks, index, chance = po.masks, po.index, d.chance_ids
+    index, chance, decisions = po.index, d.chance_ids, po.decisions
     # per chance node: the mask of the decisions before it and of those after it
-    spans = [
-        (sum(1 << e for e in bits(po.decisions) if masks[e] >> index[c] & 1), masks[index[c]] & po.decisions)
-        for c in chance
-    ]
-    for seq in decision_sequences(d, po, pin=pin):
-        # prefixes[k]: the mask of the first k decisions of seq
-        prefixes = list(itertools.accumulate((1 << index[v] for v in seq), operator.or_, initial=0))
+    spans = [(po.before[index[c]] & decisions, po.masks[index[c]] & decisions) for c in chance]
+    for seq in decision_sequences(po, pin=pin):
+        at, end = {index[v]: k for k, v in enumerate(seq, start=1)}, len(seq) + 1  # 1-based positions
         choices = [
-            [k for k, p in enumerate(prefixes) if not before & ~p and not after & p] for before, after in spans
+            range(max((at[e] for e in bits(before)), default=0), min((at[f] for f in bits(after)), default=end))
+            for before, after in spans
         ]
         if pin is not None:
             choices[chance.index(pin[0])] = [seq.index(pin[1])]

@@ -509,15 +509,11 @@ def reference_suggest(d: Diagram, report: Report) -> tuple[Proposal, ...]:
 
     def recheck(constraints):
         parents = {n.id: n.parents for n in d.nodes}
-        extra = []
         for kind, x, y in constraints:
-            if kind == "observe":
-                if x not in parents[y]:
-                    parents[y] += (x,)
-            else:
-                extra.append((x, y))
+            if kind == "observe" and x not in parents[y]:
+                parents[y] += (x,)
         current = validate_nodes([Node(n.id, n.kind, n.states, parents[n.id]) for n in d.nodes])
-        return Analysis(current, extra).check()
+        return Analysis(current).constrained([c for c in constraints if c[0] == "precede"]).check()
 
     def grow(constraints, rep: Report, depth: int) -> None:
         if constraints in seen:

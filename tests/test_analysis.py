@@ -294,7 +294,7 @@ def _assert_pins_match_reference(analysis) -> int:
     Returns the number of pairs compared."""
     d, po = analysis.diagram, analysis.po
     pairs = [(a, dec) for dec in d.decision_ids for a in d.chance_ids if po.incompatible(a, dec)]
-    unpinned = list(decision_sequences(d, po))
+    unpinned = list(decision_sequences(po))
     for a, dec in pairs:
         pinned = list(enumerate_schemas(d, po, pin=(a, dec)))
         assert pinned == list(full_stream_pair_schemas(analysis, a, dec)), (a, dec)
@@ -303,7 +303,7 @@ def _assert_pins_match_reference(analysis) -> int:
             if all(seq.index(e) < seq.index(dec) for e in d.decision_ids if po.precedes(e, a))
             and all(seq.index(dec) < seq.index(f) for f in d.decision_ids if po.precedes(a, f))
         ]
-        assert list(decision_sequences(d, po, pin=(a, dec))) == hosts, (a, dec)
+        assert list(decision_sequences(po, pin=(a, dec))) == hosts, (a, dec)
     return len(pairs)
 
 
@@ -371,6 +371,44 @@ class TestWitnessRecoveryReads:
         report = Analysis(d).check()
         assert report.witnesses
         assert count[0] <= len(report.witnesses) + 1
+
+
+def fig6_copies(k: int):
+    """``k`` disjoint copies of fig6, node ``v`` of copy i renamed ``v_i``."""
+    nodes = [
+        Node(f"{n.id}_{i}", n.kind, n.states, tuple(f"{p}_{i}" for p in n.parents))
+        for i in range(k)
+        for n in figures.fig6().nodes
+    ]
+    return validate_nodes(nodes)
+
+
+class TestWideDiagrams:
+    def test_check_work_grows_about_linearly_with_copies(self, monkeypatch):
+        """Each copy of fig6 adds one significant pair and one pinned
+        witness recovery.  Answering "which decisions come before x" from
+        the order's transpose keeps the mask steps per copy about flat.
+        Rescanning every decision for every chance node and sequence makes
+        them grow with the number of copies: twice the copies take about
+        7.5 times the steps."""
+        steps = [0]
+        original = ordering.bits
+
+        def counted(mask):
+            for j in original(mask):
+                steps[0] += 1
+                yield j
+
+        monkeypatch.setattr(ordering, "bits", counted)
+        monkeypatch.setattr(pidcheck.analysis, "bits", counted)
+        work = {}
+        for k in (40, 80):
+            d = fig6_copies(k)
+            steps[0] = 0
+            report = Analysis(d).check()
+            work[k] = steps[0]
+            assert report.significant_pairs == tuple((f"A_{i}", f"D_{i}") for i in range(k))
+        assert work[80] < 5 * work[40], work
 
 
 # The only random_pid(max_carrier=8, max_decisions=4) seeds in 0-2999 on
@@ -633,7 +671,7 @@ class TestSuggestResolutions:
         # re-check each proposal by hand
         observed = with_arcs(d, [("A", "D")])
         assert check_welldefined(observed).welldefined
-        assert Analysis(d, [("D", "A")]).check().welldefined
+        assert Analysis(d).constrained([("precede", "D", "A")]).check().welldefined
 
     def test_welldefined_input_returns_empty(self):
         d = figures.fig2()
@@ -938,7 +976,10 @@ class TestDerivedAnalysis:
             for w in report.witnesses:
                 options = (
                     (("observe", w.chance, w.decision), lambda: Analysis(with_arcs(d, [(w.chance, w.decision)]))),
-                    (("precede", w.decision, w.chance), lambda: Analysis(d, [(w.decision, w.chance)])),
+                    (
+                        ("precede", w.decision, w.chance),
+                        lambda: Analysis(d).constrained([("precede", w.decision, w.chance)]),
+                    ),
                 )
                 for option, fresh in options:
                     try:
@@ -956,6 +997,7 @@ class TestDerivedAnalysis:
         base = Analysis(d)
         first = base.constrained([("precede", "D", "A")])
         both = first.constrained([("observe", "A9", "D9")])
-        self._assert_matches_fresh(both, Analysis(with_arcs(d, [("A9", "D9")]), [("D", "A")]))
+        fresh = Analysis(with_arcs(d, [("A9", "D9")])).constrained([("precede", "D", "A")])
+        self._assert_matches_fresh(both, fresh)
         assert both.check().welldefined
         assert not base.check().welldefined

@@ -270,6 +270,20 @@ class TestSubcommandOutputs:
         got = {tuple(p) for p in payload["incompatible"]}
         assert got == {("F", "D4"), ("D2", "D3"), ("D2", "D4"), ("D3", "D4")}
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_order_lists_the_pairs_once(self, monkeypatch, capsys, json_flag):
+        calls = []
+        listing = ordering.PartialOrder.incompatible_pairs
+
+        def counted(self, **kwargs):
+            calls.append(kwargs)
+            return listing(self, **kwargs)
+
+        monkeypatch.setattr(ordering.PartialOrder, "incompatible_pairs", counted)
+        code, _, _ = run(capsys, "order", FIXTURES / "fig1.pid", *json_flag)
+        # only the JSON output prints the chance-chance pairs
+        assert code == 0 and calls == [{"with_decision_only": not json_flag}]
+
     def test_schemas_limit(self, capsys):
         code, payload = run_json(capsys, "schemas", FIXTURES / "fig1.pid", "--limit", "3")
         assert code == 0 and len(payload["schemas"]) == 3

@@ -164,12 +164,14 @@ class TestInducePartialOrder:
 
     @staticmethod
     def _assert_order_and_pairs_are_naive(d):
-        """The induced order is the naive fixpoint, and the incompatible
-        pairs, with and without chance-chance pairs, are those of a scan of
-        every pair of the naive relation in declaration order."""
+        """The induced order is the naive fixpoint, ``before`` is its
+        transpose, and the incompatible pairs, with and without
+        chance-chance pairs, are those of a scan of every pair of the naive
+        relation in declaration order."""
         naive = naive_partial_order(d)
         po = induce_partial_order(d)
         assert {x: set(po.succ[x]) for x in po.carrier} == naive
+        _assert_before_is_transpose(po)
         pairs = [
             (x, y) for x, y in itertools.combinations(po.carrier, 2) if y not in naive[x] and x not in naive[y]
         ]
@@ -245,9 +247,10 @@ def _random_pairs(rng, d, n: int) -> list[tuple[str, str]]:
 
 
 def _assert_agrees_with_naive(d, extra) -> bool:
-    """The induced order under ``extra`` is the naive fixpoint, or, iff the
-    fixpoint orders some node before itself, induction raises and names the
-    first such node in declaration order.  Returns whether it raised."""
+    """The induced order under ``extra`` is the naive fixpoint, with
+    ``before`` its transpose, or, iff the fixpoint orders some node before
+    itself, induction raises and names the first such node in declaration
+    order.  Returns whether it raised."""
     naive = naive_partial_order(d, extra)
     cyclic = [x for x in d.carrier_ids if x in naive[x]]
     if cyclic:
@@ -257,7 +260,16 @@ def _assert_agrees_with_naive(d, extra) -> bool:
         return True
     po = induce_partial_order(d, extra)
     assert {x: set(po.succ[x]) for x in po.carrier} == naive
+    _assert_before_is_transpose(po)
     return False
+
+
+def _assert_before_is_transpose(po) -> None:
+    """Bit i of ``po.before[j]`` is set iff bit j of ``po.masks[i]`` is."""
+    n = len(po.carrier)
+    assert len(po.before) == n
+    for i, j in itertools.product(range(n), repeat=2):
+        assert po.before[j] >> i & 1 == po.masks[i] >> j & 1, (po.carrier[i], po.carrier[j])
 
 
 class TestIncompatibility:
