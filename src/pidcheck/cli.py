@@ -425,30 +425,47 @@ def cmd_fuzz(args) -> int:
     analysis = _analysis.Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
     welldefined = not analysis.significant_pairs()
-    required = [analysis.required_sets(s) for s in schemas]
+    # Schema 0, the base of the comparisons, first; then the rest by their
+    # reversed orders, so that schemas that end alike come together and each
+    # order suffix is eliminated once.  Failures are reported in schema
+    # order.  An error fires at schema 0 or nowhere, as in schema order:
+    # every admissible schema ends in the chance nodes after every decision,
+    # in declaration order, and then its last decision's rule spans all the
+    # rest and sums every utility factor, so all schemas meet the same error.
+    visit = [0, *sorted(range(1, len(schemas)), key=lambda i: schemas[i].induced_order()[::-1])]
+    required = [analysis.required_sets(schemas[i]) for i in visit]
     failures: list[str] = []
     size = batch_trials(d)
     for start in range(0, args.trials, size):
         trials = range(start, min(start + size, args.trials))
         realizations = [random_realization(d, args.seed + t) for t in trials]
-        found: dict[int, list[str]] = {t: [] for t in trials}
+        found: dict[int, list[tuple[int, str]]] = {t: [] for t in trials}
         differ = dict.fromkeys(trials, 0)
         # Per decision, the oracle's required set of its latest rule in each
-        # trial, and the trials in which that rule differs from schema 0's.
-        # A rule that a schema shares with the previous one keeps both.
-        oracle_sets: dict[str, list[frozenset[str]]] = {}
+        # trial, None until a check needs it, and the trials in which that
+        # rule differs from schema 0's.  A rule that a schema shares with the
+        # previous one keeps both.
+        oracle_sets: dict[str, list[frozenset[str]] | None] = {}
         differing: dict[str, list[int]] = {}
         base = None
-        for struct, (rules, _, fresh) in zip(required, solve_schemas(d, realizations, schemas)):
+        solved = solve_schemas(d, realizations, [schemas[i] for i in visit], meu=False)
+        for i, struct, (rules, _, fresh) in zip(visit, required, solved):
             for dec in fresh:
-                oracle_sets[dec] = required_per_trial(rules[dec])
+                oracle_sets[dec] = None
             for dec in d.decision_ids:
+                # The oracle's set lies within the past, so a structural set
+                # that covers the past covers it.
+                if struct[dec].issuperset(rules[dec].pred_vars):
+                    continue
+                if oracle_sets[dec] is None:
+                    oracle_sets[dec] = required_per_trial(rules[dec])
                 for t, got in zip(trials, oracle_sets[dec]):
                     if not got <= struct[dec]:
-                        found[t].append(
+                        line = (
                             f"trial {t}: oracle_required({dec}) = {sorted(got)} "
                             f"not within required_variables = {sorted(struct[dec])}"
                         )
+                        found[t].append((i, line))
             if base is None:
                 base = rules
             elif welldefined:
@@ -461,7 +478,9 @@ def cmd_fuzz(args) -> int:
                 for t in set().union(*differing.values()):
                     differ[t] += 1
         for t in trials:
-            failures += found[t] + [f"trial {t}: strategies differ across schemas"] * differ[t]
+            # A stable sort: one schema's lines stay in decision order.
+            failures += [line for _, line in sorted(found[t], key=lambda f: f[0])]
+            failures += [f"trial {t}: strategies differ across schemas"] * differ[t]
     checked = args.trials * len(schemas) * len(d.decision_ids)
     ok = not failures
     text = (

@@ -29,12 +29,23 @@ past as a set, in declaration order, and is handed out so, as one
 a view with its past in schema order.  Two schemas whose orders end alike
 therefore take the same steps, with the same bits, until that suffix is
 used up.  The routine resumes each schema from the state after the longest
-suffix it shares with the previous one, which in `enumerate_schemas` order
-is often most of it.  It looks one schema ahead and keeps only the states
-along the suffix that the next schema shares, so memory holds at most one
-path.  An error fires at the same schema, with the same message, as a
-solve per schema.  Solving never mutates its inputs, nor a table it has
-handed out.
+suffix it shares with the previous one.  It looks one schema ahead and
+keeps only the states along the suffix that the next schema shares, so
+memory holds at most one path.  An error fires at the same schema, with
+the same message, as a solve per schema.  Solving never mutates its
+inputs, nor a table it has handed out.
+
+Since the bits do not depend on the visiting order, a caller may pick it:
+`fuzz` sorts the schemas by their reversed orders, so that each distinct
+suffix is eliminated once.  A rules-only walk (``meu=False``) ends each
+schema at its first decision, since the chance nodes before it feed only
+the MEU.  It hands out the rules of the full walk.  Where the utilities
+are far from overflow, as those of `random_realization` (0..100) are, it
+also raises every error of the full walk, at the same schema: the first
+decision's step sums every utility factor left, so it meets any
+non-finite entry, and its rule table spans every variable left, so no
+later table is larger; later steps only average and maximize finite
+entries.  A schema without decisions is still eliminated in full.
 
 The checks on rules run over the trial axis too: `required_per_trial`
 takes one comparison per past variable and `rules_differ` one per table
@@ -328,8 +339,8 @@ def batch_trials(d: Diagram) -> int:
 
 
 def solve_schemas(
-    d: Diagram, realizations: Sequence[Realization], schemas: Iterable[OrderSchema]
-) -> Iterator[tuple[dict[str, BatchedRule], list[float], tuple[str, ...]]]:
+    d: Diagram, realizations: Sequence[Realization], schemas: Iterable[OrderSchema], *, meu: bool = True
+) -> Iterator[tuple[dict[str, BatchedRule], list[float] | None, tuple[str, ...]]]:
     """Per schema, eliminate variables in reverse schema order (sum over
     chance, max over decisions), recording for every decision its full
     decision-function table over the past, and yield the rules, one
@@ -337,15 +348,16 @@ def solve_schemas(
     declaration order; per realization, the total maximum expected
     utility; and the decisions whose rules this schema did not share with
     the previous one, in elimination order (module docstring).  A shared
-    rule is the same object as before.  Raises EvaluationError, at the
-    first schema that meets one, on non-finite tables and on any table over
-    MAX_TABLE_CELLS per realization."""
+    rule is the same object as before.  With ``meu=False`` each schema's
+    walk ends at its first decision and the MEUs are None.  Raises
+    EvaluationError, at the first schema that meets one, on non-finite
+    tables and on any table over MAX_TABLE_CELLS per realization."""
     import numpy as np
 
     for r in realizations:
         r.validated(d)
     if not realizations:
-        yield from (({}, [], ()) for _ in schemas)
+        yield from (({}, [] if meu else None, ()) for _ in schemas)
         return
     carrier = d.carrier_ids
     covered = sorted(carrier)
@@ -382,7 +394,11 @@ def solve_schemas(
             raise ValueError("schema does not cover this diagram's chance and decision nodes")
         ranks = tuple(map(rank.__getitem__, order))
         m = len(ranks)
-        kept = _shared_suffix(order, previous)
+        # A rules-only walk ends at the first decision; one without
+        # decisions is eliminated in full.
+        stop = 0 if meu else next((i for i, v in enumerate(ranks) if not is_chance[v]), 0)
+        # A walk that ended early kept fewer states than the shared suffix.
+        kept = min(_shared_suffix(order, previous), len(stack) - 1)
         # The next schema resumes after the suffix it shares with this one,
         # so only the states up to there are kept.
         keep = _shared_suffix(order, upcoming)
@@ -394,7 +410,7 @@ def solve_schemas(
         # Overflow shows up as non-finite entries.  Every utility factor
         # ends up in some _utility sum, which reports them.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for i in range(m - 1 - kept, -1, -1):
+            for i in range(m - 1 - kept, stop - 1, -1):
                 v = ranks[i]
                 phi_v, phis = _split(phis, v)
                 psi_v, psis = _split(psis, v)
@@ -436,11 +452,14 @@ def solve_schemas(
                 path.append(rule)
                 if m - i <= keep:
                     stack.append((phis, psis))
-            # Without chance and value nodes the product has no trial axis.
-            meus = _product(phis, (), cards) * _utility(psis, (), cards) * np.ones(n)
-            if not np.isfinite(meus).all():
-                raise EvaluationError("evaluation failure: non-finite MEU")
-        yield {rule.decision: rule for rule in path if rule is not None}, meus.tolist(), tuple(fresh)
+            meus = None
+            if meu:
+                # Without chance and value nodes the product has no trial axis.
+                total = _product(phis, (), cards) * _utility(psis, (), cards) * np.ones(n)
+                if not np.isfinite(total).all():
+                    raise EvaluationError("evaluation failure: non-finite MEU")
+                meus = total.tolist()
+        yield {rule.decision: rule for rule in path if rule is not None}, meus, tuple(fresh)
 
 
 def _shared_suffix(a: Sequence[str], b: Sequence[str]) -> int:

@@ -589,6 +589,32 @@ class TestFuzzAgainstReference:
         failures = self.assert_matches_reference(capsys, path, 7, 4)
         assert any("differ" in f for f in failures) and any("oracle_required" in f for f in failures)
 
+    def test_failures_in_schema_order(self, capsys, monkeypatch, no_required):
+        """fig8's 300 schemas are visited schema 0 first, then by reversed
+        order, and the failures still come out in schema order."""
+        d, _ = cli.load_file(str(FIXTURES / "fig8.pid"))
+        schemas = list(ordering.enumerate_schemas(d))
+        solves = []
+        monkeypatch.setattr(cli, "solve_schemas", _recorder(cli.solve_schemas, solves))
+        failures = self.assert_matches_reference(capsys, FIXTURES / "fig8.pid", 2, 0)
+        visited = solves[0][2]
+        assert visited[0] == schemas[0] and visited != schemas and sorted(visited, key=schemas.index) == schemas
+        assert len(set(failures)) > 1
+
+    def test_table_limit_without_decisions(self, capsys, monkeypatch, tmp_path):
+        """A schema without decisions is eliminated in full, so a chance
+        step over the table limit still fails."""
+        d = validate_nodes([
+            Node("A", Kind.CHANCE, ("a0", "a1"), ()),
+            Node("B", Kind.CHANCE, ("b0", "b1", "b2"), ("A",)),
+            Node("C", Kind.CHANCE, ("c0", "c1"), ("A", "B")),
+            Node("U", Kind.VALUE, None, ("C",)),
+        ])
+        path = tmp_path / "chance.pid"
+        path.write_text(serialize_document(d))
+        monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 8)
+        assert "needs 12 cells" in self.assert_error_matches_reference(capsys, path, 3, 0)
+
     def test_table_limit_mid_list(self, capsys, monkeypatch):
         """Every admissible schema has the same largest table, so a schema
         that puts every chance node first is inserted mid-list: only it
@@ -621,6 +647,25 @@ class TestFuzzAgainstReference:
         monkeypatch.setattr(conftest, "random_realization", realization)
         monkeypatch.setattr(oracle, "MAX_BATCH", 3)  # trial 3 opens the second batch
         assert "non-finite" in self.assert_error_matches_reference(capsys, FIXTURES / "fig8.pid", 7, 2)
+
+
+class TestFuzzWork:
+    def test_steps_and_oracle_sets(self, capsys, monkeypatch):
+        """`fuzz` visits the schemas so that those that end alike come
+        together, ends each elimination at the first decision, and computes
+        an oracle required set only where the structural set does not cover
+        the rule's past.  Visiting in schema order, solving every schema
+        down to its MEU and computing one set per fresh rule take 1,430
+        steps and 591 sets on fig8 with 2 trials, and 61 steps on fig1 with
+        50 trials."""
+        splits, sets = [], []
+        monkeypatch.setattr(oracle, "_split", _recorder(oracle._split, splits))
+        monkeypatch.setattr(cli, "required_per_trial", _recorder(cli.required_per_trial, sets))
+        assert run(capsys, "fuzz", FIXTURES / "fig8.pid", "--trials", "2")[0] == 0
+        assert len(splits) // 2 <= 662 and len(sets) <= 238, (len(splits) // 2, len(sets))
+        del splits[:]
+        assert run(capsys, "fuzz", FIXTURES / "fig1.pid", "--trials", "50")[0] == 0
+        assert len(splits) // 2 <= 51, len(splits) // 2
 
 
 class TestParser:

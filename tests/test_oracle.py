@@ -375,13 +375,18 @@ def assert_same_solutions(got, want):
             assert _bits(mine.values) == _bits(rule.values)
 
 
-def assert_schemas_match_reference(d, realizations, schemas):
+def assert_schemas_match_reference(d, realizations, schemas, meu=True):
     """`solve_schemas` gives, schema by schema, what `reference_solve_many`
     gives, and names as fresh exactly the decisions that do not lie in the
-    order suffix the schema shares with the previous one, last first."""
+    order suffix the schema shares with the previous one, last first.  A
+    rules-only walk (``meu=False``) gives the same rules and no MEUs."""
     previous = None
-    for schema, (rules, meus, fresh) in zip(schemas, solve_schemas(d, realizations, schemas), strict=True):
-        assert_same_solutions(trial_strategies(d, schema, rules, meus), reference_solve_many(d, realizations, schema))
+    for schema, (rules, meus, fresh) in zip(schemas, solve_schemas(d, realizations, schemas, meu=meu), strict=True):
+        want = reference_solve_many(d, realizations, schema)
+        if not meu:
+            assert meus is None
+            meus = [reference_meu for _, reference_meu in want]
+        assert_same_solutions(trial_strategies(d, schema, rules, meus), want)
         order = schema.induced_order()
         assert fresh == tuple(
             v for i, v in reversed(list(enumerate(order)))
@@ -401,6 +406,9 @@ class TestSolveSchemas:
         realizations = [random_realization(d, seed) for seed in range(3)]
         assert_schemas_match_reference(d, realizations[:1], schemas)
         assert_schemas_match_reference(d, realizations + [_rounded(r) for r in realizations], schemas)
+        # The order in which `fuzz` visits them: schemas that end alike together.
+        by_suffix = sorted(schemas, key=lambda s: s.induced_order()[::-1])
+        assert_schemas_match_reference(d, realizations, by_suffix, meu=False)
 
     @pytest.mark.parametrize("multi_state", [False, True], ids=["binary", "multi-state"])
     def test_random_diagrams(self, multi_state):
@@ -411,6 +419,8 @@ class TestSolveSchemas:
             realizations = [random_realization(d, 3 * seed + k) for k in range(3)]
             assert_schemas_match_reference(d, realizations[:1], schemas)
             assert_schemas_match_reference(d, [realizations[1], _rounded(realizations[2])], schemas)
+            by_suffix = sorted(schemas, key=lambda s: s.induced_order()[::-1])
+            assert_schemas_match_reference(d, realizations[:2], by_suffix, meu=False)
 
     def test_handed_out_tables_never_change(self):
         d, _ = load_file(str(FIXTURES / "fig8.pid"))
@@ -449,10 +459,32 @@ class TestSolveSchemas:
             next(solved)
         assert str(got.value) == str(want.value)
 
+    def test_rules_only_walk_on_a_repeated_schema(self):
+        """A rules-only walk ends at the first decision, so it keeps fewer
+        states than the next schema shares with an identical one; it still
+        hands out the rules and fresh decisions of the full walk."""
+        d, _ = load_file(str(FIXTURES / "fig8.pid"))
+        s, t = list(enumerate_schemas(d))[:2]
+        assert d.kind(s.induced_order()[0]) is Kind.CHANCE
+        realizations = [random_realization(d, seed) for seed in range(2)]
+        full = list(solve_schemas(d, realizations, [s, s, t]))
+        rules_only = list(solve_schemas(d, realizations, [s, s, t], meu=False))
+        assert [fresh for _, _, fresh in rules_only] == [fresh for _, _, fresh in full] == [
+            ("D4", "D3", "D2", "D"), (), ("D",)
+        ]
+        for (want, meus, _), (got, none, _) in zip(full, rules_only, strict=True):
+            assert none is None and len(meus) == 2
+            assert list(got) == list(want)
+            for dec, rule in want.items():
+                mine = got[dec]
+                assert mine.pred_vars == rule.pred_vars
+                assert (_bits(mine.ties), _bits(mine.values)) == (_bits(rule.ties), _bits(rule.values))
+
     def test_no_realizations(self):
         d = figures.fig7()
         schemas = list(enumerate_schemas(d))
         assert list(solve_schemas(d, [], schemas)) == [({}, [], ())] * len(schemas)
+        assert list(solve_schemas(d, [], schemas, meu=False)) == [({}, None, ())] * len(schemas)
 
     def test_schema_of_another_diagram(self):
         d = figures.fig7()
