@@ -113,9 +113,8 @@ per constraint set.  A set is enough: the order is built from a set of pairs.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable
+from typing import Collection, Iterable, NamedTuple
 
 from .model import Diagram, Kind
 from .dsep import active_reach
@@ -151,8 +150,7 @@ class ScanBudgetExceeded(ValueError):
 Outcome = tuple[str, frozenset[str], frozenset[str]]
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Evidence that a chance node is significant for a decision: the schema,
     the relevant utility, and which clause fired with what intermediates.
     Replaying the trace against the diagram re-derives the verdict."""
@@ -166,8 +164,7 @@ class Witness:
     chain_node: str | None = None
 
 
-@dataclass(frozen=True)
-class Proposal:
+class Proposal(NamedTuple):
     """A set of ordering constraints and the verdict after applying them.
 
     Each constraint is ("observe", A, D) - add an informational arc A -> D -
@@ -178,8 +175,7 @@ class Proposal:
     welldefined: bool
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     welldefined: bool
     schema: OrderSchema
     relevant: dict[str, tuple[str, ...]]

@@ -17,7 +17,6 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
 from . import analysis as _analysis
@@ -61,8 +60,7 @@ class FlatTable(NamedTuple):
     values: list[float]   # row-major
 
 
-@dataclass(frozen=True, eq=False)
-class ParsedRealization:
+class ParsedRealization(NamedTuple):
     """A document's realization after every check of `check_tables` against
     ``diagram``, its tables kept as flat lists: numpy arrays are built only
     to solve."""

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 
 class Kind(str, Enum):
@@ -22,8 +21,7 @@ class Kind(str, Enum):
     VALUE = "value"
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     kind: Kind
     states: tuple[str, ...] | None
@@ -112,21 +110,19 @@ class Diagram:
         return f"Diagram({', '.join(self.ids)})"
 
 
-@dataclass(frozen=True)
 class GraphView:
     """Node and arc set derived from a diagram under a stated transformation.
 
     The node set always equals the source diagram's node set (value nodes may
     be absent after moralization).  For undirected views every edge is stored
     in both directions.  Parent and child maps are built once, on first use,
-    and so is each node's set of descendants.
+    and so is each node's set of descendants.  Views compare by identity.
     """
 
-    node_ids: tuple[str, ...]
-    arc_list: tuple[tuple[str, str], ...]
-    _descendants: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    def __init__(self, node_ids: tuple[str, ...], arc_list: tuple[tuple[str, str], ...]):
+        self.node_ids = node_ids
+        self.arc_list = arc_list
+        self._descendants: dict[str, frozenset[str]] = {}
 
     @cached_property
     def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:

@@ -56,7 +56,6 @@ strategy is the one-trial case: `required_from_strategy` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, reduce
 from itertools import compress
@@ -160,24 +159,27 @@ def check_tables(
             raise InvalidRealization(f"utility table for {v!r} has shape {t.shape}, expected {expected}")
 
 
-@dataclass(frozen=True, eq=False)
 class Realization:
     """Conditional probability tables for chance nodes and utility tables
     for value nodes.  Table axes follow the node's declared parent order,
-    with the node's own state last (fastest-varying in the flat layout)."""
+    with the node's own state last (fastest-varying in the flat layout).
+    Realizations compare by identity, so no table is compared with ``==``."""
 
-    cpts: dict[str, np.ndarray]
-    utilities: dict[str, np.ndarray]
-    # The diagram the tables last passed `validated` against, or, given at
-    # construction, a diagram they are known to pass `check_tables` for.
-    _valid_for: Diagram | None = field(default=None, kw_only=True, repr=False)
+    def __init__(
+        self, cpts: dict[str, np.ndarray], utilities: dict[str, np.ndarray], *, _valid_for: Diagram | None = None
+    ):
+        self.cpts = cpts
+        self.utilities = utilities
+        # The diagram the tables last passed `validated` against, or, given at
+        # construction, a diagram they are known to pass `check_tables` for.
+        self._valid_for = _valid_for
 
     def validated(self, d: Diagram) -> "Realization":
         """Self, after `check_tables` against ``d``; the check runs once
         per diagram, so the tables must not change after it."""
         if self._valid_for is not d:
             check_tables(d, self.cpts, self.utilities, lambda t: t.reshape(-1).tolist())
-            object.__setattr__(self, "_valid_for", d)
+            self._valid_for = d
         return self
 
 
@@ -198,18 +200,21 @@ def random_realization(d: Diagram, seed: int) -> Realization:
     return Realization(cpts, utilities).validated(d)
 
 
-@dataclass(frozen=True, eq=False)
 class DecisionRule:
     """Full decision-function table for one decision: per configuration of
     its past, the set of maximizing alternatives and the maximum expected
     utility.  Maximizer sets are never empty; on zero-probability pasts
-    every alternative ties and the value is 0 by convention."""
+    every alternative ties and the value is 0 by convention.  Rules, like
+    strategies and batched rules, compare by identity."""
 
-    decision: str
-    pred_vars: tuple[str, ...]
-    states: tuple[str, ...]
-    ties: np.ndarray     # bool array, shape = pred cards + (len(states),)
-    values: np.ndarray   # float array, shape = pred cards
+    def __init__(
+        self, decision: str, pred_vars: tuple[str, ...], states: tuple[str, ...], ties: np.ndarray, values: np.ndarray
+    ):
+        self.decision = decision
+        self.pred_vars = pred_vars
+        self.states = states
+        self.ties = ties        # bool array, shape = pred cards + (len(states),)
+        self.values = values    # float array, shape = pred cards
 
     @cached_property
     def choices(self) -> np.ndarray:
@@ -223,23 +228,23 @@ class DecisionRule:
         return choices
 
 
-@dataclass(frozen=True, eq=False)
 class Strategy:
-    schema: OrderSchema
-    rules: dict[str, DecisionRule]
+    def __init__(self, schema: OrderSchema, rules: dict[str, DecisionRule]):
+        self.schema = schema
+        self.rules = rules
 
 
-@dataclass(frozen=True, eq=False)
 class BatchedRule:
     """One decision's rule in every realization of a batch: the tie and
     value tables of a `DecisionRule` with a leading trial axis.  The past
     need not be in schema order; `solve_schemas` gives it in declaration
     order."""
 
-    decision: str
-    pred_vars: tuple[str, ...]
-    ties: np.ndarray     # bool array, shape = (trials,) + pred cards + (len(states),)
-    values: np.ndarray   # float array, shape = (trials,) + pred cards
+    def __init__(self, decision: str, pred_vars: tuple[str, ...], ties: np.ndarray, values: np.ndarray):
+        self.decision = decision
+        self.pred_vars = pred_vars
+        self.ties = ties        # bool array, shape = (trials,) + pred cards + (len(states),)
+        self.values = values    # float array, shape = (trials,) + pred cards
 
 
 def _batched(rule: DecisionRule) -> BatchedRule:

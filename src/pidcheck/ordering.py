@@ -52,7 +52,6 @@ pair, in the same order.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator
 
@@ -71,7 +70,6 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class PartialOrder:
     """Transitively closed precedence relation over chance+decision nodes.
 
@@ -85,10 +83,19 @@ class PartialOrder:
     orders of one diagram are always equal.  Compare ``masks`` to tell them
     apart."""
 
-    carrier: tuple[str, ...]
-    index: dict[str, int] = field(compare=False)
-    decisions: int = field(compare=False)
-    masks: tuple[int, ...] = field(compare=False)
+    def __init__(self, carrier: tuple[str, ...], index: dict[str, int], decisions: int, masks: tuple[int, ...]):
+        self.carrier = carrier
+        self.index = index
+        self.decisions = decisions
+        self.masks = masks
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PartialOrder):
+            return NotImplemented
+        return self.carrier == other.carrier
+
+    def __hash__(self) -> int:
+        return hash(self.carrier)
 
     @property
     def chance(self) -> int:
@@ -229,10 +236,9 @@ def induce_partial_order(
     for i, s in enumerate(succ):
         if s >> i & 1:
             raise InconsistentOrder(f"inconsistent order: {base.carrier[i]!r} precedes itself")
-    return replace(base, masks=tuple(succ))
+    return PartialOrder(base.carrier, index, decisions, tuple(succ))
 
 
-@dataclass(frozen=True)
 class OrderSchema:
     """Canonical representative of a class of admissible total orderings.
 
@@ -241,21 +247,39 @@ class OrderSchema:
     observed after the k-th decision of the sequence and before the
     (k+1)-th; slot n means observed last or never.  Chance nodes within a
     slot are kept in declaration order, which affects only reporting.
+    Schemas compare and hash by value; ``slot_of`` and the induced order
+    are built once, on first use.
     """
 
-    decision_sequence: tuple[str, ...]
-    slots: tuple[tuple[str, int], ...]
+    def __init__(self, decision_sequence: tuple[str, ...], slots: tuple[tuple[str, int], ...]):
+        self.decision_sequence = decision_sequence
+        self.slots = slots
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrderSchema):
+            return NotImplemented
+        return self.decision_sequence == other.decision_sequence and self.slots == other.slots
+
+    def __hash__(self) -> int:
+        return hash((self.decision_sequence, self.slots))
+
+    def __repr__(self) -> str:
+        return f"OrderSchema(decision_sequence={self.decision_sequence!r}, slots={self.slots!r})"
 
     @cached_property
     def slot_of(self) -> dict[str, int]:
         return dict(self.slots)
 
-    def induced_order(self) -> tuple[str, ...]:
+    @cached_property
+    def _induced_order(self) -> tuple[str, ...]:
         out: list[str] = [c for c, s in self.slots if s == 0]
         for k, dec in enumerate(self.decision_sequence, start=1):
             out.append(dec)
             out.extend(c for c, s in self.slots if s == k)
         return tuple(out)
+
+    def induced_order(self) -> tuple[str, ...]:
+        return self._induced_order
 
     def position(self, dec: str) -> int:
         """1-based index of a decision in the sequence."""

@@ -562,6 +562,17 @@ class TestSignificancePass:
         assert lost >= 30
 
 
+class TestRecords:
+    def test_witness_and_report_are_immutable(self):
+        report = check_welldefined(figures.fig6())
+        witness = report.witnesses[0]
+        with pytest.raises(AttributeError):
+            witness.chance = "D"
+        with pytest.raises(AttributeError):
+            report.welldefined = True
+        assert report == check_welldefined(figures.fig6())
+
+
 class TestCheckWelldefined:
     @pytest.mark.parametrize(
         "shared, k",

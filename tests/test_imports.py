@@ -55,6 +55,16 @@ def test_no_module_level_numpy_import(path):
         )
 
 
+@pytest.mark.parametrize("path", sorted((SRC / "pidcheck").glob("*.py")), ids=lambda p: p.stem)
+def test_no_dataclasses_import(path):
+    # `dataclasses` loads `inspect` and builds each class through `exec`,
+    # which every fresh CLI process would pay for at start-up.
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            assert "dataclasses" not in names, f"{path.name}:{node.lineno} imports dataclasses"
+
+
 def _structural_argvs(path: pathlib.Path) -> list[list[str]]:
     doc = json.loads(path.read_text())
     decision = next(n["id"] for n in doc["nodes"] if n["kind"] == "decision")
@@ -107,6 +117,15 @@ print("numpy" in sys.modules)
     for name in ("model", "ordering", "dsep", "analysis", "oracle"):
         assert f"'pidcheck.{name}'" in modules
     assert numpy_loaded == "False"
+
+
+def test_importing_cli_leaves_the_dataclass_machinery_unloaded():
+    code = """
+import sys
+import pidcheck.cli
+print(sorted(m for m in ("dataclasses", "inspect") if m in sys.modules))
+"""
+    assert _run_python(code).strip() == "[]"
 
 
 def test_importing_cli_does_not_build_the_parser():

@@ -111,6 +111,14 @@ class TestValidatedOnce:
         assert len(checks) == 2 and checks[1] is other
 
 
+class TestIdentityEquality:
+    def test_realizations_of_the_same_arrays_are_unequal(self):
+        r = figures.fig3_realization()
+        other = Realization(r.cpts, r.utilities)
+        assert other != r and not other == r
+        assert r == r and len({r, other}) == 2
+
+
 class TestSolve:
     def test_example_strategy_flip_on_first_utility(self):
         d = figures.fig4()

@@ -390,3 +390,25 @@ class TestSwapGraphConnectivity:
         d = random_pid(np.random.default_rng(seed), max_carrier=6)
         po = induce_partial_order(d)
         assert swap_graph_connected(po)
+
+
+class TestValueSemantics:
+    def test_orders_of_one_diagram_compare_by_carrier(self, fig1_po):
+        other = induce_partial_order(figures.fig1(), [("D2", "D3")])
+        assert other.masks != fig1_po.masks
+        assert other == fig1_po and hash(other) == hash(fig1_po)
+        assert other != induce_partial_order(figures.fig3())
+
+    def test_equal_schemas_are_interchangeable_keys(self):
+        d = figures.fig1()
+        first, second = list(enumerate_schemas(d)), list(enumerate_schemas(d))
+        assert all(a is not b and a == b and hash(a) == hash(b) for a, b in zip(first, second))
+        by_schema = {s: i for i, s in enumerate(first)}
+        assert [by_schema[s] for s in second] == [first.index(s) for s in second] == list(range(len(first)))
+        assert len(set(first)) == len(first)
+
+    def test_schema_repr_and_cached_order(self):
+        schema = ordering.OrderSchema(("D1", "D2"), (("A", 0), ("B", 2)))
+        assert repr(schema) == "OrderSchema(decision_sequence=('D1', 'D2'), slots=(('A', 0), ('B', 2)))"
+        assert schema.induced_order() == ("A", "D1", "D2", "B")
+        assert schema.induced_order() is schema.induced_order()
