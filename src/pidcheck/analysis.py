@@ -71,16 +71,20 @@ so every schema that completes the state gives D the same outcome class.
 (A, D) is significant iff some step placing D puts A in required(D) while A
 precedes no node of P.
 
-In code a state is a pair of ints.  The placed nodes are a bit mask over
-carrier positions, as in the order's masks (see ``ordering``), so a slot,
-a past and every precedence test are int operations.  The outcomes are an
-index into a table that interns each set of outcomes once.  The rules have
-one memo, keyed by (decision position, past mask, outcome index), which
-the pass and every walk down a schema's decision sequence step through:
-a step hashes a tuple of three ints, and only a miss builds the past as a
-set of ids and asks the rules.  Positions are fixed by the diagram, not by
-the order, so the memo and the table hold under every constrained order
-and are shared with the derived analyses.
+In code every node set is a bit mask.  The order and the diagram's views
+number the nodes alike (see ``model``): the carrier first, so a mask of
+carrier nodes means the same to the order, the rules and the d-connection
+walk, then the value nodes.  A slot, a past, a relevant or required set and
+every precedence test are int operations, and an outcome is the triple
+(decision position, relevant mask, required mask).  Node ids are built
+only for output.  A state is a pair of ints: the mask of the placed nodes
+and an index into a table that interns each set of outcomes once.  The
+rules have one memo, keyed by (decision position, past mask, outcome
+index), which the pass and every walk down a schema's decision sequence
+step through: a step hashes a tuple of three ints, and only a miss asks
+the rules.  Positions are fixed by the diagram, not by the order, so the
+memo and the table hold under every constrained order and are shared with
+the derived analyses.
 
 Why that test.  Every base pair of the induced order has a decision at one
 end (clauses (a)-(d), and the repair constraints, each of which pairs a
@@ -116,14 +120,13 @@ import copy
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
-from .model import Diagram, Kind
+from .model import Diagram, Kind, bits
 from .dsep import active_reach
 from .ordering import (
     InconsistentOrder,
     OrderSchema,
     PartialOrder,
     base_closure,
-    bits,
     canonical_schema,
     enumerate_schemas,
     induce_partial_order,
@@ -146,8 +149,9 @@ class ScanBudgetExceeded(ValueError):
     """The significance pass needs more than MAX_SCAN_STATES states."""
 
 
-# A decision with its relevant utilities and required variables.
-Outcome = tuple[str, frozenset[str], frozenset[str]]
+# A decision's position with the masks of its relevant utilities and of its
+# required variables.
+Outcome = tuple[int, int, int]
 
 
 class Witness(NamedTuple):
@@ -207,11 +211,10 @@ class Analysis:
         self._extra: tuple[tuple[str, str], ...] = ()  # the base pairs of the repair constraints
         self._base = base_closure(d)
         self.po: PartialOrder = induce_partial_order(d, base=self._base)
-        self._components = _carrier_components(d, self._base.index)
-        # The rules' memo: (decision, past, later) -> (outcome, required,
-        # next later), all but the outcome as ints (see _step); later
-        # indexes _laters, which _later_ids inverts.
-        self._steps: dict[tuple[int, int, int], tuple[Outcome, int, int]] = {}
+        self._components = _carrier_components(d)
+        # The rules' memo: (decision, past, later) -> (outcome, next later)
+        # (see _step); later indexes _laters, which _later_ids inverts.
+        self._steps: dict[tuple[int, int, int], tuple[Outcome, int]] = {}
         self._laters: list[frozenset[Outcome]] = [frozenset()]
         self._later_ids: dict[frozenset[Outcome], int] = {frozenset(): 0}
 
@@ -239,20 +242,21 @@ class Analysis:
 
     # -- the rules ---------------------------------------------------------
 
-    def _outcome(
-        self, dec: str, pred: frozenset[str], later: Collection[Outcome]
-    ) -> tuple[frozenset[str], frozenset[str]]:
-        """(relevant, required) of ``dec`` with past ``pred``, given the
-        outcomes of the decisions after it in any order."""
-        desc = self.diagram.bare.descendants(dec)
-        rel = {v for v in self.diagram.value_ids if v in desc}  # direct influence on the payoff
+    def _outcome(self, dec: int, past: int, later: Collection[Outcome]) -> tuple[int, int]:
+        """The masks (relevant, required) of the decision at position
+        ``dec`` with the past ``past``, given the outcomes of the decisions
+        after it in any order."""
+        bare, base = self.diagram.bare, self._base
+        desc = bare.descendants[dec]
+        # dec's value descendants, numbered after the carrier: direct
+        # influence on the payoff
+        rel = desc >> len(base.carrier) << len(base.carrier)
         for _, later_rel, later_req in later:
             # dec feeds the later decision: it is required there, or has a
             # bare directed path to a node required there (no decision has
             # bare parents, so that node is a chance node)
-            if dec in later_req or not desc.isdisjoint(later_req):
+            if (desc | 1 << dec) & later_req:
                 rel |= later_rel
-        rel = frozenset(rel)
         # x is required iff some later decision sharing a utility with dec
         # requires it (later-required), or the clauses' d-connection queries
         # hold: x d-connected, given the rest of the past and dec, to a
@@ -262,31 +266,29 @@ class Analysis:
         # one ball from every target answers all x.  The ball also arrives
         # at each chance target itself, which is required anyway, and passes
         # nowhere from an observed target, which d-connects to nothing.
-        shared = set().union(
-            *(later_req for _, later_rel, later_req in later if not rel.isdisjoint(later_rel))
-        )
-        chain = {y for y in shared if self.diagram.kind(y) is Kind.CHANCE}
-        reached = active_reach(self.diagram.bare, rel | chain, pred | {dec})
-        return rel, frozenset(x for x in pred if x in shared or x in reached)
+        shared = 0
+        for _, later_rel, later_req in later:
+            if rel & later_rel:
+                shared |= later_req
+        reached = active_reach(bare, rel | shared & base.chance, past | 1 << dec)
+        return rel, past & (shared | reached)
 
-    def _step(self, dec: int, past: int, later: int) -> tuple[Outcome, int, int]:
+    def _step(self, dec: int, past: int, later: int) -> tuple[Outcome, int]:
         """:meth:`_outcome`, memoized: for the decision at carrier position
         ``dec``, the past ``past`` as a mask and the later outcomes
-        ``_laters[later]``, the decision's outcome, the mask of its required
-        variables and the index of the later outcomes with its own added."""
+        ``_laters[later]``, the decision's outcome and the index of the
+        later outcomes with its own added."""
         key = (dec, past, later)
         hit = self._steps.get(key)
         if hit is None:
-            ids, index = self.po.carrier, self.po.index
             outcomes = self._laters[later]
-            pred = frozenset(ids[i] for i in bits(past))
-            outcome = (ids[dec], *self._outcome(ids[dec], pred, outcomes))
+            outcome = (dec, *self._outcome(dec, past, outcomes))
             grown = outcomes | {outcome}
             nxt = self._later_ids.get(grown)
             if nxt is None:
                 nxt = self._later_ids[grown] = len(self._laters)
                 self._laters.append(grown)
-            hit = self._steps[key] = (outcome, sum(1 << index[x] for x in outcome[2]), nxt)
+            hit = self._steps[key] = (outcome, nxt)
         return hit
 
     def _clause(
@@ -294,39 +296,37 @@ class Analysis:
         schema: OrderSchema,
         x: str,
         dec: str,
-        rel: frozenset[str],
+        rel: int,
         later: list[Outcome],
     ) -> Witness | None:
         """The witness of the first clause that makes x required for ``dec``
-        under ``schema``, given its relevant utilities ``rel`` and the later
-        outcomes ``later``, tried in order; None if none fires.
+        under ``schema``, given the mask of its relevant utilities ``rel``
+        and the later outcomes ``later``, tried in order; None if none
+        fires.  The utility and the chain node named are the first in
+        declaration order.
 
         The d-connection conditioning set is the decision plus its past with
         x removed (a source cannot condition itself; the decision is being
         taken, hence known).
         """
-        conditioning = (schema.pred(dec) | {dec}) - {x}
+        bare = self.diagram.bare
+        ids, source = bare.node_ids, 1 << bare.index[x]
+        conditioning = (bare.mask_of(schema.pred(dec)) | 1 << bare.index[dec]) & ~source
         # x is d-connected to a target outside the conditioning set iff one
         # ball from x arrives there, so one ball answers every query below
-        reach = active_reach(self.diagram.bare, frozenset({x}), conditioning)
-        psi = next((v for v in self.diagram.value_ids if v in rel and v in reach), None)
-        if psi is not None:
-            return Witness(x, dec, schema, psi, "direct")
+        reach = active_reach(bare, source, conditioning)
+        if rel & reach:
+            return Witness(x, dec, schema, ids[next(bits(rel & reach))], "direct")
         for later_dec, later_rel, later_req in later:
             common = rel & later_rel
             if not common:
                 continue
-            psi = self.diagram.sort_ids(common)[0]
-            if x in later_req:
-                return Witness(x, dec, schema, psi, "later-required", later_dec)
-            for y in self.diagram.sort_ids(later_req):
-                if (
-                    self.diagram.kind(y) is Kind.CHANCE
-                    and y != x
-                    and y not in conditioning
-                    and y in reach
-                ):
-                    return Witness(x, dec, schema, psi, "later-chain", later_dec, y)
+            psi = ids[next(bits(common))]
+            if later_req & source:
+                return Witness(x, dec, schema, psi, "later-required", ids[later_dec])
+            chain = later_req & self._base.chance & reach & ~(conditioning | source)
+            if chain:
+                return Witness(x, dec, schema, psi, "later-chain", ids[later_dec], ids[next(bits(chain))])
         return None
 
     def _walk(self, schema: OrderSchema, start: int) -> tuple[Outcome, ...]:
@@ -340,19 +340,20 @@ class Analysis:
         for k in range(len(seq) - 1, start - 1, -1):
             # seq[k]'s past: seq[k + 1]'s without seq[k] and the slot after it
             past &= ~(1 << index[seq[k]] | slots[k + 1])
-            outcome, _, later = self._step(index[seq[k]], past, later)
+            outcome, later = self._step(index[seq[k]], past, later)
             outcomes.append(outcome)
         return tuple(outcomes[::-1])
 
     def relevant_utilities(self, schema: OrderSchema, dec: str) -> frozenset[str]:
-        return self._walk(schema, schema.position(dec) - 1)[0][1]
+        return frozenset(self.diagram.bare.ids_of(self._walk(schema, schema.position(dec) - 1)[0][1]))
 
     def required_variables(self, schema: OrderSchema, dec: str) -> frozenset[str]:
-        return self._walk(schema, schema.position(dec) - 1)[0][2]
+        return frozenset(self.diagram.bare.ids_of(self._walk(schema, schema.position(dec) - 1)[0][2]))
 
     def required_sets(self, schema: OrderSchema) -> dict[str, frozenset[str]]:
         """`required_variables` of every decision of ``schema``, from one walk."""
-        return {dec: req for dec, _, req in self._walk(schema, 0)}
+        bare = self.diagram.bare
+        return {bare.node_ids[dec]: frozenset(bare.ids_of(req)) for dec, _, req in self._walk(schema, 0)}
 
     def significant_rel(self, schema: OrderSchema, a: str, dec: str) -> Witness | None:
         """Significance of chance node ``a`` for ``dec`` under one schema
@@ -392,16 +393,13 @@ class Analysis:
                     f"the significance pass needs more than the limit of {MAX_SCAN_STATES} states"
                 )
 
-        po, masks = self.po, self.po.masks
-        dmask = carrier & self._base.decisions
+        po, masks, before = self.po, self.po.masks, self.po.before
+        dmask, cmask = carrier & self._base.decisions, carrier & self._base.chance
         decisions = list(bits(dmask))
-        chance = list(bits(carrier & self._base.chance))
+        chance = list(bits(cmask))
         # per decision, the mask of the chance nodes incompatible with it
         # whose pair is not known significant yet
-        pending = {
-            dec: sum(1 << a for a in chance if not (masks[a] >> dec & 1 or masks[dec] >> a & 1))
-            for dec in decisions
-        }
+        pending = {dec: cmask & ~(masks[dec] | before[dec]) for dec in decisions}
         pairs = dict(pending)
         if not any(pending.values()):
             return set(), visited
@@ -432,7 +430,7 @@ class Analysis:
                     rest = free & ~(1 << dec)
                     for slot in slots:
                         past = rest & ~slot
-                        _, req, nxt = steps.get((dec, past, later)) or self._step(dec, past, later)
+                        (_, _, req), nxt = steps.get((dec, past, later)) or self._step(dec, past, later)
                         hits = req & pending[dec]
                         if hits:
                             for a in bits(hits):
@@ -458,8 +456,9 @@ class Analysis:
             raise ValueError(f"pair not incompatible: ({a!r}, {dec!r})")
         if (a, dec) not in self._significant:
             return None
+        source = 1 << self.po.index[a]
         for schema in enumerate_schemas(self.diagram, self.po, pin=(a, dec)):
-            if a in self.required_variables(schema, dec):
+            if self._walk(schema, schema.position(dec) - 1)[0][2] & source:
                 w = self.significant_rel(schema, a, dec)
                 if w is None:
                     raise AssertionError(f"no clause fires where {a!r} is required for {dec!r}")
@@ -472,8 +471,8 @@ class Analysis:
         """The significant pairs of :meth:`check` in its report order, read
         from the significance pass without recovering a witness: empty iff
         the diagram is welldefined."""
-        d = self.diagram
-        return tuple((a, dec) for dec in d.decision_ids for a in d.chance_ids if (a, dec) in self._significant)
+        index = self.po.index
+        return tuple(sorted(self._significant, key=lambda pair: (index[pair[1]], index[pair[0]])))
 
     def check(self) -> Report:
         """Welldefinedness verdict: the diagram is a welldefined scenario iff
@@ -481,44 +480,47 @@ class Analysis:
         diagrams have no such pairs and always come back welldefined.  Pairs
         and witnesses are in report order: by decision, then by chance node,
         in declaration order."""
-        d = self.diagram
+        po, bare = self.po, self.diagram.bare
+        ids, masks, before, chance = po.carrier, po.masks, po.before, po.chance
         pairs = tuple(
-            (a, dec) for dec in d.decision_ids for a in d.chance_ids if self.po.incompatible(a, dec)
+            (ids[a], ids[dec])
+            for dec in bits(po.decisions)
+            for a in bits(chance & ~(masks[dec] | before[dec]))
         )
         found = (self.is_significant(a, dec) for a, dec in pairs)
         witnesses = tuple(w for w in found if w is not None)
-        schema = canonical_schema(d, self.po)
+        schema = canonical_schema(self.diagram, po)
         outcomes = {dec: (rel, req) for dec, rel, req in self._walk(schema, 0)}
         return Report(
             welldefined=not witnesses,
             schema=schema,
-            relevant={dec: d.sort_ids(outcomes[dec][0]) for dec in d.decision_ids},
-            required={dec: d.sort_ids(outcomes[dec][1]) for dec in d.decision_ids},
-            incompatible_pairs=self.po.incompatible_pairs(),
+            relevant={ids[dec]: bare.ids_of(outcomes[dec][0]) for dec in bits(po.decisions)},
+            required={ids[dec]: bare.ids_of(outcomes[dec][1]) for dec in bits(po.decisions)},
+            incompatible_pairs=po.incompatible_pairs(),
             pairs_checked=pairs,
             witnesses=witnesses,
         )
 
 
-def _carrier_components(d: Diagram, index: dict[str, int]) -> tuple[int, ...]:
+def _carrier_components(d: Diagram) -> tuple[int, ...]:
     """The chance and decision nodes of each connected component of the
     bare graph that holds any, in declaration order of its first node, as
-    masks over the carrier positions ``index``."""
-    seen: set[str] = set()
-    out = []
-    for start in d.carrier_ids:
-        if start in seen:
+    masks over the carrier positions."""
+    bare = d.bare
+    carrier = (1 << len(d.carrier_ids)) - 1
+    seen, out = 0, []
+    for start in range(len(d.carrier_ids)):
+        if seen >> start & 1:
             continue
-        part = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in (*d.bare.parents_of(v), *d.bare.children_of(v)):
-                if w not in part:
-                    part.add(w)
-                    stack.append(w)
+        part = frontier = 1 << start
+        while frontier:
+            reached = 0
+            for v in bits(frontier):
+                reached |= bare.parents[v] | bare.children[v]
+            frontier = reached & ~part
+            part |= frontier
         seen |= part
-        out.append(sum(1 << index[v] for v in part if v in index))
+        out.append(part & carrier)
     return tuple(out)
 
 

@@ -1,14 +1,13 @@
-"""One active-trail reach over a diagram view (`active_reach`), plus the
-two published baselines used for differential testing: the Decision
-Bayes-ball requisite set and the moral-graph elimination neighborhood.  Both
-baselines over-approximate the exact required set and are never used for
-verdicts.
+"""One active-trail reach over a diagram view (`active_reach`), on bit masks
+over the view's nodes, plus the two published baselines used for
+differential testing: the Decision Bayes-ball requisite set and the
+moral-graph elimination neighborhood.  Both baselines over-approximate the
+exact required set and are never used for verdicts; they take and return
+node ids and convert at their edges.
 """
 from __future__ import annotations
 
-from collections import deque
-
-from .model import Diagram, GraphView, moral_view
+from .model import Diagram, GraphView, bits, moral_view
 from .ordering import OrderSchema, PartialOrder
 
 
@@ -16,47 +15,38 @@ class NotTotalOrder(ValueError):
     """The diagram does not force a total order on its decisions."""
 
 
-def active_reach(view: GraphView, sources: frozenset[str], conditioning: frozenset[str]) -> frozenset[str]:
-    """Ball-passing BFS returning every node a ball passed from the sources
-    arrives at given the conditioning set (colliders open iff they or a
-    descendant are conditioned), observed or not.
+def active_reach(view: GraphView, sources: int, conditioning: int) -> int:
+    """The mask of every node a ball passed from the nodes of the mask
+    ``sources`` arrives at given the mask ``conditioning``, observed or not.
 
     An arrival at an observed node does not extend any trail, but it does
     witness an active trail ENDING there, which is exactly what requisite
     queries need.  The unobserved arrivals are the nodes actively reachable
     from the sources.
+
+    This is Shachter's Bayes-ball (UAI 1998).  An unobserved node passes a
+    ball that came from a child on to its parents and children, and one
+    that came from a parent on to its children; an observed node bounces a
+    ball that came from a parent back to its parents and stops one from a
+    child.  So a collider opens iff it or a descendant is observed: the
+    ball runs down to the observed descendant and back up.  The walk is
+    breadth-first over two frontier masks, ``up`` for the arrivals from a
+    child (the sources count as such) and ``down`` for those from a
+    parent, and visits each (node, direction) pair once.
     """
-    parents, children = view.parents_of, view.children_of
-    anc_z = view.ancestors(conditioning)
-
-    UP, DOWN = 0, 1  # up: arrived from a child; down: arrived from a parent
-    queue: deque[tuple[str, int]] = deque()
-    visited: set[tuple[str, int]] = set()
-    arrived: set[str] = set()
-
-    for s in sources:
-        queue.append((s, UP))
-    while queue:
-        v, direction = queue.popleft()
-        if (v, direction) in visited:
-            continue
-        visited.add((v, direction))
-        arrived.add(v)
-        observed = v in conditioning
-        if direction == UP:
-            if not observed:
-                for p in parents(v):
-                    queue.append((p, UP))
-                for c in children(v):
-                    queue.append((c, DOWN))
-        else:
-            if not observed:
-                for c in children(v):
-                    queue.append((c, DOWN))
-            if v in anc_z:  # collider with itself or a descendant observed
-                for p in parents(v):
-                    queue.append((p, UP))
-    return frozenset(arrived)
+    parents, children = view.parents, view.children
+    up, down = sources, 0
+    went_up = went_down = 0
+    while up or down:
+        went_up |= up
+        went_down |= down
+        next_up = next_down = 0
+        for v in bits(up & ~conditioning | down & conditioning):
+            next_up |= parents[v]
+        for v in bits((up | down) & ~conditioning):
+            next_down |= children[v]
+        up, down = next_up & ~went_up, next_down & ~went_down
+    return went_up | went_down
 
 
 def bayes_ball_requisite(d: Diagram, po: PartialOrder, dec: str) -> frozenset[str]:
@@ -70,17 +60,22 @@ def bayes_ball_requisite(d: Diagram, po: PartialOrder, dec: str) -> frozenset[st
     over-approximation of the exact required set.  Only defined on classic
     diagrams (total decision order).
     """
-    decisions = d.decision_ids
-    for i, a in enumerate(decisions):
-        for b in decisions[i + 1:]:
-            if po.incompatible(a, b):
-                raise NotTotalOrder(f"not a total order: {a!r} and {b!r} are incompatible")
-    pred = frozenset(x for x in d.carrier_ids if po.precedes(x, dec))
-    sources = d.graph.descendants(dec).intersection(d.value_ids)
+    ids, masks, before, decisions = po.carrier, po.masks, po.before, po.decisions
+    for a in bits(decisions):
+        # the decisions incompatible with a, all later than a: an earlier
+        # one would have raised on its own turn
+        loose = decisions & ~(masks[a] | before[a] | 1 << a)
+        if loose:
+            b = next(bits(loose))
+            raise NotTotalOrder(f"not a total order: {ids[a]!r} and {ids[b]!r} are incompatible")
+    i = po.index[dec]
+    pred = before[i]
+    # dec's value descendants: the view numbers the value nodes after the carrier
+    sources = d.graph.descendants[i] >> len(ids) << len(ids)
     if not sources:
         return frozenset()
     # All arcs, informational included; decisions act as plain nodes.
-    return pred & active_reach(d.graph, sources, pred | {dec})
+    return frozenset(d.graph.ids_of(pred & active_reach(d.graph, sources, pred | 1 << i)))
 
 
 def elimination_neighbors(d: Diagram, dec: str, schema: OrderSchema) -> frozenset[str]:
@@ -88,19 +83,16 @@ def elimination_neighbors(d: Diagram, dec: str, schema: OrderSchema) -> frozense
     moral graph through a path whose intermediate nodes all lie outside the
     decision's past.  Such nodes become neighbors of the decision by the
     time it is eliminated in reverse temporal order."""
-    pred = schema.pred(dec)
     moral = moral_view(d)
-    out: set[str] = set()
-    seen = {dec}
-    stack = [dec]
-    while stack:
-        v = stack.pop()
-        for w in moral.children_of(v):
-            if w in seen:
-                continue
-            seen.add(w)
-            if w in pred:
-                out.add(w)  # endpoint reached; do not pass through the past
-            else:
-                stack.append(w)
-    return frozenset(out)
+    pred = moral.mask_of(schema.pred(dec))
+    out = 0
+    seen = frontier = 1 << moral.index[dec]
+    while frontier:
+        reached = 0
+        for v in bits(frontier):
+            reached |= moral.children[v]
+        reached &= ~seen
+        seen |= reached
+        out |= reached & pred
+        frontier = reached & ~pred  # an endpoint in the past is not passed through
+    return frozenset(moral.ids_of(out))

@@ -2,9 +2,14 @@
 
 A diagram is immutable after construction.  It builds its two views,
 `graph` (every arc) and `bare` (no informational arcs), once, on first use,
-and `moral_view` returns a new view.  A view memoizes descendants; a memo
-write always stores the same frozenset for a node, so the writes are
-idempotent and diagrams and views stay safe to share between threads.
+and `moral_view` returns a new view.  A set of a view's nodes is an int bit
+mask: node i is bit ``1 << i``.  A diagram's views number the chance and
+decision nodes first, in declaration order, as the partial order numbers
+its carrier, and the value nodes after them, so one mask format serves the
+order, the rules and the d-connection walk.  A view builds its parent and
+child masks with itself and its descendant masks once, on first use; a
+cached value is always the same, so diagrams and views stay safe to share
+between threads.
 """
 from __future__ import annotations
 
@@ -12,7 +17,15 @@ import itertools
 import re
 from enum import Enum
 from functools import cached_property
-from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Kind(str, Enum):
@@ -92,13 +105,13 @@ class Diagram:
     @cached_property
     def graph(self) -> GraphView:
         """The view with every arc."""
-        return GraphView(self.ids, self.arcs())
+        return GraphView(self.carrier_ids + self.value_ids, self.arcs())
 
     @cached_property
     def bare(self) -> GraphView:
         """The view without informational arcs (arcs into decisions)."""
         arcs = ((p, n.id) for n in self.nodes if n.kind is not Kind.DECISION for p in n.parents)
-        return GraphView(self.ids, tuple(arcs))
+        return GraphView(self.carrier_ids + self.value_ids, tuple(arcs))
 
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ids, key=self._index.__getitem__))
@@ -113,59 +126,51 @@ class Diagram:
 class GraphView:
     """Node and arc set derived from a diagram under a stated transformation.
 
-    The node set always equals the source diagram's node set (value nodes may
-    be absent after moralization).  For undirected views every edge is stored
-    in both directions.  Parent and child maps are built once, on first use,
-    and so is each node's set of descendants.  Views compare by identity.
+    Node i is ``node_ids[i]`` and bit ``1 << i`` of every mask over the
+    view, and ``index`` maps a node to its position.  The node set is the
+    source diagram's (value nodes may be absent after moralization).
+    ``parents[i]`` and ``children[i]`` are masks; for undirected views every
+    edge is stored in both directions.  ``descendants[i]`` is the mask of
+    the nodes at the end of one or more arcs from node i, built for every
+    node in one pass on first use; it is defined for acyclic views only.
+    Views compare by identity.
     """
 
     def __init__(self, node_ids: tuple[str, ...], arc_list: tuple[tuple[str, str], ...]):
         self.node_ids = node_ids
         self.arc_list = arc_list
-        self._descendants: dict[str, frozenset[str]] = {}
+        self.index = index = {v: i for i, v in enumerate(node_ids)}
+        parents, children = [0] * len(node_ids), [0] * len(node_ids)
+        for t, h in arc_list:
+            parents[index[h]] |= 1 << index[t]
+            children[index[t]] |= 1 << index[h]
+        self.parents = tuple(parents)
+        self.children = tuple(children)
+
+    def mask_of(self, nodes: Iterable[str]) -> int:
+        """The mask of ``nodes``."""
+        return sum(1 << self.index[v] for v in nodes)
+
+    def ids_of(self, mask: int) -> tuple[str, ...]:
+        """The nodes of ``mask``, in position order."""
+        return tuple(self.node_ids[i] for i in bits(mask))
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
-        parents: dict[str, list[str]] = {v: [] for v in self.node_ids}
-        children: dict[str, list[str]] = {v: [] for v in self.node_ids}
-        for t, h in self.arc_list:
-            parents[h].append(t)
-            children[t].append(h)
-        return (
-            {v: tuple(ps) for v, ps in parents.items()},
-            {v: tuple(cs) for v, cs in children.items()},
-        )
-
-    def parents_of(self, node_id: str) -> tuple[str, ...]:
-        return self._adjacency[0][node_id]
-
-    def children_of(self, node_id: str) -> tuple[str, ...]:
-        return self._adjacency[1][node_id]
-
-    def descendants(self, node_id: str) -> frozenset[str]:
-        """Every node reachable from ``node_id`` by one or more arcs."""
-        hit = self._descendants.get(node_id)
-        if hit is None:
-            hit = self._descendants[node_id] = frozenset(_reached(self._adjacency[1], (node_id,)))
-        return hit
-
-    def ancestors(self, seeds: Collection[str]) -> set[str]:
-        """The seeds and every node with a directed path to one of them."""
-        out = _reached(self._adjacency[0], seeds)
-        out.update(seeds)
-        return out
-
-
-def _reached(step: Mapping[str, Sequence[str]], seeds: Iterable[str]) -> set[str]:
-    """Every node at the end of one or more steps from a seed."""
-    out: set[str] = set()
-    stack = list(seeds)
-    while stack:
-        for w in step[stack.pop()]:
-            if w not in out:
-                out.add(w)
-                stack.append(w)
-    return out
+    def descendants(self) -> tuple[int, ...]:
+        children = self.children
+        # Kahn's order: every node after its parents
+        waiting = [p.bit_count() for p in self.parents]
+        order = [v for v, w in enumerate(waiting) if not w]
+        for v in order:
+            for c in bits(children[v]):
+                waiting[c] -= 1
+                if not waiting[c]:
+                    order.append(c)
+        desc = list(children)
+        for v in reversed(order):
+            for c in bits(children[v]):
+                desc[v] |= desc[c]
+        return tuple(desc)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +319,8 @@ def moral_view(d: Diagram) -> GraphView:
     node linked, value nodes removed, directions dropped."""
     bare = d.bare
     edges: set[tuple[str, str]] = set()
-    for v in d.ids:
-        co = bare.parents_of(v)  # none for a decision
+    for v, mask in zip(bare.node_ids, bare.parents):
+        co = bare.ids_of(mask)  # none for a decision
         for a, b in itertools.chain(((p, v) for p in co), itertools.combinations(co, 2)):
             edges.update(((a, b), (b, a)))
     keep = frozenset(d.carrier_ids)

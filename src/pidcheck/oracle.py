@@ -186,17 +186,21 @@ class Realization:
 def random_realization(d: Diagram, seed: int) -> Realization:
     """Deterministic function of (diagram, seed): CPT rows are normalized
     independent uniforms, utilities are uniform integers in 0..100 so ties
-    stay detectable and rare."""
+    stay detectable and rare.  Raises EvaluationError, before drawing
+    anything, if some table would exceed MAX_TABLE_CELLS."""
     import numpy as np
 
+    shapes = {v: table_shape(d, v) for v in d.chance_ids + d.value_ids}
+    for shape in shapes.values():
+        _check_cells(range(len(shape)), shape)
     rng = np.random.default_rng(seed)
     cpts: dict[str, np.ndarray] = {}
     for c in d.chance_ids:
-        raw = rng.uniform(1e-6, 1.0, size=table_shape(d, c))
+        raw = rng.uniform(1e-6, 1.0, size=shapes[c])
         cpts[c] = raw / raw.sum(axis=-1, keepdims=True)
     utilities: dict[str, np.ndarray] = {}
     for v in d.value_ids:
-        utilities[v] = rng.integers(0, 101, size=table_shape(d, v)).astype(float)
+        utilities[v] = rng.integers(0, 101, size=shapes[v]).astype(float)
     return Realization(cpts, utilities).validated(d)
 
 

@@ -55,19 +55,11 @@ import itertools
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .model import Diagram
+from .model import Diagram, bits
 
 
 class InconsistentOrder(ValueError):
     """The induced precedence relation orders some pair both ways."""
-
-
-def bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class PartialOrder:
@@ -116,9 +108,6 @@ class PartialOrder:
         ids = self.carrier
         return {x: frozenset(ids[j] for j in bits(m)) for x, m in zip(ids, self.masks)}
 
-    def precedes(self, x: str, y: str) -> bool:
-        return bool(self.masks[self.index[x]] >> self.index[y] & 1)
-
     def incompatible(self, x: str, y: str) -> bool:
         """True iff neither node precedes the other (x != y)."""
         if x == y:
@@ -152,16 +141,16 @@ def base_closure(d: Diagram) -> PartialOrder:
     directed path of the diagram, so it orders no node before itself.  It
     holds no reference to the diagram; whoever induces several orders of a
     diagram keeps it next to the diagram (``Analysis`` does)."""
-    carrier = d.carrier_ids
-    index = {v: i for i, v in enumerate(carrier)}
+    carrier, graph = d.carrier_ids, d.graph
+    index = {v: i for i, v in enumerate(carrier)}  # the graph's positions (see ``model``)
+    everyone = (1 << len(carrier)) - 1
+    decisions = sum(1 << index[dec] for dec in d.decision_ids)
     succ = [0] * len(carrier)
-    decisions = 0
-    for dec in d.decision_ids:  # clause (b), closed already
-        decisions |= 1 << index[dec]
-        succ[index[dec]] = sum(1 << index[y] for y in d.graph.descendants(dec) if y in index)
-    for dec in d.decision_ids:  # clause (a), closed through the decision
-        for p in d.parents(dec):  # a chance node or a decision
-            succ[index[p]] |= 1 << index[dec] | succ[index[dec]]
+    for i in bits(decisions):  # clause (b), closed already
+        succ[i] = graph.descendants[i] & everyone
+    for i in bits(decisions):  # clause (a), closed through the decision
+        for p in bits(graph.parents[i]):  # a chance node or a decision
+            succ[p] |= 1 << i | succ[i]
     return PartialOrder(carrier=carrier, index=index, decisions=decisions, masks=tuple(succ))
 
 

@@ -214,7 +214,7 @@ def all_admissible_orders(po: PartialOrder):
             yield tuple(acc)
             return
         for v in remaining:
-            if any(po.precedes(u, v) for u in remaining if u != v):
+            if any(v in po.succ[u] for u in remaining if u != v):
                 continue
             acc.append(v)
             yield from rec([u for u in remaining if u != v], acc)
@@ -308,7 +308,9 @@ def reference_significant(analysis: Analysis) -> frozenset[tuple[str, str]]:
     the upward-closed set of placed carrier nodes plus the outcomes of the
     placed decisions; (A, D) is significant iff some step placing D puts A
     in required(D) while A precedes no decision of D's past.  Raises
-    ``ScanBudgetExceeded`` past ``MAX_SCAN_STATES`` states."""
+    ``ScanBudgetExceeded`` past ``MAX_SCAN_STATES`` states.  The rules
+    take and return masks over the bare view, so outcomes are held as
+    masks and every past is converted at the call."""
 
     def admit(states: int) -> None:
         if states > analysis_module.MAX_SCAN_STATES:
@@ -341,11 +343,11 @@ def reference_significant(analysis: Analysis) -> frozenset[tuple[str, str]]:
                         admit(visited + len(slots))
                 for slot in slots:
                     past = free - slot - {dec}
-                    rel, req = analysis._outcome(dec, past, later)
-                    for a in req:
+                    rel, req = analysis._outcome(d.bare.index[dec], d.bare.mask_of(past), later)
+                    for a in d.bare.ids_of(req):
                         if decisions_after[a].isdisjoint(past):
                             pending.discard((a, dec))
-                    step.add((carrier - past, later | {(dec, rel, req)}))
+                    step.add((carrier - past, later | {(d.bare.index[dec], rel, req)}))
                 admit(visited + len(step))
         visited += len(step)
         states = step

@@ -84,9 +84,8 @@ class TestRelevantUtilities:
             analysis = Analysis(d)
             schema = canonical_schema(d, analysis.po)
             for dec in d.decision_ids:
-                rule1 = {
-                    v for v in d.value_ids if v in d.bare.descendants(dec)
-                }
+                desc = d.bare.ids_of(d.bare.descendants[d.bare.index[dec]])
+                rule1 = {v for v in d.value_ids if v in desc}
                 assert rule1 <= analysis.relevant_utilities(schema, dec)
 
     def test_monotone_closure_property(self):
@@ -300,8 +299,8 @@ def _assert_pins_match_reference(analysis) -> int:
         assert pinned == list(full_stream_pair_schemas(analysis, a, dec)), (a, dec)
         hosts = [
             seq for seq in unpinned
-            if all(seq.index(e) < seq.index(dec) for e in d.decision_ids if po.precedes(e, a))
-            and all(seq.index(dec) < seq.index(f) for f in d.decision_ids if po.precedes(a, f))
+            if all(seq.index(e) < seq.index(dec) for e in d.decision_ids if a in po.succ[e])
+            and all(seq.index(dec) < seq.index(f) for f in d.decision_ids if f in po.succ[a])
         ]
         assert list(decision_sequences(po, pin=(a, dec))) == hosts, (a, dec)
     return len(pairs)

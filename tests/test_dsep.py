@@ -12,7 +12,7 @@ from pidcheck.dsep import (
     bayes_ball_requisite,
     elimination_neighbors,
 )
-from pidcheck.generate import random_classic_id
+from pidcheck.generate import random_classic_id, random_pid
 from pidcheck.model import GraphView, Kind, Node, validate_nodes
 from pidcheck.ordering import canonical_schema, enumerate_schemas, induce_partial_order
 
@@ -23,7 +23,7 @@ def _view(arcs, nodes=None):
 
 
 def _reach(view, src, z=()):
-    return active_reach(view, frozenset({src}), frozenset(z))
+    return set(view.ids_of(active_reach(view, 1 << view.index[src], view.mask_of(z))))
 
 
 class TestDConnected:
@@ -50,8 +50,8 @@ class TestDConnected:
     def test_one_ball_from_several_sources(self):
         # A ball from every source arrives where a ball from any one does.
         view = _view([("A", "C"), ("B", "C"), ("C", "E"), ("F", "B")])
-        both = active_reach(view, frozenset({"A", "F"}), frozenset({"C"}))
-        assert both == _reach(view, "A", {"C"}) | _reach(view, "F", {"C"})
+        both = active_reach(view, view.mask_of({"A", "F"}), view.mask_of({"C"}))
+        assert set(view.ids_of(both)) == _reach(view, "A", {"C"}) | _reach(view, "F", {"C"})
 
     @given(st.integers(0, 600))
     @settings(max_examples=60)
@@ -74,6 +74,23 @@ class TestDConnected:
         assert got == want
         assert moral_d_connected(arcs, src, {dst}, z) == want  # the test-side reference
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_views_of_random_draws(self, seed):
+        """The ball on both views of a diagram, which number the carrier
+        first and the value nodes after it, from several sources at once:
+        it arrives where a simple active trail from some source ends.
+        50 draws per seed, 200 in all."""
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            d = random_pid(rng, max_carrier=6, n_values=2)
+            for view in (d.bare, d.graph):
+                z = {v for v in view.node_ids if rng.random() < 0.3}
+                free = [v for v in view.node_ids if v not in z]
+                sources = set(rng.choice(free, size=min(len(free), int(rng.integers(1, 4))), replace=False))
+                got = view.ids_of(active_reach(view, view.mask_of(sources), view.mask_of(z)))
+                want = {v for v in view.node_ids if any(bf_d_connected(view, s, v, z) for s in sources)}
+                assert set(got) == want, (d, sources, z)
+
     @given(st.integers(0, 300))
     @settings(max_examples=40)
     def test_symmetry(self, seed):
@@ -92,10 +109,12 @@ class TestDConnected:
 
 class TestDirectedPath:
     def test_fig3_decision_reaches_utility(self):
-        assert "U" in figures.fig3().bare.descendants("D1")
+        view = figures.fig3().bare
+        assert "U" in view.ids_of(view.descendants[view.index["D1"]])
 
     def test_fig2_d1_does_not_reach_u2_without_informational_arcs(self):
-        reached = figures.fig2().bare.descendants("D1")
+        view = figures.fig2().bare
+        reached = view.ids_of(view.descendants[view.index["D1"]])
         assert "U2" not in reached
         assert "U1" in reached
 

@@ -17,8 +17,13 @@ from pidcheck.model import (
     validate,
     validate_nodes,
 )
+from pidcheck.ordering import induce_partial_order
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def _children(view, v):
+    return view.ids_of(view.children[view.index[v]])
 
 
 def _doc(nodes):
@@ -152,19 +157,23 @@ class TestWithArcs:
 
 class TestGraphView:
     """Each diagram's two views against brute-force reachability over its
-    parent lists."""
+    parent lists, and their numbering against the partial order's."""
 
     @staticmethod
     def _assert_matches_brute_force(d, rng):
+        po = induce_partial_order(d)
         for view, arcs in ((d.graph, all_arcs(d)), (d.bare, bare_arcs(d))):
-            backward = [(h, t) for t, h in arcs]
+            assert view.node_ids == d.carrier_ids + d.value_ids
+            for v in d.carrier_ids:
+                assert po.index[v] == view.index[v], v
             for v in d.ids:
-                assert view.descendants(v) == bf_reachable(arcs, {v}), v
-                assert view.ancestors([v]) == {v} | bf_reachable(backward, {v}), v
-            for _ in range(5):
-                size = int(rng.integers(0, min(4, len(d.ids)) + 1))
-                seeds = set(rng.choice(d.ids, size=size, replace=False))
-                assert view.ancestors(seeds) == seeds | bf_reachable(backward, seeds), seeds
+                i = view.index[v]
+                assert set(view.ids_of(view.parents[i])) == {t for t, h in arcs if h == v}, v
+                assert set(_children(view, v)) == {h for t, h in arcs if t == v}, v
+                assert set(view.ids_of(view.descendants[i])) == bf_reachable(arcs, {v}), v
+            size = int(rng.integers(0, min(4, len(d.ids)) + 1))
+            seeds = set(rng.choice(d.ids, size=size, replace=False))
+            assert set(view.ids_of(view.mask_of(seeds))) == seeds
 
     @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
     def test_fixtures(self, path):
@@ -181,16 +190,16 @@ class TestGraphView:
         d = figures.fig8()
         assert d.graph is d.graph and d.bare is d.bare
         assert d.graph.arc_list == d.arcs()
-        desc = d.bare.descendants("D")
-        assert type(desc) is frozenset
-        assert d.bare.descendants("D") is desc
+        desc = d.bare.descendants
+        assert type(desc) is tuple
+        assert d.bare.descendants is desc
 
 
 class TestStripInformational:
     def test_fig2_decisions_become_parentless(self):
         view = figures.fig2().bare
-        assert view.parents_of("D1") == ()
-        assert view.parents_of("D2") == ()
+        assert view.parents[view.index["D1"]] == 0
+        assert view.parents[view.index["D2"]] == 0
 
     def test_no_decisions_means_identity(self):
         d = validate_nodes(
@@ -227,10 +236,10 @@ class TestStripInformational:
 class TestMoralView:
     def test_fig2_b_connects_to_d1_only_through_a(self):
         moral = moral_view(figures.fig2())
-        assert moral.children_of("B") == ("A",)
-        assert "C" in moral.children_of("A")  # co-parents of W
-        assert "D1" in moral.children_of("C")  # co-parents of U1
-        assert "D1" not in moral.children_of("B")
+        assert _children(moral, "B") == ("A",)
+        assert "C" in _children(moral, "A")  # co-parents of W
+        assert "D1" in _children(moral, "C")  # co-parents of U1
+        assert "D1" not in _children(moral, "B")
 
     def test_single_value_over_decision_and_chance(self):
         d = validate_nodes(
@@ -241,7 +250,7 @@ class TestMoralView:
             ]
         )
         moral = moral_view(d)
-        assert "C" in moral.children_of("D")
+        assert "C" in _children(moral, "D")
         assert "V" not in moral.node_ids
 
     def test_three_coparents_become_a_triangle(self):
@@ -256,7 +265,7 @@ class TestMoralView:
         )
         moral = moral_view(d)
         for a, b in [("A", "B"), ("A", "C"), ("B", "C")]:
-            assert b in moral.children_of(a)
+            assert b in _children(moral, a)
 
     @given(st.integers(0, 500))
     def test_symmetric_and_covers_stripped_arcs(self, seed):
@@ -267,4 +276,4 @@ class TestMoralView:
         bare = d.bare
         for t, h in bare.arc_list:
             if d.kind(t) is not Kind.VALUE and d.kind(h) is not Kind.VALUE:
-                assert h in moral.children_of(t)
+                assert h in _children(moral, t)

@@ -61,6 +61,22 @@ class TestRandomRealization:
             assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12, rtol=0)
             assert np.all((table >= 0) & (table <= 1))
 
+    def test_refuses_a_table_over_the_limit_before_drawing(self, monkeypatch):
+        # C's CPT spans a 3-state and a 2-state parent and its own 2 states.
+        d = validate_nodes(
+            [
+                Node("A", Kind.CHANCE, ("a1", "a2", "a3"), ()),
+                Node("B", Kind.CHANCE, ("b1", "b2"), ()),
+                Node("C", Kind.CHANCE, ("c1", "c2"), ("A", "B")),
+            ]
+        )
+        monkeypatch.setattr(oracle, "MAX_TABLE_CELLS", 8)
+        drawn = []
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: drawn.append(seed))
+        with pytest.raises(EvaluationError, match="a table over 3 variables needs 12 cells"):
+            random_realization(d, 0)
+        assert drawn == []
+
     def test_seed_sweep_all_distinct(self):
         d = figures.fig2()
         prints = {fingerprint(random_realization(d, s)) for s in range(100)}
