@@ -8,6 +8,10 @@ order, the node's own state varying fastest.  Reals round-trip exactly
 document; they become numpy arrays only for `solve`, so the structural
 commands never import numpy.  Exit codes: 0 success, 1
 parse/validation/usage error, 2 reserved for "not welldefined".
+A first argument naming a subcommand goes straight to that subcommand's
+parser (`parse_args`), `--json` output is written by `to_json`, byte for
+byte what ``json.dumps(payload, indent=2)`` writes, and text output is
+rendered only when it is printed.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ import itertools
 import json
 import math
 import sys
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import analysis as _analysis
 from .dsep import NotTotalOrder, bayes_ball_requisite, elimination_neighbors
@@ -194,12 +198,45 @@ def export_dot(d: Diagram, report: _analysis.Report | None = None) -> str:
 # output plumbing
 
 
-def emit(args, payload: dict, text: str) -> None:
+_quote = json.encoder.encode_basestring_ascii
+
+
+def to_json(x: Any, pad: str = "\n") -> str:
+    """``json.dumps(x, indent=2)``, written directly: json's encoder takes
+    an indent only in pure Python.  ``pad`` is the newline and indentation
+    of ``x``'s own lines.  Strings go through json's C escaping, a list of
+    strings in one join; everything else is json's own compact text."""
+    if isinstance(x, str):
+        return _quote(x)
+    inner = pad + "  "
+    if isinstance(x, (list, tuple)):
+        if x and type(x[0]) is str:
+            try:  # a list of strings
+                return "[" + inner + ("," + inner).join(map(_quote, x)) + pad + "]"
+            except TypeError:  # an item that is no str
+                pass
+        return "[" + inner + ("," + inner).join([to_json(v, inner) for v in x]) + pad + "]" if x else "[]"
+    if isinstance(x, dict):
+        items = []
+        for k, v in x.items():
+            if not isinstance(k, str):
+                if not (k is None or isinstance(k, (int, float))):
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+                k = json.dumps(k)
+            items.append(_quote(k) + ": " + (_quote(v) if type(v) is str else to_json(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
+    if type(x) is int:
+        return int.__repr__(x)
+    return json.dumps(x)  # None, a bool, a float, an int subclass, or json's TypeError
+
+
+def emit(args, payload: dict, text: Callable[[], str]) -> None:
+    """Print ``payload`` as indented JSON under ``--json``, else the text
+    that ``text()`` renders: each command renders only what it prints."""
     if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
-        print(json.dumps(payload, indent=2))
-    elif text:
-        print(text, end="" if text.endswith("\n") else "\n")
+        print(to_json({"schema_version": SCHEMA_VERSION, "command": args.command, **payload}))
+    elif out := text():
+        print(out, end="" if out.endswith("\n") else "\n")
 
 
 def _schema_payload(schema) -> dict:
@@ -253,16 +290,9 @@ def _require(d: Diagram, name: str, kind: Kind) -> str:
 
 def cmd_validate(args) -> int:
     d, realization = load_file(args.file)
-    emit(
-        args,
-        {
-            "valid": True,
-            "nodes": len(d.nodes),
-            "arcs": len(d.arcs()),
-            "has_realization": realization is not None,
-        },
-        f"{args.file}: valid diagram with {len(d.nodes)} nodes and {len(d.arcs())} arcs\n",
-    )
+    nodes, arcs = len(d.nodes), len(d.arcs())
+    emit(args, {"valid": True, "nodes": nodes, "arcs": arcs, "has_realization": realization is not None},
+         lambda: f"{args.file}: valid diagram with {nodes} nodes and {arcs} arcs\n")
     return 0
 
 
@@ -274,21 +304,13 @@ def cmd_order(args) -> int:
     pairs, chance_pairs = [], []
     for x, y in po.incompatible_pairs(with_decision_only=not args.json):  # text prints no chance-chance pair
         (pairs if x in decisions or y in decisions else chance_pairs).append((x, y))
-    text_lines = ["precedence:"]
-    for x, ys in precedes.items():
-        text_lines.append(f"  {x} < {{{', '.join(ys)}}}")
-    text_lines.append("incompatible pairs (involving a decision):")
-    for a, b in pairs:
-        text_lines.append(f"  ({a}, {b})")
-    emit(
-        args,
-        {
-            "precedes": precedes,
-            "incompatible": [list(p) for p in pairs],
-            "incompatible_chance_chance": [list(p) for p in chance_pairs],
-        },
-        "\n".join(text_lines) + "\n",
-    )
+
+    def text() -> str:
+        lines = ["precedence:", *(f"  {x} < {{{', '.join(ys)}}}" for x, ys in precedes.items())]
+        lines += ["incompatible pairs (involving a decision):", *(f"  ({a}, {b})" for a, b in pairs)]
+        return "\n".join(lines) + "\n"
+    payload = {"precedes": precedes, "incompatible": [list(p) for p in pairs]}
+    emit(args, {**payload, "incompatible_chance_chance": [list(p) for p in chance_pairs]}, text)
     return 0
 
 
@@ -299,33 +321,26 @@ def cmd_schemas(args) -> int:
         if args.limit is not None and i >= args.limit:
             break
         out.append(_schema_payload(schema))
-    text = "".join(
+    emit(args, {"schemas": out}, lambda: "".join(
         f"[{i}] decisions: {' '.join(s['decisions'])}  order: {' < '.join(s['order'])}\n"
         for i, s in enumerate(out)
-    )
-    emit(args, {"schemas": out}, text)
+    ))
     return 0
 
 
 def cmd_check(args) -> int:
     d, _ = load_file(args.file)
     report = _analysis.check_welldefined(d)
-    verdict = "welldefined" if report.welldefined else "NOT welldefined"
-    lines = [f"{args.file}: {verdict}"]
-    lines.append(
-        "incompatible pairs: "
-        + (", ".join(f"({a}, {b})" for a, b in report.incompatible_pairs) or "none")
-    )
-    lines.append(
-        "(chance, decision) pairs checked: "
-        + (", ".join(f"({a}, {b})" for a, b in report.pairs_checked) or "none")
-    )
-    for w in report.witnesses:
-        via = f" via {w.later_decision}" if w.later_decision else ""
-        lines.append(
-            f"  significant: {w.chance} for {w.decision} (utility {w.utility}, clause {w.clause}{via})"
-        )
-    emit(args, _report_payload(report), "\n".join(lines) + "\n")
+
+    def text() -> str:
+        incompatible, checked = (", ".join(f"({a}, {b})" for a, b in ps) or "none"
+                                 for ps in (report.incompatible_pairs, report.pairs_checked))
+        lines = [f"{args.file}: {'welldefined' if report.welldefined else 'NOT welldefined'}",
+                 f"incompatible pairs: {incompatible}", f"(chance, decision) pairs checked: {checked}"]
+        lines += [f"  significant: {w.chance} for {w.decision} (utility {w.utility}, clause {w.clause}"
+                  + (f" via {w.later_decision})" if w.later_decision else ")") for w in report.witnesses]
+        return "\n".join(lines) + "\n"
+    emit(args, _report_payload(report), text)
     return 0 if report.welldefined else 2
 
 
@@ -340,11 +355,8 @@ def cmd_outcome(args) -> int:
     else:
         found, what = analysis.required_variables(schema, dec), "required variables"
     ids = d.sort_ids(found)
-    emit(
-        args,
-        {"decision": dec, args.command: list(ids), "schema": _schema_payload(schema)},
-        f"{what} for {dec}: {{{', '.join(ids)}}}\n",
-    )
+    emit(args, {"decision": dec, args.command: list(ids), "schema": _schema_payload(schema)},
+         lambda: f"{what} for {dec}: {{{', '.join(ids)}}}\n")
     return 0
 
 
@@ -356,14 +368,9 @@ def cmd_significant(args) -> int:
         w = _analysis.Analysis(d).is_significant(a, dec)
     except ValueError as exc:
         raise CliError(str(exc))
-    if w is None:
-        emit(args, {"significant": False, "witness": None}, f"({a}, {dec}): not significant\n")
-    else:
-        emit(
-            args,
-            {"significant": True, "witness": _witness_payload(w)},
-            f"({a}, {dec}): significant (utility {w.utility}, clause {w.clause})\n",
-        )
+    emit(args, {"significant": w is not None, "witness": w and _witness_payload(w)},
+         lambda: f"({a}, {dec}): not significant\n" if w is None
+         else f"({a}, {dec}): significant (utility {w.utility}, clause {w.clause})\n")
     return 0
 
 
@@ -373,23 +380,24 @@ def cmd_solve(args) -> int:
         raise CliError(f"{args.file}: no realization in document; solve needs tables")
     schema = _pick_schema(d, args.schema if args.schema is not None else 0)
     strategy, meu = solve(d, tables.realization(), schema)
-    lines = [f"MEU: {meu!r}", f"order: {' < '.join(schema.induced_order())}"]
     rules_payload = {}
     for dec in d.decision_ids:
         rule = strategy.rules[dec]
-        lines.append(f"decision {dec} over ({', '.join(rule.pred_vars)}):")
-        table = []
-        for config in itertools.product(*map(range, rule.choices.shape)):
-            labels = {
-                v: d.states(v)[config[j]] for j, v in enumerate(rule.pred_vars)
-            }
-            chosen = sorted(rule.choices[config])
-            value = float(rule.values[config])
-            table.append({"given": labels, "max": chosen, "value": value})
-            shown = ", ".join(f"{k}={v}" for k, v in labels.items()) or "-"
-            lines.append(f"  [{shown}] -> {{{', '.join(chosen)}}} (value {value!r})")
-        rules_payload[dec] = table
-    emit(args, {"meu": meu, "schema": _schema_payload(schema), "rules": rules_payload}, "\n".join(lines) + "\n")
+        rules_payload[dec] = [
+            {"given": {v: d.states(v)[config[j]] for j, v in enumerate(rule.pred_vars)},
+             "max": sorted(rule.choices[config]), "value": float(rule.values[config])}
+            for config in itertools.product(*map(range, rule.choices.shape))
+        ]
+
+    def text() -> str:
+        lines = [f"MEU: {meu!r}", f"order: {' < '.join(schema.induced_order())}"]
+        for dec, table in rules_payload.items():
+            lines.append(f"decision {dec} over ({', '.join(strategy.rules[dec].pred_vars)}):")
+            for row in table:
+                shown = ", ".join(f"{k}={v}" for k, v in row["given"].items()) or "-"
+                lines.append(f"  [{shown}] -> {{{', '.join(row['max'])}}} (value {row['value']!r})")
+        return "\n".join(lines) + "\n"
+    emit(args, {"meu": meu, "schema": _schema_payload(schema), "rules": rules_payload}, text)
     return 0
 
 
@@ -398,23 +406,15 @@ def cmd_suggest(args) -> int:
     analysis = _analysis.Analysis(d)
     report = analysis.check()
     proposals = _analysis.suggest_resolutions(d, report, analysis=analysis)
-    payload = [
-        {
-            "constraints": [list(c) for c in p.constraints],
-            "welldefined": p.welldefined,
-        }
-        for p in proposals
-    ]
-    lines = []
-    if report.welldefined:
-        lines.append(f"{args.file}: already welldefined; nothing to suggest")
-    for p in proposals:
-        cs = "; ".join(
-            (f"observe {x} before {y}" if kind == "observe" else f"constrain {x} before {y}")
-            for kind, x, y in p.constraints
-        )
-        lines.append(f"[{'fixes' if p.welldefined else 'insufficient'}] {cs}")
-    emit(args, {"welldefined": report.welldefined, "proposals": payload}, "\n".join(lines) + "\n")
+    payload = [{"constraints": [list(c) for c in p.constraints], "welldefined": p.welldefined} for p in proposals]
+
+    def text() -> str:
+        lines = [f"{args.file}: already welldefined; nothing to suggest"] if report.welldefined else []
+        for p in proposals:
+            cs = "; ".join(f"{'observe' if kind == 'observe' else 'constrain'} {x} before {y}" for kind, x, y in p.constraints)
+            lines.append(f"[{'fixes' if p.welldefined else 'insufficient'}] {cs}")
+        return "\n".join(lines) + "\n"
+    emit(args, {"welldefined": report.welldefined, "proposals": payload}, text)
     return 0
 
 
@@ -481,12 +481,11 @@ def cmd_fuzz(args) -> int:
             failures += [f"trial {t}: strategies differ across schemas"] * differ[t]
     checked = args.trials * len(schemas) * len(d.decision_ids)
     ok = not failures
-    text = (
+    emit(args, {"ok": ok, "failures": failures, "checks": checked}, lambda: (
         f"fuzz: {args.trials} realizations x {len(schemas)} schemas, {checked} oracle checks: "
         + ("all consistent" if ok else f"{len(failures)} failures")
-        + ("\n" + "\n".join(failures) if failures else "")
-    )
-    emit(args, {"ok": ok, "failures": failures, "checks": checked}, text + "\n")
+        + ("\n" + "\n".join(failures) if failures else "") + "\n"
+    ))
     return 0 if ok else 1
 
 
@@ -510,13 +509,12 @@ def cmd_baselines(args) -> int:
     except NotTotalOrder:
         ball = None
     payload = {"decision": dec, "required": list(req), "elimination_neighbors": list(neighbors), "bayes_ball": ball}
-    text = (
+    emit(args, payload, lambda: (
         f"required: {{{', '.join(req)}}}\n"
         f"elimination neighbors: {{{', '.join(neighbors)}}}\n"
         f"bayes-ball requisite: "
-        + ("not a total order" if ball is None else f"{{{', '.join(ball)}}}")
-    )
-    emit(args, payload, text + "\n")
+        + ("not a total order" if ball is None else f"{{{', '.join(ball)}}}") + "\n"
+    ))
     return 0
 
 
@@ -535,7 +533,8 @@ def _count(text: str) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on first use and then shared by
-    every call in the process; parsing leaves it unchanged."""
+    every call in the process; parsing leaves it unchanged.  Its
+    ``commands`` maps each subcommand to that subcommand's own parser."""
     parser = argparse.ArgumentParser(
         prog="pidcheck",
         description="Analyze partial influence diagrams: temporal order, "
@@ -543,9 +542,10 @@ def build_parser() -> argparse.ArgumentParser:
         "strategies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
     def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+        p = parser.commands[name] = sub.add_parser(name, **kwargs)
         p.add_argument("file", help="diagram document (JSON)")
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.set_defaults(fn=fn)
@@ -578,9 +578,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv: Sequence[str]):
+    """``build_parser().parse_args(argv)``, with a first argument that names
+    a subcommand passed straight to that subcommand's parser.  Anything
+    else, and arguments left over, take the full parser's path and usage."""
+    parser = build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         if exc.code != 2:  # --help
             raise

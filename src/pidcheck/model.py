@@ -1,19 +1,19 @@
 """Diagram data model: typed DAG of chance, decision and value nodes.
 
-A diagram is immutable after construction.  It builds its two views,
-`graph` (every arc) and `bare` (no informational arcs), once, on first use,
-and `moral_view` returns a new view.  A set of a view's nodes is an int bit
-mask: node i is bit ``1 << i``.  A diagram's views number the chance and
-decision nodes first, in declaration order, as the partial order numbers
-its carrier, and the value nodes after them, so one mask format serves the
-order, the rules and the d-connection walk.  A view builds its parent and
-child masks with itself and its descendant masks once, on first use; a
-cached value is always the same, so diagrams and views stay safe to share
-between threads.
+A diagram is immutable after construction.  It has two views, `graph`
+(every arc) and `bare` (no informational arcs), and `moral_view` returns a
+new view.  A set of a view's nodes is an int bit mask: node i is bit
+``1 << i``.  A diagram's views number the chance and decision nodes first, in
+declaration order, as the partial order numbers its carrier, and the value
+nodes after them, so one mask format serves the order, the rules and the
+d-connection walk.  `validate_nodes` checks the nodes in one pass that
+numbers them and builds the masks of `graph`, whose Kahn order tells
+whether the arcs close a cycle.  `bare` and the descendant masks are built
+on first use, along that order; a cached value is always the same, so
+diagrams and views stay safe to share between threads.
 """
 from __future__ import annotations
 
-import itertools
 import re
 from enum import Enum
 from functools import cached_property
@@ -56,10 +56,11 @@ class Diagram:
     this package is reported in declaration order for determinism.
     """
 
-    def __init__(self, nodes: Sequence[Node]):
-        self.nodes: tuple[Node, ...] = tuple(nodes)
-        self._by_id = {n.id: n for n in self.nodes}
+    def __init__(self, nodes: tuple[Node, ...], by_id: dict[str, Node], graph: GraphView):
+        self.nodes = nodes  # checked by validate_nodes, which builds the rest
+        self._by_id = by_id
         self._index = {n.id: i for i, n in enumerate(self.nodes)}
+        self.graph = graph  # the view with every arc
 
     # -- basic accessors ------------------------------------------------
 
@@ -103,15 +104,14 @@ class Diagram:
         return tuple((p, n.id) for n in self.nodes for p in n.parents)
 
     @cached_property
-    def graph(self) -> GraphView:
-        """The view with every arc."""
-        return GraphView(self.carrier_ids + self.value_ids, self.arcs())
-
-    @cached_property
     def bare(self) -> GraphView:
         """The view without informational arcs (arcs into decisions)."""
-        arcs = ((p, n.id) for n in self.nodes if n.kind is not Kind.DECISION for p in n.parents)
-        return GraphView(self.carrier_ids + self.value_ids, tuple(arcs))
+        g = self.graph
+        dmask = g.mask_of(self.decision_ids)
+        parents = tuple(0 if dmask >> i & 1 else m for i, m in enumerate(g.parents))
+        bare = GraphView(g.node_ids, parents, tuple(m & ~dmask for m in g.children))
+        bare.order = g.order  # an order of every arc is one of a subset
+        return bare
 
     def sort_ids(self, ids: Iterable[str]) -> tuple[str, ...]:
         return tuple(sorted(ids, key=self._index.__getitem__))
@@ -129,23 +129,19 @@ class GraphView:
     Node i is ``node_ids[i]`` and bit ``1 << i`` of every mask over the
     view, and ``index`` maps a node to its position.  The node set is the
     source diagram's (value nodes may be absent after moralization).
-    ``parents[i]`` and ``children[i]`` are masks; for undirected views every
-    edge is stored in both directions.  ``descendants[i]`` is the mask of
-    the nodes at the end of one or more arcs from node i, built for every
-    node in one pass on first use; it is defined for acyclic views only.
-    Views compare by identity.
+    ``parents[i]`` and ``children[i]`` are masks; undirected views store
+    each edge both ways.  ``order`` lists the positions with every node
+    after its parents, all of them iff the view is acyclic, and
+    ``descendants[i]``, the mask of the nodes at the end of one or more
+    arcs from node i, is built along it on first use.  Views compare by
+    identity.
     """
 
-    def __init__(self, node_ids: tuple[str, ...], arc_list: tuple[tuple[str, str], ...]):
+    def __init__(self, node_ids: tuple[str, ...], parents: tuple[int, ...], children: tuple[int, ...]):
         self.node_ids = node_ids
-        self.arc_list = arc_list
-        self.index = index = {v: i for i, v in enumerate(node_ids)}
-        parents, children = [0] * len(node_ids), [0] * len(node_ids)
-        for t, h in arc_list:
-            parents[index[h]] |= 1 << index[t]
-            children[index[t]] |= 1 << index[h]
-        self.parents = tuple(parents)
-        self.children = tuple(children)
+        self.index = {v: i for i, v in enumerate(node_ids)}
+        self.parents = parents
+        self.children = children
 
     def mask_of(self, nodes: Iterable[str]) -> int:
         """The mask of ``nodes``."""
@@ -156,9 +152,13 @@ class GraphView:
         return tuple(self.node_ids[i] for i in bits(mask))
 
     @cached_property
-    def descendants(self) -> tuple[int, ...]:
+    def arc_list(self) -> tuple[tuple[str, str], ...]:
+        """By head, then tail, in position order."""
+        return tuple((t, h) for h, m in zip(self.node_ids, self.parents) for t in self.ids_of(m))
+
+    @cached_property
+    def order(self) -> list[int]:  # Kahn's
         children = self.children
-        # Kahn's order: every node after its parents
         waiting = [p.bit_count() for p in self.parents]
         order = [v for v, w in enumerate(waiting) if not w]
         for v in order:
@@ -166,8 +166,12 @@ class GraphView:
                 waiting[c] -= 1
                 if not waiting[c]:
                     order.append(c)
-        desc = list(children)
-        for v in reversed(order):
+        return order
+
+    @cached_property
+    def descendants(self) -> tuple[int, ...]:
+        children, desc = self.children, list(self.children)
+        for v in reversed(self.order):
             for c in bits(children[v]):
                 desc[v] |= desc[c]
         return tuple(desc)
@@ -215,49 +219,64 @@ def validate_nodes(nodes: Sequence[Node]) -> Diagram:
     Violations checked: duplicate ids, dangling parent references, empty
     state lists on chance/decision nodes, duplicate state labels, state
     lists on value nodes, value nodes with children, and cycles in the arc
-    relation.
+    relation.  One pass checks the nodes and builds the view with every
+    arc; a depth-first search names a cycle only if that view has one.
     """
+    nodes = tuple(nodes)
     violations: list[str] = []
-    seen: set[str] = set()
-    for n in nodes:
-        if n.id in seen:
-            violations.append(f"duplicate id: {n.id!r}")
-        seen.add(n.id)
     by_id = {n.id: n for n in nodes}
+    if len(by_id) < len(nodes):
+        seen: set[str] = set()
+        for n in nodes:
+            if n.id in seen:
+                violations.append(f"duplicate id: {n.id!r}")
+            seen.add(n.id)
+    ids = tuple([n.id for n in nodes if n.kind is not Kind.VALUE] + [n.id for n in nodes if n.kind is Kind.VALUE])
+    index = {v: i for i, v in enumerate(ids)}
+    parents, children, value_parents = [0] * len(ids), [0] * len(ids), []
     for n in nodes:
+        i, mask = index[n.id], 0
         if len(set(n.parents)) != len(n.parents):
             violations.append(f"duplicate parent entry on node {n.id!r}")
         for p in n.parents:
-            if p not in by_id:
+            j = index.get(p)
+            if j is None:
                 violations.append(f"dangling parent: arc ({p!r}, {n.id!r})")
+                continue
+            mask |= 1 << j
+            children[j] |= 1 << i
+            if by_id[p].kind is Kind.VALUE:
+                value_parents.append(f"value node with child: arc ({p!r}, {n.id!r})")
+        parents[i] = mask
         if n.kind is Kind.VALUE:
             if n.states is not None:
                 violations.append(f"value node with state list: {n.id!r}")
-        else:
-            if not n.states:
-                violations.append(f"empty state list: {n.id!r}")
-            elif len(set(n.states)) != len(n.states):
-                violations.append(f"duplicate state label on node {n.id!r}")
-    for n in nodes:
-        for p in n.parents:
-            if p in by_id and by_id[p].kind is Kind.VALUE:
-                violations.append(f"value node with child: arc ({p!r}, {n.id!r})")
-    if not violations:
+        elif not n.states:
+            violations.append(f"empty state list: {n.id!r}")
+        elif len(set(n.states)) != len(n.states):
+            violations.append(f"duplicate state label on node {n.id!r}")
+    violations += value_parents
+    graph = GraphView(ids, tuple(parents), tuple(children))
+    if not violations and len(graph.order) < len(ids):
         cycle = _find_cycle([n.id for n in nodes], {n.id: n.parents for n in nodes})
-        if cycle is not None:
-            violations.append("cycle: " + " -> ".join(cycle))
+        violations.append("cycle: " + " -> ".join(cycle))
     if violations:
         raise InvalidDiagram(violations)
-    return Diagram(nodes)
+    return Diagram(nodes, by_id, graph)
 
 
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
+_KINDS = {k.value: k for k in Kind}
 
 
-def _text(value: object) -> bool:
-    """True iff ``value`` is a str that encodes as UTF-8: it holds no
-    surrogate, which JSON can spell and no output stream writes."""
-    return isinstance(value, str) and not _SURROGATE.search(value)
+def _texts(values: object) -> bool:
+    """True iff ``values`` is a list of str that encode as UTF-8: they hold
+    no surrogate, which JSON can spell and no output stream writes."""
+    try:
+        text = "".join(values) if isinstance(values, list) else None
+    except TypeError:  # an item that is no str
+        return False
+    return text is not None and (text.isascii() or not _SURROGATE.search(text))
 
 
 def validate(description: Mapping) -> Diagram:
@@ -273,30 +292,29 @@ def validate(description: Mapping) -> Diagram:
         raise InvalidDiagram(["missing or malformed 'nodes' list"])
     nodes: list[Node] = []
     for i, raw in enumerate(raw_nodes):
-        if not isinstance(raw, Mapping):
+        if type(raw) is not dict and not isinstance(raw, Mapping):
             violations.append(f"node #{i} is not a mapping")
             continue
         node_id = raw.get("id")
-        if not _text(node_id) or not node_id:
+        if not node_id or not _texts([node_id]):
             violations.append(f"node #{i} has no usable id")
             continue
         kind_raw = raw.get("kind")
-        try:
-            kind = Kind(kind_raw)
-        except ValueError:
+        kind = _KINDS.get(kind_raw) if isinstance(kind_raw, str) else None
+        if kind is None:
             violations.append(f"unknown kind {kind_raw!r} on node {node_id!r}")
             continue
         states_raw = raw.get("states")
         states: tuple[str, ...] | None
         if states_raw is None:
             states = None
-        elif isinstance(states_raw, list) and all(_text(s) for s in states_raw):
+        elif _texts(states_raw):
             states = tuple(states_raw)
         else:
             violations.append(f"malformed state list on node {node_id!r}")
             continue
         parents_raw = raw.get("parents", [])
-        if not (isinstance(parents_raw, list) and all(_text(p) for p in parents_raw)):
+        if not _texts(parents_raw):
             violations.append(f"malformed parent list on node {node_id!r}")
             continue
         nodes.append(Node(node_id, kind, states, tuple(parents_raw)))
@@ -317,12 +335,12 @@ def validate(description: Mapping) -> Diagram:
 def moral_view(d: Diagram) -> GraphView:
     """Moral graph: informational arcs removed, co-parents of any remaining
     node linked, value nodes removed, directions dropped."""
-    bare = d.bare
-    edges: set[tuple[str, str]] = set()
-    for v, mask in zip(bare.node_ids, bare.parents):
-        co = bare.ids_of(mask)  # none for a decision
-        for a, b in itertools.chain(((p, v) for p in co), itertools.combinations(co, 2)):
-            edges.update(((a, b), (b, a)))
-    keep = frozenset(d.carrier_ids)
-    kept_edges = tuple((a, b) for a, b in sorted(edges) if a in keep and b in keep)
-    return GraphView(d.carrier_ids, kept_edges)
+    bare, n = d.bare, len(d.carrier_ids)
+    edges = [0] * n
+    for v, mask in enumerate(bare.parents):  # no parent is a value node
+        own = 1 << v if v < n else 0
+        for p in bits(mask):
+            edges[p] |= (mask | own) & ~(1 << p)
+        if own:
+            edges[v] |= mask
+    return GraphView(d.carrier_ids, tuple(edges), tuple(edges))

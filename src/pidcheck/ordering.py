@@ -11,9 +11,9 @@ An order is held as one int bit mask per carrier node (the chance and
 decision nodes, in declaration order): bit j of node i's mask is set iff
 node i precedes node j.  Node i is bit ``1 << i`` of any mask, so a
 precedence query is a bit test and a set of nodes is an int.  The
-transpose ``before`` holds per node the mask of its predecessors.  Built
-once per order, on first use, it answers every "what comes before"
-question here: decision sequences, slot ranges and incompatible pairs.
+transpose ``before``, built with the order, holds per node the mask of its
+predecessors and answers every "what comes before" question here:
+decision sequences, slot ranges and incompatible pairs.
 
 Induction is incremental.  The closure of clauses (a) and (b), which reads
 only the diagram, is computed once per diagram (:func:`base_closure`); a
@@ -30,7 +30,9 @@ pairs (x, y) for every x in a set T and y in a set H is R plus every pair
 y in H, since a path through the new pairs can always be cut to use one
 of them once (from its first tail to its last head).  So each addition is
 one OR of H and its successors into the mask of each node at or before T,
-and the relation stays closed after every addition, cycles included.
+and the relation stays closed after every addition, cycles included.  The
+transpose gets the same pairs: the nodes at or before T are ORed into the
+``before`` mask of each node of H and its successors.
 Clause (c) is one product, every decision before every late node; an
 extra pair or a clause (d) pair has one head.  The closure of a union
 does not depend on the order in which its pairs are added, so the
@@ -66,20 +68,22 @@ class PartialOrder:
     """Transitively closed precedence relation over chance+decision nodes.
 
     ``masks[i]`` is the set of successors of ``carrier[i]`` as a bit mask
-    over carrier positions (module docstring), ``index`` maps a node to
-    its position, and ``decisions`` is the mask of the decisions.
-    ``before`` is its transpose and ``succ`` a read-only view of the same
-    relation as sets of node ids; both are built on first use.
+    over carrier positions (module docstring), ``before`` its transpose,
+    ``index`` maps a node to its position, and ``decisions`` is the mask
+    of the decisions.  ``succ`` is a read-only view of the same relation
+    as sets of node ids, built on first use.
 
     Equality and hashing compare the carrier only, not the relation: two
     orders of one diagram are always equal.  Compare ``masks`` to tell them
     apart."""
 
-    def __init__(self, carrier: tuple[str, ...], index: dict[str, int], decisions: int, masks: tuple[int, ...]):
+    def __init__(self, carrier: tuple[str, ...], index: dict[str, int], decisions: int, masks: tuple[int, ...],
+                 before: tuple[int, ...]):
         self.carrier = carrier
         self.index = index
         self.decisions = decisions
         self.masks = masks
+        self.before = before
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialOrder):
@@ -93,15 +97,6 @@ class PartialOrder:
     def chance(self) -> int:
         """The mask of the chance nodes."""
         return ((1 << len(self.carrier)) - 1) & ~self.decisions
-
-    @cached_property
-    def before(self) -> tuple[int, ...]:
-        """``before[i]`` is the mask of the nodes that precede ``carrier[i]``."""
-        before = [0] * len(self.masks)
-        for i, m in enumerate(self.masks):
-            for j in bits(m):
-                before[j] |= 1 << i
-        return tuple(before)
 
     @cached_property
     def succ(self) -> dict[str, frozenset[str]]:
@@ -145,13 +140,22 @@ def base_closure(d: Diagram) -> PartialOrder:
     index = {v: i for i, v in enumerate(carrier)}  # the graph's positions (see ``model``)
     everyone = (1 << len(carrier)) - 1
     decisions = sum(1 << index[dec] for dec in d.decision_ids)
-    succ = [0] * len(carrier)
+    succ, before = [0] * len(carrier), [0] * len(carrier)
     for i in bits(decisions):  # clause (b), closed already
         succ[i] = graph.descendants[i] & everyone
     for i in bits(decisions):  # clause (a), closed through the decision
         for p in bits(graph.parents[i]):  # a chance node or a decision
             succ[p] |= 1 << i | succ[i]
-    return PartialOrder(carrier=carrier, index=index, decisions=decisions, masks=tuple(succ))
+    # The transpose, along the graph's order (no value node is a parent):
+    # x precedes v iff, for an arc (p, v), x precedes p, or x = p and p or
+    # v is a decision.
+    for v in graph.order:
+        if v < len(carrier):
+            ps = graph.parents[v]
+            before[v] = ps if decisions >> v & 1 else ps & decisions
+            for p in bits(ps):
+                before[v] |= before[p]
+    return PartialOrder(carrier, index, decisions, tuple(succ), tuple(before))
 
 
 def induce_partial_order(
@@ -182,17 +186,20 @@ def induce_partial_order(
     if base is None:
         base = base_closure(d)
     index, decisions = base.index, base.decisions
-    succ = list(base.masks)
+    succ, before = list(base.masks), list(base.before)
 
     def add(tails: int, heads: int) -> None:
         """Close under the pairs (x, y) for every x in the mask ``tails``
         and y in the mask ``heads``."""
-        after = heads
+        at, after = tails, heads
+        for x in bits(tails):
+            at |= before[x]
         for y in bits(heads):
             after |= succ[y]
-        for u, su in enumerate(succ):
-            if (su | 1 << u) & tails:
-                succ[u] = su | after
+        for u in bits(at):
+            succ[u] |= after
+        for v in bits(after):
+            before[v] |= at
 
     for x, y in extra:
         if x not in index or y not in index:
@@ -225,7 +232,7 @@ def induce_partial_order(
     for i, s in enumerate(succ):
         if s >> i & 1:
             raise InconsistentOrder(f"inconsistent order: {base.carrier[i]!r} precedes itself")
-    return PartialOrder(base.carrier, index, decisions, tuple(succ))
+    return PartialOrder(base.carrier, index, decisions, tuple(succ), tuple(before))
 
 
 class OrderSchema:

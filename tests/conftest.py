@@ -85,6 +85,117 @@ def with_arcs(d: Diagram, arcs) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
+# reference loader: document and node validation as separate passes, with
+# the cycle found by depth-first search alone
+
+
+def _reference_find_cycle(ids: Sequence[str], parents: Mapping[str, Sequence[str]]) -> list[str] | None:
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {i: WHITE for i in ids}
+    children: dict[str, list[str]] = {i: [] for i in ids}
+    for i in ids:
+        for p in parents[i]:
+            if p in children:
+                children[p].append(i)
+    for root in ids:
+        if color[root] != WHITE:
+            continue
+        color[root] = GREY
+        path = [root]
+        stack = [iter(children[root])]
+        while stack:
+            for c in stack[-1]:
+                if color[c] == GREY:
+                    return path[path.index(c):] + [c]
+                if color[c] == WHITE:
+                    color[c] = GREY
+                    path.append(c)
+                    stack.append(iter(children[c]))
+                    break
+            else:
+                color[path.pop()] = BLACK
+                stack.pop()
+    return None
+
+
+def reference_node_violations(nodes: Sequence[Node]) -> list[str]:
+    """Every violation `validate_nodes` reports for ``nodes``, in its order:
+    duplicate ids; per node its duplicate parents, dangling parents and
+    state-list faults; value nodes with children; then, only if there is
+    nothing else, a cycle."""
+    violations: list[str] = []
+    seen: set[str] = set()
+    for n in nodes:
+        if n.id in seen:
+            violations.append(f"duplicate id: {n.id!r}")
+        seen.add(n.id)
+    by_id = {n.id: n for n in nodes}
+    for n in nodes:
+        if len(set(n.parents)) != len(n.parents):
+            violations.append(f"duplicate parent entry on node {n.id!r}")
+        for p in n.parents:
+            if p not in by_id:
+                violations.append(f"dangling parent: arc ({p!r}, {n.id!r})")
+        if n.kind is Kind.VALUE:
+            if n.states is not None:
+                violations.append(f"value node with state list: {n.id!r}")
+        else:
+            if not n.states:
+                violations.append(f"empty state list: {n.id!r}")
+            elif len(set(n.states)) != len(n.states):
+                violations.append(f"duplicate state label on node {n.id!r}")
+    for n in nodes:
+        for p in n.parents:
+            if p in by_id and by_id[p].kind is Kind.VALUE:
+                violations.append(f"value node with child: arc ({p!r}, {n.id!r})")
+    if not violations:
+        cycle = _reference_find_cycle([n.id for n in nodes], {n.id: n.parents for n in nodes})
+        if cycle is not None:
+            violations.append("cycle: " + " -> ".join(cycle))
+    return violations
+
+
+def _reference_text(value) -> bool:
+    return isinstance(value, str) and not any("\ud800" <= ch <= "\udfff" for ch in value)
+
+
+def reference_document_violations(description: Mapping) -> list[str]:
+    """Every violation `model.validate` reports for a parsed document."""
+    raw_nodes = description.get("nodes")
+    if not isinstance(raw_nodes, list):
+        return ["missing or malformed 'nodes' list"]
+    violations: list[str] = []
+    nodes: list[Node] = []
+    for i, raw in enumerate(raw_nodes):
+        if not isinstance(raw, Mapping):
+            violations.append(f"node #{i} is not a mapping")
+            continue
+        node_id = raw.get("id")
+        if not _reference_text(node_id) or not node_id:
+            violations.append(f"node #{i} has no usable id")
+            continue
+        kind_raw = raw.get("kind")
+        try:
+            kind = Kind(kind_raw)
+        except ValueError:
+            violations.append(f"unknown kind {kind_raw!r} on node {node_id!r}")
+            continue
+        states_raw = raw.get("states")
+        if states_raw is not None and not (
+            isinstance(states_raw, list) and all(_reference_text(s) for s in states_raw)
+        ):
+            violations.append(f"malformed state list on node {node_id!r}")
+            continue
+        parents_raw = raw.get("parents", [])
+        if not (isinstance(parents_raw, list) and all(_reference_text(p) for p in parents_raw)):
+            violations.append(f"malformed parent list on node {node_id!r}")
+            continue
+        states = None if states_raw is None else tuple(states_raw)
+        nodes.append(Node(node_id, kind, states, tuple(parents_raw)))
+    return violations + reference_node_violations(nodes)
+
+
+# ---------------------------------------------------------------------------
 # brute-force reachability and d-connection, read off the nodes' parent lists
 
 

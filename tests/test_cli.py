@@ -726,6 +726,101 @@ class TestParser:
         assert err.endswith("error: argument --limit: invalid int value: 'x'\n")
 
 
+class TestArgvDispatch:
+    """A first argument naming a subcommand goes straight to its parser;
+    every outcome matches the full parser's path byte for byte."""
+
+    @staticmethod
+    def _outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["--json"], ["check"], ["check", "{fig6}", "extra"], ["check", "{fig6}", "--bogus"],
+        ["relevant", "{fig6}"], ["relevant", "{fig6}", "-d"], ["schemas", "{fig6}", "--limit", "x"],
+        ["--help"], ["-h"], ["check", "--help"], ["relevant", "{fig6}", "-h"], ["check", "--he"],
+        ["check", "{fig6}", "--json"], ["check", "--json", "{fig6}"], ["relevant", "{fig6}", "-d", "D", "--json"],
+        ["check", "--", "{fig6}"], ["check", "{fig6}", "--", "x"], ["check", "-"],
+    ], ids=lambda a: " ".join(a).replace("{fig6}", "F") or "no-arguments")
+    def test_same_bytes_as_the_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [a.replace("{fig6}", str(FIXTURES / "fig6.pid")) for a in argv]
+        got = self._outcome(capsys, argv)
+        monkeypatch.setattr(cli, "parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        assert got == self._outcome(capsys, argv)
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+_TEXT = st.one_of(
+    st.text(),
+    st.text(st.sampled_from(['"', "\\", "\t", "\n", "\x00", "\x1f", "\x7f", "Ä", "\u2028", "\ud800", "\U0001f600", "a"])),
+)
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(min_value=10**30), st.integers(max_value=-(10**30)),
+    st.floats(), st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]),
+    _TEXT, _TEXT.map(_Str), st.sampled_from(list(Kind)),
+)
+_KEYS = st.one_of(_TEXT, st.integers(), st.floats(), st.booleans(), st.none(), st.sampled_from(list(Kind)))
+_PAYLOADS = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple), st.lists(inner, max_size=4).map(_List),
+    st.lists(_TEXT, max_size=4), st.dictionaries(_KEYS, inner, max_size=4),
+    st.dictionaries(_KEYS, inner, max_size=4).map(_Dict),
+), max_leaves=25)
+
+
+class TestJsonWriter:
+    @given(_PAYLOADS)
+    @settings(max_examples=500)
+    def test_writes_what_json_writes(self, payload):
+        assert cli.to_json(payload) == json.dumps(payload, indent=2)
+
+    @pytest.mark.parametrize("bad", [{(1, 2): 0}, {"a": object()}, [1, {2}]], ids=["tuple-key", "object", "set"])
+    def test_refuses_what_json_refuses(self, bad):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli.to_json(bad)
+
+    def test_escaped_ids_through_every_json_command(self, tmp_path, capsys):
+        # No fixture has an id that needs escaping; these ids need it in
+        # every form JSON has: non-ASCII, a quote, a control character and
+        # a backslash.
+        nodes = [
+            Node("Ä", Kind.CHANCE, ("ü", 'q"'), ()),
+            Node('a"b', Kind.DECISION, ("d1", "d\\2"), ("Ä",)),
+            Node("tab\t", Kind.DECISION, ("d1", "d2"), ()),
+            Node("back\\slash", Kind.VALUE, None, ('a"b', "tab\t", "Ä")),
+        ]
+        d = validate_nodes(nodes)
+        path = tmp_path / "escaped.pid"
+        path.write_text(serialize_document(d, oracle.random_realization(d, 0)))
+        argvs = [
+            ["validate"], ["order"], ["schemas"], ["check"], ["suggest"], ["solve"],
+            ["fuzz", "--trials", "2"], ["relevant", "-d", 'a"b'], ["required", "-d", "tab\t"],
+            ["significant", "-a", "Ä", "-d", "tab\t"], ["baselines", "-d", 'a"b'],
+        ]
+        for argv in argvs:
+            code, out, err = run(capsys, argv[0], path, *argv[1:], "--json")
+            assert code in (0, 2) and err == "", (argv, err)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+            assert "\\u00c4" in out or argv[0] in ("validate", "fuzz"), argv
+
+
 class TestExportDot:
     def test_fig1_shapes(self, capsys):
         code, out, _ = run(capsys, "export-dot", FIXTURES / "fig1.pid")

@@ -19,7 +19,9 @@ from pidcheck.ordering import canonical_schema, enumerate_schemas, induce_partia
 
 def _view(arcs, nodes=None):
     ids = tuple(nodes) if nodes else tuple(sorted({x for arc in arcs for x in arc}))
-    return GraphView(ids, tuple(arcs))
+    parents = tuple(sum({1 << ids.index(t) for t, h in arcs if h == v}) for v in ids)
+    children = tuple(sum({1 << ids.index(h) for t, h in arcs if t == v}) for v in ids)
+    return GraphView(ids, parents, children)
 
 
 def _reach(view, src, z=()):

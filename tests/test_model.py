@@ -3,9 +3,16 @@ import pathlib
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import all_arcs, bare_arcs, bf_reachable, with_arcs
+from conftest import (
+    all_arcs,
+    bare_arcs,
+    bf_reachable,
+    reference_document_violations,
+    reference_node_violations,
+    with_arcs,
+)
 from pidcheck import figures
 from pidcheck.cli import load_file
 from pidcheck.generate import random_pid
@@ -153,6 +160,76 @@ class TestWithArcs:
                 assert set(with_arcs(d, arcs).arcs()) == wanted
                 valid += 1
         assert valid >= 20
+
+
+def _raised(fn) -> list[str]:
+    """The violations ``fn`` raises, or [] if it returns."""
+    try:
+        fn()
+    except InvalidDiagram as exc:
+        return exc.violations
+    return []
+
+
+@st.composite
+def malformed_nodes(draw):
+    """Node lists with duplicate ids, duplicate, dangling and value parents,
+    bad state lists, and arcs that may close cycles reachable from several
+    roots."""
+    pool = ["A", "B", "C", "D", "E", "F", "G"]
+    nodes = []
+    for node_id in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7)):
+        kind = draw(st.sampled_from(list(Kind)))
+        states = draw(st.sampled_from([None, (), ("x",), ("x", "y"), ("x", "x")]))
+        if draw(st.integers(0, 3)):  # mostly well-formed states
+            states = None if kind is Kind.VALUE else ("x", "y")
+        parents = draw(st.lists(st.sampled_from(pool + ["Z"]), max_size=3))
+        nodes.append(Node(node_id, kind, states, tuple(parents)))
+    return nodes
+
+
+class TestLoaderAgainstReference:
+    """One-pass validation against the separate passes it replaced: the
+    same violations, in the same order and text."""
+
+    @given(malformed_nodes())
+    @settings(max_examples=400)
+    def test_node_violations(self, nodes):
+        assert _raised(lambda: validate_nodes(nodes)) == reference_node_violations(nodes)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cycles_from_several_roots(self, seed):
+        # Random arcs over random draws: cycles anywhere, reached from
+        # roots earlier and later in declaration order.
+        rng = np.random.default_rng(seed)
+        cyclic = 0
+        for _ in range(50):
+            d = random_pid(rng, max_carrier=8, max_decisions=4)
+            parents = {n.id: list(n.parents) for n in d.nodes}
+            for _ in range(int(rng.integers(1, 5))):
+                t, h = (str(x) for x in rng.choice(d.carrier_ids, size=2))
+                if t not in parents[h]:
+                    parents[h].append(t)
+            nodes = [Node(n.id, n.kind, n.states, tuple(parents[n.id])) for n in d.nodes]
+            expected = reference_node_violations(nodes)
+            cyclic += bool(expected)
+            assert _raised(lambda: validate_nodes(nodes)) == expected
+        assert cyclic >= 10
+
+    @given(st.lists(st.one_of(
+        st.fixed_dictionaries({
+            "id": st.sampled_from(["A", "B", "", "\ud800", "Ä", 3, None]),
+            "kind": st.sampled_from(["chance", "decision", "value", "utility", 1, None, ["chance"]]),
+        }, optional={
+            "states": st.one_of(st.none(), st.lists(st.sampled_from(["x", "y", "\udfff", 0]), max_size=3), st.just("xy")),
+            "parents": st.one_of(st.lists(st.sampled_from(["A", "B", "Z", "\ud800", 0]), max_size=3), st.just({})),
+        }),
+        st.integers(), st.lists(st.integers(), max_size=1),
+    ), max_size=6))
+    @settings(max_examples=400)
+    def test_document_violations(self, raw_nodes):
+        doc = {"nodes": raw_nodes}
+        assert _raised(lambda: validate(doc)) == reference_document_violations(doc)
 
 
 class TestGraphView:

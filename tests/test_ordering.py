@@ -1,5 +1,7 @@
 import gc
 import itertools
+import pathlib
+import time
 import weakref
 
 import hypothesis.strategies as st
@@ -17,13 +19,17 @@ from conftest import (
     w_family,
 )
 from pidcheck import analysis, figures, ordering
+from pidcheck.cli import load_file
 from pidcheck.generate import random_pid
-from pidcheck.model import Kind, Node, validate_nodes
+from pidcheck.model import Kind, Node, bits, validate_nodes
 from pidcheck.ordering import (
     InconsistentOrder,
+    base_closure,
     enumerate_schemas,
     induce_partial_order,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -268,6 +274,70 @@ def _assert_before_is_transpose(po) -> None:
     assert len(po.before) == n
     for i, j in itertools.product(range(n), repeat=2):
         assert po.before[j] >> i & 1 == po.masks[i] >> j & 1, (po.carrier[i], po.carrier[j])
+
+
+class TestTranspose:
+    """``before``, built with the order, against the masks it transposes,
+    one ordered pair at a time."""
+
+    @staticmethod
+    def _assert_transposes(d) -> None:
+        base = base_closure(d)
+        for po in (base, induce_partial_order(d, base=base)):
+            _assert_before_is_transpose(po)
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        self._assert_transposes(load_file(str(path))[0])
+
+    def test_random_draws(self):
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            self._assert_transposes(random_pid(rng))
+
+    @pytest.mark.parametrize("name", ["fig6", "fig7", "fig8", "w3-shared"])
+    def test_every_constrained_order_of_suggest(self, monkeypatch, name):
+        d = w_family(3, shared=True) if name == "w3-shared" else getattr(figures, name)()
+        orders = []
+
+        def induce(*args, **kwargs):
+            orders.append(induce_partial_order(*args, **kwargs))
+            return orders[-1]
+
+        monkeypatch.setattr(analysis, "induce_partial_order", induce)
+        a = analysis.Analysis(d)
+        analysis.suggest_resolutions(d, a.check(), analysis=a)
+        assert len(orders) > 1
+        for po in orders:
+            _assert_before_is_transpose(po)
+
+    def test_long_chain_pays_no_pair_at_a_time(self, monkeypatch):
+        # 1,200 decisions, each observing the one before: 720,000 ordered
+        # pairs.  The transpose comes with the order, a few bit steps per
+        # arc and per added pair, and reading it costs nothing more.
+        nodes = [Node("D0", Kind.DECISION, ("a", "b"), ())]
+        nodes += [Node(f"D{i}", Kind.DECISION, ("a", "b"), (f"D{i - 1}",)) for i in range(1, 1200)]
+        d = validate_nodes(nodes + [Node("U", Kind.VALUE, None, ("D1199",))])
+        steps = []
+
+        def counting_bits(mask):
+            for i in bits(mask):
+                steps.append(i)
+                yield i
+
+        monkeypatch.setattr(ordering, "bits", counting_bits)
+        before = induce_partial_order(d).before
+        assert len(steps) < 20_000, len(steps)
+        monkeypatch.undo()
+        assert before[1199] == (1 << 1199) - 1 and before[0] == 0
+        best = min(self._timed(lambda: induce_partial_order(d).before) for _ in range(3))
+        assert best < 0.05, best
+
+    @staticmethod
+    def _timed(fn) -> float:
+        t0 = time.perf_counter()
+        fn()
+        return time.perf_counter() - t0
 
 
 class TestIncompatibility:
