@@ -45,10 +45,10 @@ on the diagram with the extra pair (A, D).
     before D only for a pair that is incompatible under the constraints it
     extends.
 So an analysis derived under repair constraints
-(:meth:`Analysis.constrained`) keeps its parent's diagram, memo, bare
-components and closure of induction clauses (a) and (b), builds no
-diagram, and only the partial order, the schema space and the
-significance pass are its own.  Otherwise instances are
+(:meth:`Analysis.constrained`) keeps its parent's diagram, memo and bare
+components, builds no diagram, and induces its order from its parent's
+closure before clauses (c) and (d) plus the new pairs; only the order, the
+schema space and the significance pass are its own.  Otherwise instances are
 independent; a family of derived analyses is meant for one thread.
 
 The rules never leave a connected component of the bare graph.  A directed
@@ -110,13 +110,12 @@ the passes answer as a scan of every schema would, on every input.
 
 MAX_SCAN_STATES caps the states summed over all passes of one analysis.
 
-A repair recheck reads only :meth:`Analysis.significant_pairs`, never a
-witness (only ``check`` and ``is_significant`` recover one), and is memoized
-per constraint set.  A set is enough: the order is built from a set of pairs.
+A repair recheck reads only :meth:`Analysis.first_significant_pair`, never
+a witness, and is memoized per constraint set.  A set is enough: the order
+is built from a set of pairs.
 """
 from __future__ import annotations
 
-import copy
 from functools import cached_property
 from typing import Collection, Iterable, NamedTuple
 
@@ -141,7 +140,8 @@ class RepairBudgetExceeded(ValueError):
     """The repair search needs more than MAX_RECHECKS rechecks."""
 
 
-# The most states the significance pass of one analysis may visit.
+# The most states the significance passes of one analysis may visit.  A recheck
+# counts only those before its first pair, so it may answer past a full pass's limit.
 MAX_SCAN_STATES = 1 << 16
 
 
@@ -202,13 +202,12 @@ class Analysis:
     share.  Entries are reproducible from scratch; the memo is a pure
     speedup.  Analyses derived by :meth:`constrained` share it, the
     diagram, the base closure of the order and the bare components with
-    their parent, and drop the parent's significance pass.  The base closure lives here, so
-    it goes when the last analysis of the diagram does.
+    their parent, but not its significance pass.  The base closure lives
+    here, so it goes when the last analysis of the diagram does.
     """
 
     def __init__(self, d: Diagram):
         self.diagram = d
-        self._extra: tuple[tuple[str, str], ...] = ()  # the base pairs of the repair constraints
         self._base = base_closure(d)
         self.po: PartialOrder = induce_partial_order(d, base=self._base)
         self._components = _carrier_components(d)
@@ -224,20 +223,21 @@ class Analysis:
         ("observe", A, D) is the pair (A, D) and ("precede", D, A) the pair
         (D, A).  The pair orders as the arc A -> D would (module
         docstring), so the derived analysis keeps this diagram, its bare
-        components and memo, and has its own partial order, schemas
-        and significance pass.  Raises :class:`InconsistentOrder` if the
-        constraints contradict the order, which is also what an observe
-        arc closing a cycle does, and ``ValueError`` on an unknown kind."""
+        components and memo, and has its own partial order, induced from
+        this one's closure, schemas and significance pass.  Raises
+        :class:`InconsistentOrder` if the constraints contradict the order,
+        which is also what an observe arc closing a cycle does, and
+        ``ValueError`` on an unknown kind."""
         pairs = []
         for kind, x, y in constraints:
             if kind not in ("observe", "precede"):
                 raise ValueError(f"unknown constraint kind {kind!r}")
             pairs.append((x, y))
-        # a shallow copy shares the diagram, its base closure, its components and the memo
-        derived = copy.copy(self)
-        derived._extra = self._extra + tuple(pairs)
-        derived.po = induce_partial_order(self.diagram, derived._extra, self._base)
-        vars(derived).pop("_significant", None)  # it follows the order
+        derived = Analysis.__new__(Analysis)
+        derived.diagram, derived._base, derived._components = self.diagram, self._base, self._components
+        derived._steps, derived._laters, derived._later_ids = self._steps, self._laters, self._later_ids
+        # clauses (a), (b) and the pairs close monotonically: start from the parent's closure
+        derived.po = induce_partial_order(self.diagram, pairs, self.po.closure)
         return derived
 
     # -- the rules ---------------------------------------------------------
@@ -376,16 +376,20 @@ class Analysis:
         docstring describes.  Raises :class:`ScanBudgetExceeded` once the
         passes are known to need more than MAX_SCAN_STATES states in all."""
         significant: set[tuple[str, str]] = set()
-        visited = 0
+        visited, ids = 0, self.po.carrier
         for carrier in self._components:
             found, visited = self._component_pass(carrier, visited)
-            significant |= found
+            significant.update((ids[a], ids[dec]) for dec, a in found)
         return frozenset(significant)
 
-    def _component_pass(self, carrier: int, visited: int) -> tuple[set[tuple[str, str]], int]:
-        """The significant pairs of the bare component whose carrier is the
-        mask ``carrier``, by the backward pass over its decision positions,
-        and ``visited`` plus the states the pass visited."""
+    def _component_pass(self, carrier: int, visited: int,
+                        bound: tuple[int, int] | None = None) -> tuple[list[tuple[int, int]], int]:
+        """The significant pairs of the bare component with the carrier mask
+        ``carrier``, as (decision, chance) positions in the order the pass
+        finds them, and ``visited`` plus the states it visited.  With
+        ``bound``, a position pair, only the pairs before it in report order
+        are pending, and each pair found drops those after it: the pass ends,
+        with the first pair found last, once none before that one is open."""
 
         def admit(states: int) -> None:
             if states > MAX_SCAN_STATES:
@@ -393,16 +397,23 @@ class Analysis:
                     f"the significance pass needs more than the limit of {MAX_SCAN_STATES} states"
                 )
 
-        po, masks, before = self.po, self.po.masks, self.po.before
+        masks, before = self.po.masks, self.po.before
         dmask, cmask = carrier & self._base.decisions, carrier & self._base.chance
         decisions = list(bits(dmask))
         chance = list(bits(cmask))
         # per decision, the mask of the chance nodes incompatible with it
         # whose pair is not known significant yet
         pending = {dec: cmask & ~(masks[dec] | before[dec]) for dec in decisions}
-        pairs = dict(pending)
+
+        def drop(at: int, a: int) -> None:  # the pending pairs from (at, a) on in report order
+            for dec in decisions:
+                pending[dec] &= -1 if dec < at else (1 << a) - 1 if dec == at else 0
+
+        if bound is not None:
+            drop(*bound)
         if not any(pending.values()):
-            return set(), visited
+            return [], visited
+        found: list[tuple[int, int]] = []
         decisions_after = {v: masks[v] & dmask for v in bits(carrier)}
         # a slot's chance nodes with their successors first
         chance.sort(key=lambda c: masks[c].bit_count())
@@ -435,13 +446,16 @@ class Analysis:
                         if hits:
                             for a in bits(hits):
                                 if not masks[a] & past:
+                                    found.append((dec, a))
+                                    if bound is not None:
+                                        drop(dec, a)
+                                        break
                                     pending[dec] &= ~(1 << a)
                         step.add((carrier & ~past, nxt))
                     admit(visited + len(step))
             visited += len(step)
             states = step
-        ids = po.carrier
-        return {(ids[a], ids[dec]) for dec in decisions for a in bits(pairs[dec] & ~pending[dec])}, visited
+        return found, visited
 
     def is_significant(self, a: str, dec: str) -> Witness | None:
         """Existential significance over admissible schemas placing ``a``
@@ -473,6 +487,15 @@ class Analysis:
         the diagram is welldefined."""
         index = self.po.index
         return tuple(sorted(self._significant, key=lambda pair: (index[pair[1]], index[pair[0]])))
+
+    def first_significant_pair(self) -> tuple[str, str] | None:
+        """``significant_pairs()[0]``, or None, from passes that stop at their
+        first pair; a component whose pairs all follow the best so far is skipped."""
+        ids, visited, first = self.po.carrier, 0, (len(self.po.carrier), 0)  # after every pair
+        for carrier in self._components:
+            found, visited = self._component_pass(carrier, visited, first)
+            first = found[-1] if found else first
+        return None if first[0] == len(ids) else (ids[first[1]], ids[first[0]])
 
     def check(self) -> Report:
         """Welldefinedness verdict: the diagram is a welldefined scenario iff
@@ -530,35 +553,36 @@ def check_welldefined(d: Diagram) -> Report:
 
 
 def suggest_resolutions(
-    d: Diagram, report: Report, *, analysis: Analysis | None = None
+    d: Diagram, report: Report | tuple[tuple[str, str], ...], *, analysis: Analysis | None = None
 ) -> tuple[Proposal, ...]:
-    """For each witness pair (A, D), propose observing A before D (an
+    """For each significant pair (A, D), propose observing A before D (an
     informational arc) and forcing D before A (a pure ordering constraint),
     re-checking the diagram under each.  Proposals that do not reach a
     welldefined verdict on their own are greedily extended one constraint
     at a time.  Sorted by constraint count, so single-constraint fixes come
     first.
 
-    ``report`` is the check of ``d``, and ``analysis`` the unconstrained
-    analysis of ``d`` that made it, if the caller has one.  Every recheck
-    runs on an analysis derived from it (or from a new one), so they all
-    share its memo.  A recheck reads only the first significant pair, which
-    follows from the diagram and the induced order alone, so it is found
-    once per order, and each constraint set is analysed once.  Raises
-    :class:`RepairBudgetExceeded` before a recheck beyond MAX_RECHECKS,
-    counting a set as often as it is reached."""
-    if report.welldefined:
+    ``report`` is the check of ``d`` or just its significant pairs, and
+    ``analysis`` the unconstrained analysis of ``d``, if the caller has one.
+    Each recheck derives its analysis from that of the constraints it
+    extends, with one pair more, so they all share one memo.  It reads only
+    :meth:`Analysis.first_significant_pair`, which follows from the diagram
+    and the induced order alone, so it is found once per order, and each
+    constraint set is analysed once.  Raises :class:`RepairBudgetExceeded`
+    before a recheck beyond MAX_RECHECKS, counting a set as often as it is
+    reached."""
+    pairs = report.significant_pairs if isinstance(report, Report) else report
+    if not pairs:
         return ()
-    base = analysis if analysis is not None else Analysis(d)
+    root = analysis if analysis is not None else Analysis(d)
     proposals: list[Proposal] = []
     rechecks = 0
-    # constraint set, and induced order -> the first significant pair, None
-    # or "inconsistent"; never the exception, whose traceback holds
-    # analyses.  An order is keyed by its masks.
-    verdicts: dict[frozenset[tuple[str, str, str]], tuple[str, str] | str | None] = {}
-    by_order: dict[tuple[int, ...], tuple[str, str] | None] = {}
+    # constraint set -> None if inconsistent (never the exception: its traceback
+    # holds analyses), else (its analysis if it can be grown, its first pair)
+    verdicts: dict[frozenset[tuple[str, str, str]], tuple[Analysis | None, tuple[str, str] | None] | None] = {}
+    by_order: dict[tuple[int, ...], tuple[str, str] | None] = {}  # keyed by the order's masks
 
-    def recheck(constraints: tuple[tuple[str, str, str], ...]) -> tuple[str, str] | str | None:
+    def recheck(parent: Analysis, constraints: tuple[tuple[str, str, str], ...]):
         nonlocal rechecks
         if rechecks == MAX_RECHECKS:
             raise RepairBudgetExceeded(
@@ -568,33 +592,34 @@ def suggest_resolutions(
         key = frozenset(constraints)
         if key not in verdicts:
             try:
-                derived = base.constrained(constraints)
+                derived = parent.constrained(constraints[-1:])
             except InconsistentOrder:
-                verdicts[key] = "inconsistent"
-                return verdicts[key]
+                verdicts[key] = None
+                return None
             order = derived.po.masks
             if order not in by_order:
-                pairs = derived.significant_pairs()
-                by_order[order] = pairs[0] if pairs else None
-            verdicts[key] = by_order[order]
+                by_order[order] = derived.first_significant_pair()
+            verdicts[key] = (derived if by_order[order] else None), by_order[order]
         return verdicts[key]
 
     # Each constraint tuple is grown at most once: the roots come from
-    # distinct witnesses, and a tuple extends only the first significant
-    # pair of its own recheck.
+    # distinct pairs, and a tuple extends only the first significant pair
+    # of its own recheck.
     def branch(
-        constraints: tuple[tuple[str, str, str], ...], pairs: Iterable[tuple[str, str]], depth: int
+        constraints: tuple[tuple[str, str, str], ...], parent: Analysis, pairs: Iterable[tuple[str, str]], depth: int
     ) -> None:
         for a, dec in pairs:
             for option in (("observe", a, dec), ("precede", dec, a)):
                 nxt = constraints + (option,)
-                first = recheck(nxt)
-                if first == "inconsistent":
+                verdict = recheck(parent, nxt)
+                if verdict is None:
                     continue
+                derived, first = verdict
                 proposals.append(Proposal(constraints=nxt, welldefined=first is None))
                 if first is not None and depth > 0:
-                    branch(nxt, (first,), depth - 1)
+                    branch(nxt, derived, (first,), depth - 1)
 
-    branch((), report.significant_pairs, len(report.witnesses) + 1)
+    branch((), root, pairs, len(pairs) + 1)
+    del branch  # it refers to itself: drop the cycle, which holds every analysis
     proposals.sort(key=lambda p: (not p.welldefined, len(p.constraints)))
     return tuple(proposals)

@@ -204,30 +204,53 @@ _quote = json.encoder.encode_basestring_ascii
 def to_json(x: Any, pad: str = "\n") -> str:
     """``json.dumps(x, indent=2)``, written directly: json's encoder takes
     an indent only in pure Python.  ``pad`` is the newline and indentation
-    of ``x``'s own lines.  Strings go through json's C escaping, a list of
-    strings in one join; everything else is json's own compact text."""
-    if isinstance(x, str):
-        return _quote(x)
+    of ``x``'s own lines, all joined once.  Strings go through json's C
+    escaping, a list of strings in one join made once per content and
+    indentation; other scalars but bools, None and exact ints are json's."""
+    out: list[str] = []
+    _write(x, pad, out.append, {})
+    return "".join(out)
+
+
+def _write(x: Any, pad: str, put: Callable[[str], None], lists: dict[tuple[tuple, str], str]) -> None:
+    """:func:`to_json`'s text of ``x``, passed piece by piece to ``put``;
+    ``lists`` maps (items, pad) to the text of a list of strings."""
     inner = pad + "  "
-    if isinstance(x, (list, tuple)):
+    if isinstance(x, str):
+        put(_quote(x))
+    elif isinstance(x, (list, tuple)):
         if x and type(x[0]) is str:
             try:  # a list of strings
-                return "[" + inner + ("," + inner).join(map(_quote, x)) + pad + "]"
-            except TypeError:  # an item that is no str
+                key = (tuple(x), pad)
+                if key not in lists:
+                    lists[key] = "[" + inner + ("," + inner).join(map(_quote, x)) + pad + "]"
+                put(lists[key])
+                return
+            except TypeError:  # an item that is no str, or none that hashes
                 pass
-        return "[" + inner + ("," + inner).join([to_json(v, inner) for v in x]) + pad + "]" if x else "[]"
-    if isinstance(x, dict):
-        items = []
+        sep = "[" + inner
+        for v in x:
+            put(sep)
+            _write(v, inner, put, lists)
+            sep = "," + inner
+        put(pad + "]" if x else "[]")
+    elif isinstance(x, dict):
+        sep = "{" + inner
         for k, v in x.items():
             if not isinstance(k, str):
                 if not (k is None or isinstance(k, (int, float))):
                     raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
                 k = json.dumps(k)
-            items.append(_quote(k) + ": " + (_quote(v) if type(v) is str else to_json(v, inner)))
-        return "{" + inner + ("," + inner).join(items) + pad + "}" if items else "{}"
-    if type(x) is int:
-        return int.__repr__(x)
-    return json.dumps(x)  # None, a bool, a float, an int subclass, or json's TypeError
+            put(sep + _quote(k) + ": ")
+            _write(v, inner, put, lists)
+            sep = "," + inner
+        put(pad + "}" if x else "{}")
+    elif x is True or x is False or x is None:
+        put("true" if x else "null" if x is None else "false")
+    elif type(x) is int:
+        put(int.__repr__(x))
+    else:
+        put(json.dumps(x))  # a float, an int subclass, or json's TypeError
 
 
 def emit(args, payload: dict, text: Callable[[], str]) -> None:
@@ -404,17 +427,17 @@ def cmd_solve(args) -> int:
 def cmd_suggest(args) -> int:
     d, _ = load_file(args.file)
     analysis = _analysis.Analysis(d)
-    report = analysis.check()
-    proposals = _analysis.suggest_resolutions(d, report, analysis=analysis)
-    payload = [{"constraints": [list(c) for c in p.constraints], "welldefined": p.welldefined} for p in proposals]
+    pairs = analysis.significant_pairs()
+    proposals = _analysis.suggest_resolutions(d, pairs, analysis=analysis)
+    payload = [{"constraints": p.constraints, "welldefined": p.welldefined} for p in proposals]
 
     def text() -> str:
-        lines = [f"{args.file}: already welldefined; nothing to suggest"] if report.welldefined else []
+        lines = [f"{args.file}: already welldefined; nothing to suggest"] if not pairs else []
         for p in proposals:
             cs = "; ".join(f"{'observe' if kind == 'observe' else 'constrain'} {x} before {y}" for kind, x, y in p.constraints)
             lines.append(f"[{'fixes' if p.welldefined else 'insufficient'}] {cs}")
         return "\n".join(lines) + "\n"
-    emit(args, {"welldefined": report.welldefined, "proposals": payload}, text)
+    emit(args, {"welldefined": not pairs, "proposals": payload}, text)
     return 0
 
 
@@ -422,7 +445,7 @@ def cmd_fuzz(args) -> int:
     d, _ = load_file(args.file)
     analysis = _analysis.Analysis(d)
     schemas = list(enumerate_schemas(d, analysis.po))
-    welldefined = not analysis.significant_pairs()
+    welldefined = analysis.first_significant_pair() is None
     # Schema 0, the base of the comparisons, first; then the rest by their
     # reversed orders, so that schemas that end alike come together and each
     # order suffix is eliminated once.  Failures are reported in schema

@@ -78,12 +78,13 @@ class PartialOrder:
     apart."""
 
     def __init__(self, carrier: tuple[str, ...], index: dict[str, int], decisions: int, masks: tuple[int, ...],
-                 before: tuple[int, ...]):
+                 before: tuple[int, ...], closure: PartialOrder | None = None):
         self.carrier = carrier
         self.index = index
         self.decisions = decisions
         self.masks = masks
         self.before = before
+        self.closure = closure  # an induced order before clauses (c) and (d), which alone read absent pairs
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PartialOrder):
@@ -174,9 +175,9 @@ def induce_partial_order(
     Clause (d) references the relation being built, so it is applied in
     rounds, each read off the relation closed after the previous one, until
     stable.  ``extra`` injects additional base pairs (used to test
-    candidate ordering constraints).  ``base`` is ``base_closure(d)``, passed
-    in by callers that induce several orders of ``d``; every pair beyond it
-    is added incrementally (module docstring).
+    candidate ordering constraints).  ``base`` is ``base_closure(d)``, or an
+    order's ``closure`` to extend, passed in by callers that induce several
+    orders of ``d``; every pair beyond it is added incrementally.
 
     Raises :class:`InconsistentOrder` if the closure orders some node
     before itself, naming the first such node in declaration order.  A
@@ -205,6 +206,7 @@ def induce_partial_order(
         if x not in index or y not in index:
             raise ValueError(f"constraint ({x!r}, {y!r}) references unknown node")
         add(1 << index[x], 1 << index[y])
+    closure = PartialOrder(base.carrier, index, decisions, tuple(succ), tuple(before)) if extra else base
 
     # Clause (c): whether a chance node ever precedes a decision is fixed by
     # the closure so far (its outgoing relations can only start at an
@@ -232,7 +234,7 @@ def induce_partial_order(
     for i, s in enumerate(succ):
         if s >> i & 1:
             raise InconsistentOrder(f"inconsistent order: {base.carrier[i]!r} precedes itself")
-    return PartialOrder(base.carrier, index, decisions, tuple(succ), tuple(before))
+    return PartialOrder(base.carrier, index, decisions, tuple(succ), tuple(before), closure)
 
 
 class OrderSchema:

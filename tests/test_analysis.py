@@ -735,16 +735,21 @@ class TestSuggestResolutions:
         report = check_welldefined(d)
         tried, inconsistent = [], []
         constrained = Analysis.constrained
+        held = {}  # derived analysis -> its whole constraint set
         diagrams = 0
         init = pidcheck.model.Diagram.__init__
 
         def record(self, constraints):
-            tried.append(frozenset(constraints))
+            # each recheck derives from its parent's analysis: the whole set
+            # is the parent's constraints plus the argument
+            tried.append(held.get(self, frozenset()) | frozenset(constraints))
             try:
-                return constrained(self, constraints)
+                derived = constrained(self, constraints)
             except InconsistentOrder:
                 inconsistent.append(tried[-1])
                 raise
+            held[derived] = tried[-1]
+            return derived
 
         def build(self, nodes):
             nonlocal diagrams
@@ -765,19 +770,32 @@ class TestSuggestResolutions:
             suggest_resolutions(d, report)
 
 
-def _reached_sets(d) -> list[tuple[tuple[str, str, str], ...]]:
-    """The constraint tuples the repair search rechecks on ``d``, in order."""
+def _reached(d) -> list[tuple[tuple[tuple[str, str, str], ...], Analysis | None]]:
+    """The constraint tuples the repair search analyses on ``d``, in order,
+    each with the analysis derived for it, or None where the order is
+    inconsistent.  Each recheck derives from its parent's analysis, so a
+    tuple is the parent's constraints plus the argument."""
     tried = []
     constrained = Analysis.constrained
+    held = {}  # derived analysis -> its whole constraint tuple
 
     def record(self, constraints):
-        tried.append(tuple(constraints))
-        return constrained(self, constraints)
+        whole = held.get(self, ()) + tuple(constraints)
+        tried.append((whole, None))  # None stays if it raises InconsistentOrder
+        derived = constrained(self, constraints)
+        tried[-1] = (whole, derived)
+        held[derived] = whole
+        return derived
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Analysis, "constrained", record)
         suggest_resolutions(d, check_welldefined(d))
     return tried
+
+
+def _reached_sets(d) -> list[tuple[tuple[str, str, str], ...]]:
+    """The constraint tuples the repair search rechecks on ``d``, in order."""
+    return [cs for cs, _ in _reached(d)]
 
 
 class TestConstraintsArePairs:
@@ -1011,3 +1029,116 @@ class TestDerivedAnalysis:
         self._assert_matches_fresh(both, fresh)
         assert both.check().welldefined
         assert not base.check().welldefined
+
+
+def _draw(seed: int):
+    return random_pid(np.random.default_rng(seed), max_carrier=8, max_decisions=4)
+
+
+class TestFirstSignificantPair:
+    """`first_significant_pair`, which each repair recheck and `fuzz` read,
+    is the first of `significant_pairs`, or None, though each pass stops at
+    its first pair."""
+
+    @staticmethod
+    def _assert_first(analysis) -> bool:
+        first = analysis.first_significant_pair()
+        assert first == (analysis.significant_pairs()[:1] or (None,))[0]
+        return first is not None
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.pid")), ids=lambda p: p.stem)
+    def test_fixtures(self, path):
+        self._assert_first(Analysis(load_file(str(path))[0]))
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_w_shared(self, k):
+        assert self._assert_first(Analysis(w_family(k, shared=True)))
+
+    def test_random_draws(self):
+        ambiguous = sum(self._assert_first(Analysis(_draw(seed))) for seed in range(500))
+        assert 30 <= ambiguous < 500
+
+    @pytest.mark.parametrize("name", ["fig6", "fig7", "fig8", "w3_shared"])
+    def test_every_order_the_repair_search_reaches(self, name):
+        d = w_family(3, shared=True) if name == "w3_shared" else figures.ALL_FIGURES[name]()
+        derived = [analysis for _, analysis in _reached(d) if analysis is not None]
+        assert derived
+        for analysis in derived:
+            self._assert_first(analysis)
+
+    def test_visits_fewer_states_than_the_full_pass(self, monkeypatch):
+        # fig8's first pair is (A, D): 9 states against 30 for all five
+        # pairs.  On W(3)-shared both visit 13, so it cannot show this.
+        visited = []
+        component_pass = Analysis._component_pass
+
+        def record(self, *args):
+            found, states = component_pass(self, *args)
+            visited.append(states)  # the running total of the analysis
+            return found, states
+
+        monkeypatch.setattr(Analysis, "_component_pass", record)
+        d = figures.fig8()
+        assert Analysis(d).first_significant_pair() == ("A", "D")
+        first = visited[-1]
+        assert Analysis(d).significant_pairs()[0] == ("A", "D")
+        assert first < visited[-1], (first, visited[-1])
+        # so a recheck may answer under a state limit that the full pass exceeds
+        monkeypatch.setattr(pidcheck.analysis, "MAX_SCAN_STATES", first)
+        assert Analysis(d).first_significant_pair() == ("A", "D")
+        with pytest.raises(ScanBudgetExceeded):
+            Analysis(d).significant_pairs()
+
+
+class TestChildOrders:
+    """The repair search derives each analysis from its parent's: the
+    parent's closure before clauses (c) and (d), plus one pair, then (c) and
+    (d) from scratch.  Under every constraint set it reaches, that gives the
+    order induced from scratch with every pair of the set."""
+
+    @staticmethod
+    def _assert_fresh(d) -> tuple[int, int]:
+        """The constraint sets checked, and those of them with a parent
+        other than the unconstrained analysis."""
+        checked = grown = 0
+        for cs, analysis in _reached(d):
+            pairs = [(x, y) for _, x, y in cs]
+            if analysis is None:
+                with pytest.raises(InconsistentOrder):
+                    induce_partial_order(d, pairs)
+                continue
+            fresh = induce_partial_order(d, pairs)
+            assert (analysis.po.masks, analysis.po.before) == (fresh.masks, fresh.before), cs
+            checked += 1
+            grown += len(cs) > 1
+        return checked, grown
+
+    @pytest.mark.parametrize("name", ["fig6", "fig7", "fig8", "w3_shared"])
+    def test_fixtures_and_w3_shared(self, name):
+        d = w_family(3, shared=True) if name == "w3_shared" else figures.ALL_FIGURES[name]()
+        checked, grown = self._assert_fresh(d)
+        assert checked > 0 and (grown > 0 or name == "fig6")
+
+    def test_random_draws(self):
+        grown = sum(self._assert_fresh(_draw(seed))[1] for seed in range(200))
+        assert grown > 0
+
+    def test_draw_829_fixes_are_not_monotone(self):
+        # Observing X1 before D0 fixes the draw, and observing X1 before D2
+        # as well makes (X2, D2) significant again.  The order of the fix
+        # puts D2 before X1 by clause (c) or (d), not by its closure before
+        # them, so a child built from the fix's final order would be
+        # inconsistent.
+        d = _draw(829)
+        assert Analysis(d).significant_pairs() == (("X1", "D2"), ("X2", "D2"))
+        fixed = Analysis(d).constrained([("observe", "X1", "D0")])
+        assert fixed.first_significant_pair() is None and fixed.significant_pairs() == ()
+        incremental = fixed.constrained([("observe", "X1", "D2")])
+        fresh = Analysis(d).constrained([("observe", "X1", "D0"), ("observe", "X1", "D2")])
+        arcs = Analysis(with_arcs(d, [("X1", "D0"), ("X1", "D2")]))
+        for analysis in (incremental, fresh, arcs):
+            assert analysis.first_significant_pair() == ("X2", "D2")
+            assert analysis.significant_pairs() == (("X2", "D2"),)
+        assert incremental.po.masks == fresh.po.masks == arcs.po.masks
+        with pytest.raises(InconsistentOrder):
+            induce_partial_order(d, [("X1", "D2")], fixed.po)

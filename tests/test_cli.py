@@ -789,6 +789,20 @@ class TestJsonWriter:
     def test_writes_what_json_writes(self, payload):
         assert cli.to_json(payload) == json.dumps(payload, indent=2)
 
+    _STRINGS = ["a", 'q"', "\u00c4"]
+
+    @pytest.mark.parametrize("payload", [
+        {"x": _STRINGS, "y": [_STRINGS, {"z": _STRINGS}]},
+        [_STRINGS, _STRINGS],
+        [("a", "b"), ["a", "b"], {"k": ("a", "b"), "l": ["a", "b"]}, [("a", "b"), ["a", "b"]]],
+        [["a", 1], ["a", "b"], ["a", "b", 2.5], ("a", None), ["a", ["b"]], ["a", {"b": "c"}], ["a", True]],
+        [True, False, None, [None], [False, True], {"t": True, "f": False, "n": None}],
+    ], ids=["same-list-two-depths", "one-list-twice", "equal-lists-and-tuples", "one-non-str-item", "constants"])
+    def test_reused_lists_and_constants(self, payload):
+        # A list of strings is rendered once per content and indentation;
+        # True, False and None are written by identity.
+        assert cli.to_json(payload) == json.dumps(payload, indent=2)
+
     @pytest.mark.parametrize("bad", [{(1, 2): 0}, {"a": object()}, [1, {2}]], ids=["tuple-key", "object", "set"])
     def test_refuses_what_json_refuses(self, bad):
         with pytest.raises(TypeError):
